@@ -31,7 +31,7 @@
 //!   pre-overhaul shape) vs. the signed-digit batch-affine `mul_many`
 //!   kernel at one thread and at full parallelism (the parallel entry
 //!   doubles as table-reuse-*on*; `table-reuse-off` re-pays the table
-//!   build per run), plus the end-to-end `SetupContext::generate_with`
+//!   build per run), plus the end-to-end `SetupContext::generate_timed`
 //!   keygen.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -179,7 +179,7 @@ fn bench_setup_hot_path(c: &mut Criterion) {
     });
     let setup_ctx = SetupContext::new(matrices);
     group.bench_function("full-keygen", |b| {
-        b.iter(|| setup_ctx.generate_with(&toxic).serialized_size())
+        b.iter(|| setup_ctx.generate_timed(&toxic).0.serialized_size())
     });
     group.finish();
 }

@@ -17,8 +17,7 @@
 //! ```
 
 use zkrownn_bench::{
-    build_row, format_table, measure, measure_with_store, prover_json, MemoryBudget, RowMetrics,
-    Scale, ROW_NAMES,
+    build_row, format_table, measure, prover_json, MemoryBudget, RowMetrics, Scale, ROW_NAMES,
 };
 
 /// Default streaming budget for `--scale full` when `--mem-budget` is not
@@ -163,16 +162,62 @@ fn report_row(m: &RowMetrics) {
     }
 }
 
+fn usage() -> String {
+    format!(
+        "usage: table1 [--scale paper|quick|full] [--mem-budget MB]\n\
+         \x20      [--row NAME]... [--json]\n\
+         \x20      [--table2] [--robustness] [--fixed-point] [--smoke]\n\
+         rows: {}",
+        ROW_NAMES.join(", ")
+    )
+}
+
+/// Rejects a malformed command line: the complaint and the usage line on
+/// stderr, exit status 2 — never a default that starts an hours-long run.
+fn usage_error(complaint: &str) -> ! {
+    eprintln!("table1: {complaint}\n{}", usage());
+    std::process::exit(2)
+}
+
+/// The value after each occurrence of `flag`; a trailing `flag` with no
+/// value is a usage error.
+fn flag_values<'a>(args: &'a [String], flag: &str) -> Vec<&'a str> {
+    args.iter()
+        .enumerate()
+        .filter(|(_, a)| *a == flag)
+        .map(|(i, _)| match args.get(i + 1) {
+            Some(value) => value.as_str(),
+            None => usage_error(&format!("{flag} expects a value")),
+        })
+        .collect()
+}
+
+/// Flags that take a value, and flags that stand alone.
+const VALUE_FLAGS: [&str; 3] = ["--scale", "--row", "--mem-budget"];
+const SWITCHES: [&str; 7] = [
+    "--json",
+    "--smoke",
+    "--table2",
+    "--robustness",
+    "--fixed-point",
+    "--help",
+    "-h",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // a misspelt flag is as dangerous as a misspelt value: ignored, it
+    // leaves the paper-scale default standing
+    let mut rest = args.iter().map(String::as_str);
+    while let Some(arg) = rest.next() {
+        if VALUE_FLAGS.contains(&arg) {
+            rest.next();
+        } else if !SWITCHES.contains(&arg) {
+            usage_error(&format!("unknown argument {arg:?}"));
+        }
+    }
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!(
-            "usage: table1 [--scale paper|quick|full] [--mem-budget MB]\n\
-             \x20      [--row NAME]... [--json]\n\
-             \x20      [--table2] [--robustness] [--fixed-point] [--smoke]\n\
-             rows: {}",
-            ROW_NAMES.join(", ")
-        );
+        println!("{}", usage());
         return;
     }
     if args.iter().any(|a| a == "--table2") {
@@ -191,36 +236,31 @@ fn main() {
     // --smoke: the CI bitrot check — cheapest rows at quick scale, so the
     // whole build→setup→prove→verify path runs in seconds.
     let smoke = args.iter().any(|a| a == "--smoke");
-    let mem_budget_mb: Option<usize> = args.iter().position(|a| a == "--mem-budget").map(|i| {
-        args.get(i + 1)
-            .and_then(|v| v.parse().ok())
+    let mem_budget_mb: Option<usize> = flag_values(&args, "--mem-budget").first().map(|v| {
+        v.parse()
+            .ok()
             .filter(|&mb| mb > 0)
-            .unwrap_or_else(|| panic!("--mem-budget expects a positive MB count"))
+            .unwrap_or_else(|| usage_error("--mem-budget expects a positive MB count"))
     });
-    let scale_arg = args
-        .iter()
-        .position(|a| a == "--scale")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str);
+    let budget =
+        |default_mb: Option<usize>| mem_budget_mb.or(default_mb).map(MemoryBudget::from_mb);
     // `full` is paper dimensions routed through the on-disk key store, so
     // the big rows run without materializing multi-GB proving keys; an
     // explicit --mem-budget routes whichever scale was picked the same way
-    let (scale, store_budget) = match scale_arg {
-        Some("quick") => (Scale::Quick, mem_budget_mb.map(MemoryBudget::from_mb)),
-        Some("full") => (
-            Scale::Paper,
-            Some(MemoryBudget::from_mb(
-                mem_budget_mb.unwrap_or(DEFAULT_FULL_BUDGET_MB),
-            )),
-        ),
-        None if smoke => (Scale::Quick, mem_budget_mb.map(MemoryBudget::from_mb)),
-        _ => (Scale::Paper, mem_budget_mb.map(MemoryBudget::from_mb)),
+    let (scale, store_budget) = match flag_values(&args, "--scale").first() {
+        Some(&"quick") => (Scale::Quick, budget(None)),
+        Some(&"paper") => (Scale::Paper, budget(None)),
+        Some(&"full") => (Scale::Paper, budget(Some(DEFAULT_FULL_BUDGET_MB))),
+        Some(other) => usage_error(&format!("unknown --scale {other:?}")),
+        None if smoke => (Scale::Quick, budget(None)),
+        None => (Scale::Paper, budget(None)),
     };
-    let mut rows: Vec<&str> = args
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| *a == "--row")
-        .filter_map(|(i, _)| args.get(i + 1).map(String::as_str))
+    let mut rows: Vec<&'static str> = flag_values(&args, "--row")
+        .into_iter()
+        .map(|row| match ROW_NAMES.iter().find(|r| **r == row) {
+            Some(canonical) => *canonical,
+            None => usage_error(&format!("unknown --row {row:?}")),
+        })
         .collect();
     if rows.is_empty() {
         rows = if smoke {
@@ -241,21 +281,14 @@ fn main() {
         }
     );
     let mut measured: Vec<RowMetrics> = Vec::new();
-    for row in rows {
-        let canonical: &'static str = ROW_NAMES
-            .iter()
-            .find(|r| **r == row)
-            .unwrap_or_else(|| panic!("unknown row {row:?}; known: {ROW_NAMES:?}"));
+    for canonical in rows {
         eprintln!("[{canonical}] building circuit …");
         let cs = build_row(canonical, scale);
         eprintln!(
             "[{canonical}] {} constraints; running setup/prove/verify …",
             cs.num_constraints()
         );
-        let m = match store_budget {
-            Some(budget) => measure_with_store(canonical, &cs, budget),
-            None => measure(canonical, &cs),
-        };
+        let m = measure(canonical, &cs, store_budget);
         report_row(&m);
         measured.push(m);
     }
@@ -272,7 +305,7 @@ fn main() {
             "[{canonical}] {} constraints; running streaming setup/prove/verify …",
             cs.num_constraints()
         );
-        let m = measure_with_store(canonical, &cs, MemoryBudget::from_mb(SMOKE_BUDGET_MB));
+        let m = measure(canonical, &cs, Some(MemoryBudget::from_mb(SMOKE_BUDGET_MB)));
         report_row(&m);
         measured.push(m);
     }

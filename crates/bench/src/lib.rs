@@ -29,10 +29,13 @@ use zkrownn_gadgets::relu::relu_vec;
 use zkrownn_gadgets::sigmoid::sigmoid_vec;
 use zkrownn_gadgets::threshold::hard_threshold_vec;
 use zkrownn_gadgets::{ber::ber_circuit, FixedConfig, Num};
-use zkrownn_groth16::{create_proof_timed, verify_proof_prepared, SetupContext, ToxicWaste};
+use zkrownn_groth16::{
+    prove, verify_proof_prepared, KeyCollector, KeySink, KeySource, SetupContext, ToxicWaste,
+    VerifyingKey,
+};
 use zkrownn_nn::{generate_gmm, Dense, GmmConfig, Layer, Network};
 use zkrownn_r1cs::{Circuit, ConstraintSystem, ProvingSynthesizer, SynthesisError};
-use zkrownn_store::{create_proof_streamed_timed, KeyStore, KeyStoreWriter, StoreBackend};
+use zkrownn_store::{KeyStore, KeyStoreWriter, StoreBackend, StoredKey};
 
 pub use zkrownn_curves::MemoryBudget;
 
@@ -82,12 +85,11 @@ pub struct RowMetrics {
     /// Verifier wall time.
     pub verify_time: Duration,
     /// Peak resident-set size (`VmHWM`) observed across setup + prove +
-    /// verify, in bytes. `0` when the platform exposes no high-water mark
-    /// (non-Linux) or for the in-memory [`measure`] path, which predates
-    /// the column.
+    /// verify, in bytes. `0` only when the platform exposes no high-water
+    /// mark (non-Linux).
     pub peak_rss_bytes: u64,
     /// Number of segments in the on-disk key store consumed by the
-    /// streamed prover; `0` for the in-memory [`measure`] path.
+    /// streamed prover; `0` when the key was kept in memory.
     pub key_segments: usize,
 }
 
@@ -541,13 +543,87 @@ pub fn paper_reference(name: &str) -> Option<&'static PaperRow> {
     PAPER_TABLE1.iter().find(|r| r.name == canonical)
 }
 
+/// What [`measure`] needs of a finished key, wherever keygen put it.
+struct MeasuredKey<K> {
+    /// The key as the prover reads it.
+    source: K,
+    vk: VerifyingKey,
+    /// Serialized key size: wire bytes in memory, file bytes on disk.
+    pk_bytes: usize,
+    /// Segments in the on-disk store (`0` in memory).
+    segments: usize,
+}
+
 /// Runs setup → prove → verify over a synthesized circuit and measures all
 /// seven Table I metrics plus the setup phase breakdown (QAP scalars /
-/// group commitments) and the prover phase breakdown (context build /
-/// witness map / MSMs).
-pub fn measure(name: &'static str, cs: &ProvingSynthesizer<Fr>) -> RowMetrics {
+/// group commitments), the prover phase breakdown (context build / witness
+/// map / MSMs) and the row's own peak RSS.
+///
+/// `store_budget` says where the key goes. `None` keeps it in memory.
+/// `Some(budget)` runs the *streaming* pipeline end to end — keygen
+/// chunked under `budget` straight into an on-disk `.zkst` key store, then
+/// the prover consuming base chunks from that store at the same budget.
+/// The proving key is then never materialized in memory: `pk_bytes`
+/// reports the on-disk store size, and the store is read through the
+/// buffered backend so the footprint stays honest even under an
+/// address-space cap (mmap would count the whole file against
+/// `ulimit -v`). Either way `setup_time` runs until the key is ready to
+/// prove from — collected, or durably committed and reopened.
+///
+/// # Panics
+/// Panics on an unsatisfied circuit, on store I/O failures, or if the
+/// proof fails to verify.
+pub fn measure(
+    name: &'static str,
+    cs: &ProvingSynthesizer<Fr>,
+    store_budget: Option<MemoryBudget>,
+) -> RowMetrics {
+    let Some(budget) = store_budget else {
+        let unbounded = MemoryBudget::from_bytes(usize::MAX);
+        return measure_through(name, cs, KeyCollector::default(), unbounded, |sink| {
+            let pk = sink.into_key();
+            Ok(MeasuredKey {
+                vk: pk.vk.clone(),
+                pk_bytes: pk.serialized_size(),
+                segments: 0,
+                source: pk,
+            })
+        });
+    };
+    let store_path =
+        std::env::temp_dir().join(format!("zkrownn-bench-{}-{name}.zkst", std::process::id()));
+    let sink = KeyStoreWriter::create(&store_path, None)
+        .unwrap_or_else(|e| panic!("{name}: creating key store: {e}"));
+    let metrics = measure_through(name, cs, sink, budget, |sink| {
+        sink.finish()?;
+        let store = KeyStore::open_with(&store_path, StoreBackend::Buffered)?;
+        Ok(MeasuredKey {
+            vk: store.verifying_key()?,
+            pk_bytes: store.file().file_len() as usize,
+            segments: store.segment_count(),
+            source: StoredKey { store, budget },
+        })
+    });
+    let _ = std::fs::remove_file(&store_path);
+    metrics
+}
+
+/// The one measurement body: keygen into `sink` at `budget`, `finish` the
+/// sink into the key the prover reads, prove from it, verify.
+fn measure_through<S: KeySink, K: KeySource>(
+    name: &'static str,
+    cs: &ProvingSynthesizer<Fr>,
+    mut sink: S,
+    budget: MemoryBudget,
+    finish: impl FnOnce(S) -> Result<MeasuredKey<K>, Box<dyn std::error::Error>>,
+) -> RowMetrics
+where
+    S::Error: std::fmt::Display,
+    K::Error: std::fmt::Display,
+{
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xbe9c);
     assert!(cs.is_satisfied().is_ok(), "{name}: unsatisfied circuit");
+    reset_peak_rss();
 
     // the one-time cost both roles share: matrix lowering + domain
     // construction with its twiddle/coset tables (`SetupContext` hands the
@@ -558,17 +634,21 @@ pub fn measure(name: &'static str, cs: &ProvingSynthesizer<Fr>) -> RowMetrics {
 
     let toxic = ToxicWaste::sample(&mut rng);
     let t = Instant::now();
-    let (pk, setup_timings) = setup_ctx.generate_timed(&toxic);
+    let setup_timings = setup_ctx
+        .generate_into(&toxic, &mut sink, budget)
+        .unwrap_or_else(|e| panic!("{name}: keygen: {e}"));
+    let key = finish(sink).unwrap_or_else(|e| panic!("{name}: finishing the key: {e}"));
     let setup_time = t.elapsed();
     let ctx = setup_ctx.into_prover_context();
 
     let z = cs.full_assignment();
     let r = Fr::random(&mut rng);
     let s = Fr::random(&mut rng);
-    let (proof, timings) = create_proof_timed(&pk, &ctx, &z, r, s);
+    let (proof, timings) =
+        prove(&ctx, &key.source, &z, r, s).unwrap_or_else(|e| panic!("{name}: prover: {e}"));
 
     let publics: Vec<Fr> = cs.instance_assignment()[1..].to_vec();
-    let pvk = pk.vk.prepare();
+    let pvk = key.vk.prepare();
     let t = Instant::now();
     verify_proof_prepared(&pvk, &proof, &publics).expect("proof must verify");
     let verify_time = t.elapsed();
@@ -580,16 +660,16 @@ pub fn measure(name: &'static str, cs: &ProvingSynthesizer<Fr>) -> RowMetrics {
         setup_time,
         setup_qap_time: setup_timings.qap_eval,
         setup_commit_time: setup_timings.commit,
-        pk_bytes: pk.serialized_size(),
+        pk_bytes: key.pk_bytes,
         context_time,
         prove_time: timings.total,
         witness_map_time: timings.witness_map,
         msm_time: timings.msm,
         proof_bytes: proof.to_bytes().len(),
-        vk_bytes: pk.vk.serialized_size(),
+        vk_bytes: key.vk.serialized_size(),
         verify_time,
-        peak_rss_bytes: 0,
-        key_segments: 0,
+        peak_rss_bytes: peak_rss_bytes(),
+        key_segments: key.segments,
     }
 }
 
@@ -618,87 +698,6 @@ pub fn peak_rss_bytes() -> u64 {
         })
         .map(|kb| kb * 1024)
         .unwrap_or(0)
-}
-
-/// [`measure`]'s store-backed twin: runs the *streaming* pipeline end to
-/// end — keygen chunked under `budget` straight into an on-disk `.zkst`
-/// key store, then the segment-aware prover consuming base chunks from
-/// that store at the same budget — and reports the usual Table I metrics
-/// plus the peak-RSS and key-segment columns.
-///
-/// The proving key is never materialized in memory: `pk_bytes` reports the
-/// on-disk store size, and the store is read through the buffered backend
-/// so the footprint stays honest even under an address-space cap (mmap
-/// would count the whole file against `ulimit -v`).
-///
-/// # Panics
-/// Panics on an unsatisfied circuit, on store I/O failures, or if the
-/// streamed proof fails to verify.
-pub fn measure_with_store(
-    name: &'static str,
-    cs: &ProvingSynthesizer<Fr>,
-    budget: MemoryBudget,
-) -> RowMetrics {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0xbe9c);
-    assert!(cs.is_satisfied().is_ok(), "{name}: unsatisfied circuit");
-    let store_path =
-        std::env::temp_dir().join(format!("zkrownn-bench-{}-{name}.zkst", std::process::id()));
-
-    reset_peak_rss();
-    let t = Instant::now();
-    let setup_ctx = SetupContext::new(cs.to_matrices());
-    let context_time = t.elapsed();
-
-    let toxic = ToxicWaste::sample(&mut rng);
-    let t = Instant::now();
-    let mut sink = KeyStoreWriter::create(&store_path, None)
-        .unwrap_or_else(|e| panic!("{name}: creating key store: {e}"));
-    let setup_timings = setup_ctx
-        .generate_streaming_with(&toxic, &mut sink, budget)
-        .unwrap_or_else(|e| panic!("{name}: streaming keygen: {e}"));
-    sink.finish()
-        .unwrap_or_else(|e| panic!("{name}: finishing key store: {e}"));
-    let setup_time = t.elapsed();
-    let ctx = setup_ctx.into_prover_context();
-
-    let store = KeyStore::open_with(&store_path, StoreBackend::Buffered)
-        .unwrap_or_else(|e| panic!("{name}: opening key store: {e}"));
-    let z = cs.full_assignment();
-    let r = Fr::random(&mut rng);
-    let s = Fr::random(&mut rng);
-    let (proof, timings) = create_proof_streamed_timed(&store, &ctx, &z, r, s, budget)
-        .unwrap_or_else(|e| panic!("{name}: streamed prover: {e}"));
-
-    let publics: Vec<Fr> = cs.instance_assignment()[1..].to_vec();
-    let vk = store
-        .verifying_key()
-        .unwrap_or_else(|e| panic!("{name}: reading vk from store: {e}"));
-    let pvk = vk.prepare();
-    let t = Instant::now();
-    verify_proof_prepared(&pvk, &proof, &publics).expect("streamed proof must verify");
-    let verify_time = t.elapsed();
-
-    let metrics = RowMetrics {
-        name,
-        constraints: cs.num_constraints(),
-        domain_size: ctx.domain().size,
-        setup_time,
-        setup_qap_time: setup_timings.qap_eval,
-        setup_commit_time: setup_timings.commit,
-        pk_bytes: store.file().file_len() as usize,
-        context_time,
-        prove_time: timings.total,
-        witness_map_time: timings.witness_map,
-        msm_time: timings.msm,
-        proof_bytes: proof.to_bytes().len(),
-        vk_bytes: vk.serialized_size(),
-        verify_time,
-        peak_rss_bytes: peak_rss_bytes(),
-        key_segments: store.segment_count(),
-    };
-    drop(store);
-    let _ = std::fs::remove_file(&store_path);
-    metrics
 }
 
 /// Sustained verification throughput through the byte-level
@@ -776,8 +775,8 @@ pub fn measure_verify_throughput() -> VerifyThroughput {
 ///
 /// Schema `v2` added the trusted-setup phase breakdown
 /// (`setup_qap_s` / `setup_commit_s`) alongside `setup_s`; schema `v3`
-/// added the streaming-store columns (`peak_rss_bytes` / `key_segments`),
-/// both `0` for rows measured through the in-memory path, and later grew
+/// added the `peak_rss_bytes` / `key_segments` columns (`key_segments` is
+/// `0` for rows whose key stayed in memory), and later grew
 /// the optional top-level `verify` object (byte-level verification
 /// throughput through `zkrownn_verify`) — additive, so v3 consumers that
 /// only read `rows` are unaffected.
@@ -899,17 +898,20 @@ mod tests {
     #[test]
     fn quick_relu_row_measures_end_to_end() {
         let cs = build_row("relu", Scale::Quick);
-        let m = measure("ReLU", &cs);
+        let m = measure("ReLU", &cs, None);
         assert_eq!(m.proof_bytes, 128);
         assert!(m.verify_time.as_secs_f64() < 1.0);
+        assert_eq!(m.key_segments, 0);
     }
 
     #[test]
     fn store_backed_measure_matches_in_memory_row() {
         let cs = build_row("ber", Scale::Quick);
-        let streamed = measure_with_store("ber", &cs, MemoryBudget::from_mb(4));
+        let in_memory = measure("ber", &cs, None);
+        let streamed = measure("ber", &cs, Some(MemoryBudget::from_mb(4)));
         assert_eq!(streamed.proof_bytes, 128);
-        assert_eq!(streamed.constraints, cs.num_constraints());
+        assert_eq!(streamed.constraints, in_memory.constraints);
+        assert_eq!(streamed.vk_bytes, in_memory.vk_bytes);
         // constants + IC + the six proving-key families (no META: the
         // bench store is not circuit-bound)
         assert!(
@@ -920,7 +922,9 @@ mod tests {
         // the on-disk key is real (container overhead over an empty file)
         assert!(streamed.pk_bytes > 1024);
         if cfg!(target_os = "linux") {
+            // every row records its own high-water mark, wherever its key is
             assert!(streamed.peak_rss_bytes > 0, "VmHWM should be readable");
+            assert!(in_memory.peak_rss_bytes > 0, "VmHWM should be readable");
         }
     }
 
@@ -947,7 +951,7 @@ mod tests {
     #[test]
     fn format_table_contains_paper_rows() {
         let cs = build_row("ber", Scale::Quick);
-        let m = measure("BER", &cs);
+        let m = measure("BER", &cs, None);
         let table = format_table(&[m]);
         assert!(table.contains("BER (ours)"));
         assert!(table.contains("BER (paper)"));
@@ -956,7 +960,7 @@ mod tests {
     #[test]
     fn prover_json_is_well_formed() {
         let cs = build_row("ber", Scale::Quick);
-        let m = measure("ber", &cs);
+        let m = measure("ber", &cs, None);
         assert!(m.witness_map_time + m.msm_time <= m.prove_time);
         assert!(m.setup_qap_time + m.setup_commit_time <= m.setup_time);
         assert!(m.domain_size.is_power_of_two());

@@ -110,6 +110,14 @@ impl From<VerificationError> for ZkrownnError {
     }
 }
 
+/// An in-memory proving key cannot fail; this lets code generic over a
+/// `KeySource`'s error type end in `ZkrownnError`.
+impl From<core::convert::Infallible> for ZkrownnError {
+    fn from(e: core::convert::Infallible) -> Self {
+        match e {}
+    }
+}
+
 #[cfg(feature = "std")]
 impl From<zkrownn_store::StoreError> for ZkrownnError {
     fn from(e: zkrownn_store::StoreError) -> Self {

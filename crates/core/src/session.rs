@@ -24,23 +24,29 @@ use crate::prove::OwnershipProof;
 pub use crate::verify::{SignedClaim, VerifierKit};
 use std::path::Path;
 use zkrownn_curves::MemoryBudget;
+use zkrownn_ff::Field;
 use zkrownn_ff::Fr;
 use zkrownn_groth16::{
-    create_proof_with_context, ProverContext, ProvingKey, SetupContext, ToxicWaste,
+    prove, KeyCollector, KeySink, KeySource, ProverContext, ProvingKey, SetupContext, ToxicWaste,
 };
 use zkrownn_r1cs::{Circuit, SetupSynthesizer};
-use zkrownn_store::{create_proof_streamed_rng, KeyStore, KeyStoreWriter, StoreBackend, StoreMeta};
+use zkrownn_store::{KeyStore, KeyStoreWriter, StoreBackend, StoreMeta, StoredKey};
 
-/// One witness-free synthesis serving triple duty: the lowered matrices
-/// and twiddle-table domain become a [`SetupContext`] that drives key
+/// The one setup path: synthesize → [`CircuitId`] → [`SetupContext`] →
+/// keygen into the sink `make_sink` builds for that circuit id.
+///
+/// One witness-free synthesis serves triple duty: the lowered matrices and
+/// twiddle-table domain become a [`SetupContext`] that drives key
 /// generation and is returned so [`Authority::setup`] can convert it into
 /// the prover's cached [`ProverContext`] (one lowering, one domain build,
 /// both roles), and the streamed trace becomes the [`CircuitId`] —
 /// setup-side circuits are synthesized exactly once.
-fn generate_parameters_and_id<C: Circuit<Fr>, R: rand::Rng + ?Sized>(
+fn keygen_into<C: Circuit<Fr>, S: KeySink, R: rand::Rng + ?Sized>(
     circuit: &C,
+    make_sink: impl FnOnce(CircuitId) -> Result<S, S::Error>,
+    budget: MemoryBudget,
     rng: &mut R,
-) -> (ProvingKey, CircuitId, SetupContext) {
+) -> Result<(S, CircuitId, SetupContext), S::Error> {
     let mut cs = SetupSynthesizer::with_sink(TraceHasher::new());
     circuit
         .synthesize(&mut cs)
@@ -48,8 +54,26 @@ fn generate_parameters_and_id<C: Circuit<Fr>, R: rand::Rng + ?Sized>(
     let matrices = cs.to_matrices();
     let id = CircuitId::from_bytes(cs.into_sink().finalize());
     let setup_ctx = SetupContext::new(matrices);
-    let pk = setup_ctx.generate(rng);
-    (pk, id, setup_ctx)
+    let mut sink = make_sink(id)?;
+    setup_ctx.generate_into(&ToxicWaste::sample(rng), &mut sink, budget)?;
+    Ok((sink, id, setup_ctx))
+}
+
+/// [`keygen_into`] a [`KeyCollector`] at the unbounded budget — the key in
+/// memory — plus the [`VerifierKit`] for it, bound to `statement_digest`:
+/// the setup was requested for *this* dispute, so a claim about any other
+/// same-shaped model will be rejected with `StatementMismatch`.
+fn keygen_in_memory<C: Circuit<Fr>, R: rand::Rng + ?Sized>(
+    circuit: &C,
+    statement_digest: [u8; 32],
+    rng: &mut R,
+) -> (ProvingKey, VerifierKit, SetupContext) {
+    let unbounded = MemoryBudget::from_bytes(usize::MAX);
+    let Ok((sink, id, setup_ctx)) =
+        keygen_into(circuit, |_| Ok(KeyCollector::default()), unbounded, rng);
+    let pk = sink.into_key();
+    let verifier = VerifierKit::from_parts(pk.vk.clone(), id).bind_statement(statement_digest);
+    (pk, verifier, setup_ctx)
 }
 
 /// The trusted-setup authority (the paper's trusted third party `T`).
@@ -102,25 +126,18 @@ impl Authority {
         spec: &ExtractionSpec,
         rng: &mut R,
     ) -> (ProverKit, VerifierKit) {
-        let (pk, circuit_id, setup_ctx) = generate_parameters_and_id(&spec.shape_circuit(), rng);
-        // keygen's lowered matrices and twiddle-table domain carry straight
-        // over into the prover's cached compute state — nothing re-lowers
-        let ctx = setup_ctx.into_prover_context();
-        let vk = pk.vk.clone();
-        // the setup was requested for *this* dispute, so the issued kit is
-        // bound to this spec's public statement: a claim about any other
-        // same-shaped model will be rejected with `StatementMismatch`
-        let verifier = VerifierKit::from_parts(vk, circuit_id)
-            .bind_statement(spec.statement().content_digest());
-        (
-            ProverKit {
-                pk,
-                spec: spec.clone(),
-                circuit_id,
-                ctx,
-            },
-            verifier,
-        )
+        let digest = spec.statement().content_digest();
+        let (pk, verifier, setup_ctx) = keygen_in_memory(&spec.shape_circuit(), digest, rng);
+        let prover = ProverKit {
+            key: pk,
+            spec: spec.clone(),
+            circuit_id: verifier.circuit_id(),
+            // keygen's lowered matrices and twiddle-table domain carry
+            // straight over into the prover's cached compute state —
+            // nothing re-lowers
+            ctx: setup_ctx.into_prover_context(),
+        };
+        (prover, verifier)
     }
 
     /// Strictly witness-free setup from a public [`OwnershipStatement`]
@@ -135,10 +152,8 @@ impl Authority {
     ) -> (ProvingKey, VerifierKit) {
         let circuit = ExtractionCircuit::from_statement(statement);
         // verifier-only issuance: the setup context is not needed past keygen
-        let (pk, circuit_id, _setup_ctx) = generate_parameters_and_id(&circuit, rng);
-        let vk = pk.vk.clone();
-        let verifier =
-            VerifierKit::from_parts(vk, circuit_id).bind_statement(statement.content_digest());
+        let (pk, verifier, _setup_ctx) =
+            keygen_in_memory(&circuit, statement.content_digest(), rng);
         (pk, verifier)
     }
 
@@ -160,24 +175,15 @@ impl Authority {
         budget: MemoryBudget,
     ) -> Result<VerifierKit, ZkrownnError> {
         let circuit = ExtractionCircuit::from_statement(statement);
-        let mut cs = SetupSynthesizer::with_sink(TraceHasher::new());
-        circuit
-            .synthesize(&mut cs)
-            .expect("setup-mode synthesis evaluates no value closure and cannot fail");
-        let matrices = cs.to_matrices();
-        let circuit_id = CircuitId::from_bytes(cs.into_sink().finalize());
-        let setup_ctx = SetupContext::new(matrices);
-        let meta = StoreMeta {
-            circuit_id: *circuit_id.as_bytes(),
-            statement_digest: statement.content_digest(),
+        let make_sink = |id: CircuitId| {
+            let meta = StoreMeta {
+                circuit_id: *id.as_bytes(),
+                statement_digest: statement.content_digest(),
+            };
+            KeyStoreWriter::create(path, Some(meta))
         };
-        let mut sink = KeyStoreWriter::create(path, Some(meta))
-            .map_err(|e| ZkrownnError::Store(e.to_string()))?;
-        let toxic = ToxicWaste::sample(rng);
-        setup_ctx
-            .generate_streaming_with(&toxic, &mut sink, budget)
-            .map_err(|e| ZkrownnError::Store(e.to_string()))?;
-        sink.finish()
+        let circuit_id = keygen_into(&circuit, make_sink, budget, rng)
+            .and_then(|(sink, id, _setup_ctx)| sink.finish().map(|()| id))
             .map_err(|e| ZkrownnError::Store(e.to_string()))?;
         let vk = KeyStore::open(path)?.verifying_key()?;
         Ok(VerifierKit::from_parts(vk, circuit_id).bind_statement(statement.content_digest()))
@@ -190,8 +196,13 @@ impl Authority {
 /// projection matrix, signature). It never serializes them; the only thing
 /// it exports is a [`SignedClaim`], which carries public data and a
 /// zero-knowledge proof.
-pub struct ProverKit {
-    pk: ProvingKey,
+///
+/// `K` is where the proving key lives — any [`KeySource`]. The default is
+/// an in-memory [`ProvingKey`]; [`StoredProverKit`] is the same kit over a
+/// key streamed from a `.zkst` store. Either way there is one
+/// [`prove`](Self::prove), and the claims do not depend on `K`.
+pub struct ProverKit<K = ProvingKey> {
+    key: K,
     spec: ExtractionSpec,
     circuit_id: CircuitId,
     /// Cached prover compute state (lowered matrices, FFT domain with its
@@ -200,16 +211,27 @@ pub struct ProverKit {
     ctx: ProverContext,
 }
 
-impl ProverKit {
-    /// Reassembles a kit from a proving key and a spec — e.g. after
-    /// receiving the key bytes from an authority in another process.
-    /// Lowers the circuit once into the kit's cached [`ProverContext`].
-    pub fn from_parts(pk: ProvingKey, spec: ExtractionSpec) -> Self {
-        let circuit_id = spec.circuit_id();
+/// A [`ProverKit`] whose proving key lives on disk in a segmented store
+/// (`.zkst`) instead of in memory.
+///
+/// Proving streams each key family out of the store in budget-sized,
+/// checksum-verified chunks, so peak memory is the witness scalars plus one
+/// chunk of points — independent of key size. The claims it produces are
+/// byte-identical to an in-memory [`ProverKit`]'s with the equivalent key
+/// under the same randomness.
+pub type StoredProverKit = ProverKit<StoredKey>;
+
+impl<K: KeySource> ProverKit<K>
+where
+    K::Error: Into<ZkrownnError>,
+{
+    /// The shared constructor tail: lowers `spec`'s circuit once into the
+    /// kit's cached [`ProverContext`].
+    fn with_key(key: K, spec: ExtractionSpec, circuit_id: CircuitId) -> Self {
         let ctx = ProverContext::for_circuit(&spec.shape_circuit())
             .expect("setup-mode synthesis evaluates no value closure and cannot fail");
         Self {
-            pk,
+            key,
             spec,
             circuit_id,
             ctx,
@@ -231,21 +253,18 @@ impl ProverKit {
         self.spec.statement()
     }
 
-    /// The proving key (needed to persist or ship the prover role).
-    pub fn proving_key(&self) -> &ProvingKey {
-        &self.pk
-    }
-
     /// Generates an ownership claim: synthesizes the witnessed circuit in
-    /// proving mode, proves it, and bundles the proof with the public
-    /// statement.
+    /// proving mode, proves it from wherever the key lives, and bundles the
+    /// proof with the public statement.
     pub fn prove<R: rand::Rng + ?Sized>(&self, rng: &mut R) -> Result<SignedClaim, ZkrownnError> {
         let built = self.spec.build()?;
         built
             .cs
             .is_satisfied()
             .map_err(ZkrownnError::UnsatisfiedCircuit)?;
-        let proof = create_proof_with_context(&self.pk, &self.ctx, &built.cs, rng);
+        let z = built.cs.full_assignment();
+        let (r, s) = (Fr::random(rng), Fr::random(rng));
+        let (proof, _) = prove(&self.ctx, &self.key, &z, r, s).map_err(Into::into)?;
         Ok(SignedClaim {
             statement: self.spec.statement(),
             proof: OwnershipProof {
@@ -257,20 +276,19 @@ impl ProverKit {
     }
 }
 
-/// A [`ProverKit`] whose proving key lives on disk in a segmented store
-/// (`.zkst`) instead of in memory.
-///
-/// Proving streams each key family out of the store in budget-sized,
-/// checksum-verified chunks, so peak memory is the witness scalars plus one
-/// chunk of points — independent of key size. The proofs it produces are
-/// byte-identical to [`ProverKit::prove`] with the equivalent in-memory key
-/// under the same randomness.
-pub struct StoredProverKit {
-    store: KeyStore,
-    spec: ExtractionSpec,
-    circuit_id: CircuitId,
-    ctx: ProverContext,
-    budget: MemoryBudget,
+impl ProverKit {
+    /// Reassembles a kit from a proving key and a spec — e.g. after
+    /// receiving the key bytes from an authority in another process.
+    /// Lowers the circuit once into the kit's cached [`ProverContext`].
+    pub fn from_parts(pk: ProvingKey, spec: ExtractionSpec) -> Self {
+        let circuit_id = spec.circuit_id();
+        Self::with_key(pk, spec, circuit_id)
+    }
+
+    /// The proving key (needed to persist or ship the prover role).
+    pub fn proving_key(&self) -> &ProvingKey {
+        &self.key
+    }
 }
 
 impl StoredProverKit {
@@ -309,50 +327,15 @@ impl StoredProverKit {
                 });
             }
         }
-        let ctx = ProverContext::for_circuit(&spec.shape_circuit())
-            .expect("setup-mode synthesis evaluates no value closure and cannot fail");
-        Ok(Self {
-            store,
+        Ok(Self::with_key(
+            StoredKey { store, budget },
             spec,
             circuit_id,
-            ctx,
-            budget,
-        })
-    }
-
-    /// The circuit this kit proves against.
-    pub fn circuit_id(&self) -> CircuitId {
-        self.circuit_id
-    }
-
-    /// The public statement this kit's claims will carry.
-    pub fn statement(&self) -> OwnershipStatement {
-        self.spec.statement()
+        ))
     }
 
     /// The underlying key store (e.g. for [`KeyStore::verifying_key`]).
     pub fn store(&self) -> &KeyStore {
-        &self.store
-    }
-
-    /// Generates an ownership claim exactly like [`ProverKit::prove`], but
-    /// with the five proof MSMs consuming key segments from the store at
-    /// this kit's memory budget.
-    pub fn prove<R: rand::Rng + ?Sized>(&self, rng: &mut R) -> Result<SignedClaim, ZkrownnError> {
-        let built = self.spec.build()?;
-        built
-            .cs
-            .is_satisfied()
-            .map_err(ZkrownnError::UnsatisfiedCircuit)?;
-        let z = built.cs.full_assignment();
-        let proof = create_proof_streamed_rng(&self.store, &self.ctx, &z, rng, self.budget)?;
-        Ok(SignedClaim {
-            statement: self.spec.statement(),
-            proof: OwnershipProof {
-                proof,
-                verdict: built.verdict,
-                circuit_id: self.circuit_id,
-            },
-        })
+        &self.key.store
     }
 }

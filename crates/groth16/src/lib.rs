@@ -63,14 +63,13 @@ pub use keys::{DecodeError, PreparedVerifyingKey, Proof, ProvingKey, VerifyingKe
 #[cfg(feature = "std")]
 pub use prover::{
     assemble_proof, create_proof, create_proof_from_cs, create_proof_timed,
-    create_proof_with_context, create_proof_with_context_and_randomness,
-    create_proof_with_randomness, ProofSums, ProverContext, ProverTimings,
+    create_proof_with_context_and_randomness, prove, KeySource, ProofSums, ProverContext,
+    ProverTimings,
 };
 #[cfg(feature = "std")]
 pub use setup::{
-    generate_parameters, generate_parameters_from_matrices, generate_parameters_from_matrices_with,
-    generate_parameters_with, KeyConstants, KeyFamily, KeySink, SetupContext, SetupTimings,
-    ToxicWaste,
+    generate_parameters, generate_parameters_from_matrices, KeyCollector, KeyConstants, KeyFamily,
+    KeySink, SetupContext, SetupTimings, ToxicWaste,
 };
 pub use verifier::{
     prepare_inputs, verify_proof, verify_proof_prepared, verify_proof_with_prepared_inputs,
@@ -375,8 +374,9 @@ mod tests {
             tau: Fr::from_u64(15),
         };
         // witness-free and witnessed shapes must yield identical keys
-        let pk1 = generate_parameters_with(&Cubic { y: 35, x: None }, &toxic).unwrap();
-        let pk2 = generate_parameters_with(&cubic(3), &toxic).unwrap();
+        let setup = |circuit: &Cubic| SetupContext::for_circuit(circuit).unwrap();
+        let (pk1, _) = setup(&Cubic { y: 35, x: None }).generate_timed(&toxic);
+        let (pk2, _) = setup(&cubic(3)).generate_timed(&toxic);
         assert_eq!(pk1, pk2);
     }
 
@@ -440,12 +440,12 @@ mod tests {
             tau: Fr::from_u64(25),
         };
         let ctx = SetupContext::for_circuit(&Cubic { y: 35, x: None }).unwrap();
-        let pk = ctx.generate_with(&toxic);
+        let (pk, _) = ctx.generate_timed(&toxic);
         // a tiny budget forces many chunks (MIN_CHUNK floor: still ≥ 2
         // chunks for any family longer than 256)
         let mut sink = Collector::default();
         let timings = ctx
-            .generate_streaming_with(&toxic, &mut sink, MemoryBudget::from_bytes(1))
+            .generate_into(&toxic, &mut sink, MemoryBudget::from_bytes(1))
             .unwrap();
         assert!(timings.total >= timings.commit);
 

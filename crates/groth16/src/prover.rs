@@ -1,25 +1,29 @@
 //! Groth16 prover.
 //!
-//! The hot path is organized around a [`ProverContext`]: the lowered
-//! constraint matrices, the FFT domain (with its twiddle tables) and the
-//! inverse of the coset vanishing constant, built once and reused across
-//! proofs. [`create_proof_from_cs`] still works standalone — it builds a
-//! throwaway context — but anything proving more than once against the same
-//! circuit should hold a context (the `zkrownn-core` `ProverKit` does).
+//! There is **one** proof kernel, [`prove`], over two things it is handed:
 //!
-//! Inside one proof, the witness map's three interpolation pipelines and
-//! the five proof MSMs (`a_query`, `b_g2_query`, `b_g1_query`,
-//! `l_query`+`h_query`) run concurrently via `std::thread::scope`.
+//! * a [`ProverContext`] — the lowered constraint matrices, the FFT domain
+//!   (with its twiddle tables) and the inverse of the coset vanishing
+//!   constant, built once and reused across proofs. [`create_proof_from_cs`]
+//!   still works standalone — it builds a throwaway context — but anything
+//!   proving more than once against the same circuit should hold a context
+//!   (the `zkrownn-core` `ProverKit` does);
+//! * a [`KeySource`] — wherever the proving key lives. The kernel owns the
+//!   shape check, the witness map, the phase timings and the `(r, s)`
+//!   assembly; the source owns only how the five proof MSMs are scheduled.
+//!   An in-memory [`ProvingKey`] runs them concurrently via
+//!   `std::thread::scope`; the `zkrownn-store` source streams each family
+//!   from disk in budget-sized, checksum-verified chunks.
 
 use crate::keys::{Proof, ProvingKey};
 use crate::qap;
-use crate::setup::KeyConstants;
+use crate::setup::{KeyConstants, SetupContext};
 use std::time::{Duration, Instant};
 use zkrownn_curves::msm::msm;
 use zkrownn_curves::{G1Projective, G2Projective};
 use zkrownn_ff::{Field, Fr};
 use zkrownn_poly::Radix2Domain;
-use zkrownn_r1cs::{Circuit, ProvingSynthesizer, R1csMatrices, SetupSynthesizer, SynthesisError};
+use zkrownn_r1cs::{Circuit, ProvingSynthesizer, R1csMatrices, SynthesisError};
 
 /// Everything about a circuit the prover can compute once and reuse for
 /// every proof: the lowered matrices, the FFT domain with its twiddle
@@ -82,9 +86,7 @@ impl ProverContext {
     /// mode — the right entry point when only the circuit shape is at hand,
     /// e.g. reconstructing a prover role from a shipped proving key.
     pub fn for_circuit<C: Circuit<Fr>>(circuit: &C) -> Result<Self, SynthesisError> {
-        let mut cs = SetupSynthesizer::<Fr>::new();
-        circuit.synthesize(&mut cs)?;
-        Ok(Self::new(cs.to_matrices()))
+        Ok(SetupContext::for_circuit(circuit)?.into_prover_context())
     }
 
     /// The lowered constraint matrices.
@@ -115,6 +117,125 @@ pub struct ProverTimings {
     pub total: Duration,
 }
 
+/// Where [`prove`] reads the proving key from — the read half of the pair
+/// whose write half is [`KeySink`](crate::KeySink): keygen drives a sink to
+/// put the key somewhere, and a source proves from wherever that was.
+///
+/// A source hands over the six fixed key elements and the four MSM partial
+/// sums of a proof. *How* it computes the sums — monolithic concurrent MSMs
+/// over in-memory queries, or serial chunk-accumulated streams out of a
+/// key store — is the one thing it owns: MSM partial sums add up
+/// group-exactly, so every source hands [`prove`] the same group elements
+/// and the proof bytes do not depend on where the key lives.
+///
+/// [`ProvingKey`] is the in-memory source; `zkrownn_store::StoredKey` (a
+/// `KeyStore` plus a `MemoryBudget`) is the on-disk one, and that crate's
+/// front-page example proves from both through the same [`prove`] call.
+pub trait KeySource {
+    /// The source's failure type: uninhabited for an in-memory key, a
+    /// store error for an on-disk one.
+    type Error;
+
+    /// The six fixed key elements.
+    fn constants(&self) -> Result<KeyConstants, Self::Error>;
+
+    /// The four MSM partial sums of a proof: `a_query`, `b_g1_query` and
+    /// `b_g2_query` against the full assignment `z`, `l_query` against its
+    /// `witness` tail plus `h_query` against the quotient coefficients `h`.
+    ///
+    /// A source checks each family's length against its scalars, and must
+    /// have verified whatever integrity it maintains over the points it
+    /// consumed before returning `Ok` — the sums go straight into the
+    /// proof.
+    fn proof_sums(&self, z: &[Fr], witness: &[Fr], h: &[Fr]) -> Result<ProofSums, Self::Error>;
+
+    /// The error [`prove`] returns for an assignment of `got` scalars
+    /// against a circuit of `expected` variables. A source whose
+    /// [`Error`](Self::Error) is uninhabited panics instead: for a key
+    /// that cannot fail, a wrong-length assignment is a caller bug.
+    fn assignment_mismatch(expected: usize, got: usize) -> Self::Error;
+}
+
+/// The in-memory source: five monolithic MSMs, run concurrently (each is
+/// itself window-parallel).
+impl KeySource for ProvingKey {
+    type Error = core::convert::Infallible;
+
+    fn constants(&self) -> Result<KeyConstants, Self::Error> {
+        Ok(KeyConstants {
+            alpha_g1: self.vk.alpha_g1,
+            beta_g1: self.beta_g1,
+            delta_g1: self.delta_g1,
+            beta_g2: self.vk.beta_g2,
+            gamma_g2: self.vk.gamma_g2,
+            delta_g2: self.vk.delta_g2,
+        })
+    }
+
+    fn proof_sums(&self, z: &[Fr], witness: &[Fr], h: &[Fr]) -> Result<ProofSums, Self::Error> {
+        assert_eq!(self.a_query.len(), z.len(), "proving key shape mismatch");
+        let mut a_sum = G1Projective::identity();
+        let mut b_g2_sum = G2Projective::identity();
+        let mut b_g1_sum = G1Projective::identity();
+        let lh_sum = std::thread::scope(|scope| {
+            scope.spawn(|| a_sum = msm(&self.a_query, z));
+            scope.spawn(|| b_g2_sum = msm(&self.b_g2_query, z));
+            scope.spawn(|| b_g1_sum = msm(&self.b_g1_query, z));
+            msm(&self.l_query, witness) + msm(&self.h_query, h)
+        });
+        Ok(ProofSums {
+            a_sum,
+            b_g1_sum,
+            b_g2_sum,
+            lh_sum,
+        })
+    }
+
+    fn assignment_mismatch(expected: usize, got: usize) -> Self::Error {
+        panic!("assignment length mismatch: expected {expected} scalars, got {got}")
+    }
+}
+
+/// The proof kernel: shape check, witness map, the source's five MSMs,
+/// then the `(r, s)`-randomized assembly of `(A, B, C)` — with the
+/// per-phase wall-clock breakdown alongside the proof.
+///
+/// `z` is the full assignment (instance ‖ witness) of a satisfied synthesis
+/// of `ctx`'s circuit, and `source` a key generated for that circuit. Every
+/// other `create_proof*` entry point, here and in `zkrownn-store`, is a
+/// line or two over this function.
+pub fn prove<S: KeySource>(
+    ctx: &ProverContext,
+    source: &S,
+    z: &[Fr],
+    r: Fr,
+    s: Fr,
+) -> Result<(Proof, ProverTimings), S::Error> {
+    let start = Instant::now();
+    let num_instance = ctx.matrices.num_instance;
+    let num_vars = num_instance + ctx.matrices.num_witness;
+    if z.len() != num_vars {
+        return Err(S::assignment_mismatch(num_vars, z.len()));
+    }
+
+    // h(x) coefficients (the FFT-heavy part) — scalars stay in memory
+    // whatever the source: 32 B/element against a key's 64–128 B/point
+    let h = ctx.witness_map(z);
+    let witness_map = start.elapsed();
+
+    let msm_start = Instant::now();
+    let sums = source.proof_sums(z, &z[num_instance..], &h)?;
+    let msm = msm_start.elapsed();
+
+    let proof = assemble_proof(&source.constants()?, &sums, r, s);
+    let timings = ProverTimings {
+        witness_map,
+        msm,
+        total: start.elapsed(),
+    };
+    Ok((proof, timings))
+}
+
 /// Synthesizes `circuit` in proving mode (evaluating every value closure
 /// into the dense assignment) and creates a proof for it.
 ///
@@ -135,68 +256,31 @@ pub fn create_proof<C: Circuit<Fr>, R: rand::Rng + ?Sized>(
     Ok(create_proof_from_cs(pk, &cs, rng))
 }
 
-/// Creates a proof from an already-synthesized proving-mode system.
+/// Creates a proof from an already-synthesized proving-mode system, with
+/// fresh `(r, s)` from `rng`.
 ///
 /// Builds a throwaway [`ProverContext`] — callers proving repeatedly
-/// against one circuit should build the context once and use
-/// [`create_proof_with_context`].
+/// against one circuit should build the context once and call [`prove`].
 ///
 /// # Panics
-/// Panics (in debug builds) if the constraint system is unsatisfied or its
-/// shape disagrees with the proving key.
+/// Panics (in debug builds) if the constraint system is unsatisfied, and
+/// always if its shape disagrees with the proving key.
 pub fn create_proof_from_cs<R: rand::Rng + ?Sized>(
     pk: &ProvingKey,
     cs: &ProvingSynthesizer<Fr>,
     rng: &mut R,
 ) -> Proof {
+    debug_assert_eq!(cs.is_satisfied(), Ok(()), "unsatisfied constraint system");
     let ctx = ProverContext::for_cs(cs);
-    create_proof_with_context(pk, &ctx, cs, rng)
+    let (r, s) = (Fr::random(rng), Fr::random(rng));
+    create_proof_timed(pk, &ctx, &cs.full_assignment(), r, s).0
 }
 
-/// Creates a proof from a cached [`ProverContext`] and a proving-mode
-/// synthesis of the same circuit — the amortized hot path.
+/// Deterministic-randomness proof from an in-memory key over a cached
+/// context: [`prove`] without the timings.
 ///
 /// # Panics
-/// Panics (in debug builds) if the constraint system is unsatisfied or its
-/// shape disagrees with the context or proving key.
-pub fn create_proof_with_context<R: rand::Rng + ?Sized>(
-    pk: &ProvingKey,
-    ctx: &ProverContext,
-    cs: &ProvingSynthesizer<Fr>,
-    rng: &mut R,
-) -> Proof {
-    debug_assert_eq!(cs.is_satisfied(), Ok(()), "unsatisfied constraint system");
-    debug_assert_eq!(
-        (cs.num_instance_variables(), cs.num_witness_variables()),
-        (ctx.matrices.num_instance, ctx.matrices.num_witness),
-        "constraint system shape disagrees with the prover context"
-    );
-    let z = cs.full_assignment();
-    let r = Fr::random(rng);
-    let s = Fr::random(rng);
-    prove_with(pk, &ctx.matrices, &ctx.domain, ctx.z_inv, &z, r, s).0
-}
-
-/// Deterministic-randomness variant (used by tests and the bench harness).
-/// Builds a throwaway domain; see [`create_proof_with_context_and_randomness`]
-/// for the cached equivalent.
-pub fn create_proof_with_randomness(
-    pk: &ProvingKey,
-    matrices: &R1csMatrices<Fr>,
-    z: &[Fr],
-    r: Fr,
-    s: Fr,
-) -> Proof {
-    let domain = qap::qap_domain(matrices);
-    let z_inv = domain
-        .vanishing_polynomial_on_coset()
-        .inverse()
-        .expect("coset avoids the domain");
-    prove_with(pk, matrices, &domain, z_inv, z, r, s).0
-}
-
-/// Deterministic-randomness proof over a cached context (bit-identical to
-/// [`create_proof_with_randomness`] for the same inputs).
+/// Panics if `z` or `pk` disagrees with the context's circuit shape.
 pub fn create_proof_with_context_and_randomness(
     pk: &ProvingKey,
     ctx: &ProverContext,
@@ -204,11 +288,15 @@ pub fn create_proof_with_context_and_randomness(
     r: Fr,
     s: Fr,
 ) -> Proof {
-    prove_with(pk, &ctx.matrices, &ctx.domain, ctx.z_inv, z, r, s).0
+    create_proof_timed(pk, ctx, z, r, s).0
 }
 
-/// Instrumented variant returning the per-phase wall-clock breakdown
-/// alongside the proof (the bench harness's `BENCH_prover.json` source).
+/// [`prove`] from an in-memory key, returning the per-phase wall-clock
+/// breakdown alongside the proof (the bench harness's `BENCH_prover.json`
+/// source).
+///
+/// # Panics
+/// Panics if `z` or `pk` disagrees with the context's circuit shape.
 pub fn create_proof_timed(
     pk: &ProvingKey,
     ctx: &ProverContext,
@@ -216,77 +304,15 @@ pub fn create_proof_timed(
     r: Fr,
     s: Fr,
 ) -> (Proof, ProverTimings) {
-    prove_with(pk, &ctx.matrices, &ctx.domain, ctx.z_inv, z, r, s)
-}
-
-/// The proof kernel: witness map, then the five MSMs concurrently, then
-/// the `(r, s)`-randomized assembly of `(A, B, C)`.
-fn prove_with(
-    pk: &ProvingKey,
-    matrices: &R1csMatrices<Fr>,
-    domain: &Radix2Domain<Fr>,
-    z_inv: Fr,
-    z: &[Fr],
-    r: Fr,
-    s: Fr,
-) -> (Proof, ProverTimings) {
-    let start = Instant::now();
-    let num_vars = matrices.num_instance + matrices.num_witness;
-    assert_eq!(z.len(), num_vars, "assignment length mismatch");
-    assert_eq!(pk.a_query.len(), num_vars, "proving key shape mismatch");
-
-    // h(x) coefficients (the FFT-heavy part)
-    let h = qap::witness_map_with(matrices, domain, z_inv, z);
-    let witness_map_time = start.elapsed();
-
-    // the four independent MSM tasks; each is itself window-parallel
-    let msm_start = Instant::now();
-    let witness = &z[matrices.num_instance..];
-    let mut a_sum = G1Projective::identity();
-    let mut b_g2_sum = G2Projective::identity();
-    let mut b_g1_sum = G1Projective::identity();
-    let lh_sum = std::thread::scope(|scope| {
-        scope.spawn(|| a_sum = msm(&pk.a_query, z));
-        scope.spawn(|| b_g2_sum = msm(&pk.b_g2_query, z));
-        scope.spawn(|| b_g1_sum = msm(&pk.b_g1_query, z));
-        msm(&pk.l_query, witness) + msm(&pk.h_query, &h)
-    });
-    let msm_time = msm_start.elapsed();
-
-    let constants = KeyConstants {
-        alpha_g1: pk.vk.alpha_g1,
-        beta_g1: pk.beta_g1,
-        delta_g1: pk.delta_g1,
-        beta_g2: pk.vk.beta_g2,
-        gamma_g2: pk.vk.gamma_g2,
-        delta_g2: pk.vk.delta_g2,
-    };
-    let proof = assemble_proof(
-        &constants,
-        &ProofSums {
-            a_sum,
-            b_g1_sum,
-            b_g2_sum,
-            lh_sum,
-        },
-        r,
-        s,
-    );
-    let timings = ProverTimings {
-        witness_map: witness_map_time,
-        msm: msm_time,
-        total: start.elapsed(),
-    };
-    (proof, timings)
+    let Ok(proved) = prove(ctx, pk, z, r, s);
+    proved
 }
 
 /// The four MSM partial sums a proof is assembled from.
 ///
 /// `Σ zᵢ·uᵢ(τ)` (G1), `Σ zᵢ·vᵢ(τ)` in G1 and G2, and the combined
-/// `L + H` sum. How the sums were produced — monolithic MSMs over
-/// in-memory queries or chunk-accumulated streams out of a key store —
-/// is invisible here: MSM partial sums add up group-exactly, so both
-/// paths hand [`assemble_proof`] the same group elements.
+/// `L + H` sum — what a [`KeySource`] produces and [`assemble_proof`]
+/// consumes.
 #[derive(Clone, Copy, Debug)]
 pub struct ProofSums {
     /// `Σ zᵢ·uᵢ(τ)` over the full assignment (A-query MSM).
@@ -300,9 +326,7 @@ pub struct ProofSums {
 }
 
 /// The `(r, s)`-randomized assembly of `(A, B, C)` from the MSM partial
-/// sums and the key's fixed elements — the single final step shared by the
-/// in-memory prover and the store-backed streaming prover, so both emit
-/// byte-identical proofs for identical sums and randomness.
+/// sums and the key's fixed elements — the final step of [`prove`].
 pub fn assemble_proof(constants: &KeyConstants, sums: &ProofSums, r: Fr, s: Fr) -> Proof {
     // A = α + Σ zᵢ·uᵢ(τ) + r·δ
     let delta_g1 = constants.delta_g1.into_projective();

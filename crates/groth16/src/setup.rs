@@ -14,13 +14,16 @@
 //!   table-based Lagrange path, and the powers of `τ` for the H-query come
 //!   from the same jump-then-recur `geometric_series` that builds twiddle
 //!   tables;
-//! * every group element is produced by the fixed-base tables'
-//!   batch-affine [`FixedBaseTable::mul_many`] kernel — including the toxic
-//!   elements `α, β, δ` (G1) and `β, γ, δ` (G2), which ride along in the
-//!   instance-column and B-G2 batches, so keygen performs **no** per-point
-//!   `into_affine` inversion anywhere;
-//! * the independent key families (A-query, B-G1, B-G2, H-query, L-query,
-//!   IC) run concurrently under `std::thread::scope`.
+//! * every key family is produced by the fixed-base tables' batch-affine
+//!   [`FixedBaseTable::mul_many`] kernel, so keygen performs no per-point
+//!   `into_affine` inversion outside the six toxic elements `α, β, δ` (G1)
+//!   and `β, γ, δ` (G2);
+//! * there is **one** keygen kernel ([`SetupContext::generate_into`]): it
+//!   walks the key families serially in [`MemoryBudget`]-sized chunks — each
+//!   chunk split across cores inside `mul_many` — and hands them to a
+//!   [`KeySink`]. Where the key ends up is the sink's business: a
+//!   [`KeyCollector`] at the unbounded budget builds the in-memory
+//!   [`ProvingKey`], the `zkrownn-store` writer streams a `.zkst` file.
 //!
 //! The entry points take an `impl Circuit<Fr>` and synthesize it with the
 //! shape-only [`SetupSynthesizer`], so the party running setup never
@@ -92,8 +95,8 @@ pub struct SetupTimings {
 
 /// One of the six point-vector families making up a [`ProvingKey`].
 ///
-/// Streaming key generation emits families one at a time in the order of
-/// the variants below; sinks use the discriminant to tag their output
+/// Key generation emits families one at a time in the order of the
+/// variants below; sinks use the discriminant to tag their output
 /// (the `zkrownn-store` segment table reuses these names).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum KeyFamily {
@@ -113,7 +116,7 @@ pub enum KeyFamily {
 }
 
 impl KeyFamily {
-    /// Every family, in the order streaming keygen emits them.
+    /// Every family, in the order keygen emits them.
     pub const ALL: [KeyFamily; 6] = [
         KeyFamily::Ic,
         KeyFamily::AQuery,
@@ -142,7 +145,7 @@ impl KeyFamily {
 }
 
 /// The six fixed group elements of a proving key — everything that is not
-/// one of the [`KeyFamily`] vectors. Emitted once, first, by streaming key
+/// one of the [`KeyFamily`] vectors. Emitted once, first, by key
 /// generation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KeyConstants {
@@ -160,19 +163,35 @@ pub struct KeyConstants {
     pub delta_g2: G2Affine,
 }
 
-/// A consumer of streaming key generation
-/// ([`SetupContext::generate_streaming_with`]).
+impl KeyConstants {
+    /// The verifying key these constants form with the instance (IC)
+    /// family.
+    pub fn verifying_key(&self, gamma_abc_g1: Vec<G1Affine>) -> VerifyingKey {
+        VerifyingKey {
+            alpha_g1: self.alpha_g1,
+            beta_g2: self.beta_g2,
+            gamma_g2: self.gamma_g2,
+            delta_g2: self.delta_g2,
+            gamma_abc_g1,
+        }
+    }
+}
+
+/// Where key generation puts the key ([`SetupContext::generate_into`]) —
+/// the write half of the pair whose read half is
+/// [`KeySource`](crate::KeySource): a sink builds a key somewhere (memory,
+/// a `.zkst` file), a source proves from wherever it was built.
 ///
 /// The generator drives a sink through a fixed protocol: one
 /// [`constants`](Self::constants) call, then for each family in
 /// [`KeyFamily::ALL`] order a [`begin_family`](Self::begin_family) call
-/// announcing the exact element count, one or more budget-sized point
+/// announcing the exact element count, zero or more budget-sized point
 /// chunks ([`g1_chunk`](Self::g1_chunk) or [`g2_chunk`](Self::g2_chunk),
 /// matching [`KeyFamily::is_g2`]), and an [`end_family`](Self::end_family)
-/// call. Chunks arrive in index order and concatenate to exactly the same
-/// point vector the in-memory [`SetupContext::generate_with`] would
-/// produce — affine coordinates are canonical, so a sink that serializes
-/// chunks as they arrive writes a byte-identical key.
+/// call. Chunks arrive in index order, and chunking leaves no trace:
+/// fixed-base multiplication is per-scalar and affine coordinates are
+/// canonical, so a sink that serializes chunks as they arrive writes the
+/// same bytes at every [`MemoryBudget`].
 pub trait KeySink {
     /// The sink's failure type (e.g. an I/O error for on-disk sinks).
     type Error;
@@ -191,6 +210,74 @@ pub trait KeySink {
 
     /// Marks the announced family complete.
     fn end_family(&mut self, family: KeyFamily) -> Result<(), Self::Error>;
+}
+
+/// The in-memory [`KeySink`]: collects every chunk into the vectors of a
+/// [`ProvingKey`]. Driven at `MemoryBudget::from_bytes(usize::MAX)` each
+/// family arrives as a single chunk, which is all that "in memory" means
+/// to the keygen kernel.
+#[derive(Default)]
+pub struct KeyCollector {
+    constants: Option<KeyConstants>,
+    /// The five G1 families, in [`KeyFamily::ALL`] order.
+    g1: Vec<Vec<G1Affine>>,
+    b_g2_query: Vec<G2Affine>,
+}
+
+impl KeyCollector {
+    /// The collected key.
+    ///
+    /// # Panics
+    /// Panics unless the sink was driven through one complete key
+    /// generation.
+    pub fn into_key(self) -> ProvingKey {
+        let constants = self.constants.expect("keygen emits the constants first");
+        let [gamma_abc_g1, a_query, b_g1_query, h_query, l_query]: [Vec<G1Affine>; 5] =
+            self.g1.try_into().expect("keygen emits five G1 families");
+        ProvingKey {
+            vk: constants.verifying_key(gamma_abc_g1),
+            beta_g1: constants.beta_g1,
+            delta_g1: constants.delta_g1,
+            a_query,
+            b_g1_query,
+            b_g2_query: self.b_g2_query,
+            h_query,
+            l_query,
+        }
+    }
+}
+
+impl KeySink for KeyCollector {
+    type Error = core::convert::Infallible;
+
+    fn constants(&mut self, constants: &KeyConstants) -> Result<(), Self::Error> {
+        self.constants = Some(*constants);
+        Ok(())
+    }
+
+    fn begin_family(&mut self, family: KeyFamily, len: usize) -> Result<(), Self::Error> {
+        if family.is_g2() {
+            self.b_g2_query.reserve_exact(len);
+        } else {
+            self.g1.push(Vec::with_capacity(len));
+        }
+        Ok(())
+    }
+
+    fn g1_chunk(&mut self, points: &[G1Affine]) -> Result<(), Self::Error> {
+        let family = self.g1.last_mut().expect("begin_family precedes chunks");
+        family.extend_from_slice(points);
+        Ok(())
+    }
+
+    fn g2_chunk(&mut self, points: &[G2Affine]) -> Result<(), Self::Error> {
+        self.b_g2_query.extend_from_slice(points);
+        Ok(())
+    }
+
+    fn end_family(&mut self, _family: KeyFamily) -> Result<(), Self::Error> {
+        Ok(())
+    }
 }
 
 /// Everything about a circuit the setup can compute once and reuse: the
@@ -236,39 +323,115 @@ impl SetupContext {
 
     /// Runs key generation with fresh randomness from `rng`.
     pub fn generate<R: rand::Rng + ?Sized>(&self, rng: &mut R) -> ProvingKey {
-        self.generate_with(&ToxicWaste::sample(rng))
+        self.generate_timed(&ToxicWaste::sample(rng)).0
     }
 
-    /// Deterministic key generation from explicit toxic waste
-    /// (tests / reproducibility).
-    pub fn generate_with(&self, toxic: &ToxicWaste) -> ProvingKey {
-        self.generate_timed(toxic).0
-    }
-
-    /// [`Self::generate_with`] returning the per-phase wall-clock breakdown
-    /// (the bench harness's `setup_qap_s`/`setup_commit_s` source).
+    /// Deterministic key generation from explicit toxic waste, returning
+    /// the in-memory key with the per-phase wall-clock breakdown (the bench
+    /// harness's `setup_qap_s`/`setup_commit_s` source): the kernel driven
+    /// into a [`KeyCollector`] at the unbounded budget.
     pub fn generate_timed(&self, toxic: &ToxicWaste) -> (ProvingKey, SetupTimings) {
-        generate_from_parts(&self.matrices, &self.domain, toxic)
+        let mut sink = KeyCollector::default();
+        let unbounded = MemoryBudget::from_bytes(usize::MAX);
+        let Ok(timings) = self.generate_into(toxic, &mut sink, unbounded);
+        (sink.into_key(), timings)
     }
 
-    /// Streaming key generation: drives `sink` through the protocol
-    /// described on [`KeySink`], holding at most one `budget`-sized point
-    /// chunk (plus the fixed-base tables and the 32 B/element scalar
-    /// vectors) in memory at any time.
+    /// The keygen kernel, into `sink`: QAP scalars at `τ`, then every key
+    /// family through the batch-affine fixed-base tables, driving the sink
+    /// through the protocol described on [`KeySink`]. At most one
+    /// `budget`-sized point chunk (plus the fixed-base tables and the
+    /// 32 B/element scalar vectors) is live at any time beyond what the
+    /// sink itself keeps.
     ///
-    /// Families are processed **serially** — the point of this path is a
-    /// bounded peak footprint, not latency — but each chunk still runs
-    /// through the same multi-core batch-affine [`FixedBaseTable::mul_many`]
-    /// kernel as the in-memory path, and produces exactly the same points:
-    /// a sink that collects every chunk reassembles a key byte-identical
-    /// to [`Self::generate_with`] for the same toxic waste.
-    pub fn generate_streaming_with<S: KeySink>(
+    /// Families are processed **serially** — the budget bounds the live
+    /// point memory, which concurrent families would split — but each chunk
+    /// runs through the multi-core [`FixedBaseTable::mul_many`] kernel, and
+    /// the points are the same at every budget.
+    pub fn generate_into<S: KeySink>(
         &self,
         toxic: &ToxicWaste,
         sink: &mut S,
         budget: MemoryBudget,
     ) -> Result<SetupTimings, S::Error> {
-        generate_streaming_from_parts(&self.matrices, &self.domain, toxic, sink, budget)
+        // Scalar side: QAP evaluations at `τ` plus every derived scalar
+        // vector (the toxic elements go out separately, as the constants)
+        let start = Instant::now();
+        let qap = qap::evaluate_qap_at_with(&self.matrices, &self.domain, toxic.tau);
+        let num_instance = self.matrices.num_instance;
+        let num_vars = num_instance + self.matrices.num_witness;
+        debug_assert_eq!(qap.u.len(), num_vars);
+        let gamma_inv = toxic.gamma.inverse().expect("gamma != 0");
+        let delta_inv = toxic.delta.inverse().expect("delta != 0");
+        // `gamma_abc_g1` scalars — instance columns of `(β·u + α·v + w)·γ⁻¹`
+        // — and `l_query` scalars — witness columns of the same over `δ`
+        let mut ic_scalars = Vec::with_capacity(num_instance);
+        let mut l_scalars = Vec::with_capacity(self.matrices.num_witness);
+        for i in 0..num_vars {
+            let combined = toxic.beta * qap.u[i] + toxic.alpha * qap.v[i] + qap.w[i];
+            if i < num_instance {
+                ic_scalars.push(combined * gamma_inv);
+            } else {
+                l_scalars.push(combined * delta_inv);
+            }
+        }
+        // `h_query` scalars: τ^i · Z(τ)/δ — jump-then-recur, chunk-parallel
+        let h_scalars = geometric_series(qap.zt * delta_inv, toxic.tau, self.domain.size - 1);
+        let qap_eval = start.elapsed();
+
+        // Group side: batch-affine fixed-base kernels, their windows sized
+        // for the whole key, not the chunk — per-point cost is then the
+        // same at every budget
+        let commit_start = Instant::now();
+        let total_g1_muls = 3 * num_vars + h_scalars.len() + 3;
+        let w1 = FixedBaseTable::<G1Config>::suggested_window(total_g1_muls);
+        let w2 = FixedBaseTable::<G2Config>::suggested_window(num_vars + 3);
+        let mut t2_slot = None;
+        let t1 = std::thread::scope(|scope| {
+            scope.spawn(|| t2_slot = Some(FixedBaseTable::new(G2Projective::generator(), w2)));
+            FixedBaseTable::new(G1Projective::generator(), w1)
+        });
+        let t2 = t2_slot.expect("scope joined the G2 table build");
+
+        // the fixed elements first — single-scalar muls normalize to the same
+        // canonical affine coordinates the batch kernel produces
+        sink.constants(&KeyConstants {
+            alpha_g1: t1.mul(toxic.alpha).into_affine(),
+            beta_g1: t1.mul(toxic.beta).into_affine(),
+            delta_g1: t1.mul(toxic.delta).into_affine(),
+            beta_g2: t2.mul(toxic.beta).into_affine(),
+            gamma_g2: t2.mul(toxic.gamma).into_affine(),
+            delta_g2: t2.mul(toxic.delta).into_affine(),
+        })?;
+
+        let g1_chunk = budget.chunk_len(uncompressed_size::<G1Config>());
+        let g2_chunk = budget.chunk_len(uncompressed_size::<G2Config>());
+        for family in KeyFamily::ALL {
+            let family_scalars: &[Fr] = match family {
+                KeyFamily::Ic => &ic_scalars,
+                KeyFamily::AQuery => &qap.u,
+                KeyFamily::BG1Query | KeyFamily::BG2Query => &qap.v,
+                KeyFamily::HQuery => &h_scalars,
+                KeyFamily::LQuery => &l_scalars,
+            };
+            sink.begin_family(family, family_scalars.len())?;
+            if family.is_g2() {
+                for chunk in family_scalars.chunks(g2_chunk) {
+                    sink.g2_chunk(&t2.mul_many(chunk))?;
+                }
+            } else {
+                for chunk in family_scalars.chunks(g1_chunk) {
+                    sink.g1_chunk(&t1.mul_many(chunk))?;
+                }
+            }
+            sink.end_family(family)?;
+        }
+        let commit = commit_start.elapsed();
+        Ok(SetupTimings {
+            qap_eval,
+            commit,
+            total: start.elapsed(),
+        })
     }
 
     /// Converts this context into the prover's cached compute state,
@@ -289,252 +452,15 @@ pub fn generate_parameters<C: Circuit<Fr>, R: rand::Rng + ?Sized>(
     circuit: &C,
     rng: &mut R,
 ) -> Result<ProvingKey, SynthesisError> {
-    generate_parameters_with(circuit, &ToxicWaste::sample(rng))
+    Ok(SetupContext::for_circuit(circuit)?.generate(rng))
 }
 
-/// Deterministic circuit setup from explicit toxic waste
-/// (tests / reproducibility).
-pub fn generate_parameters_with<C: Circuit<Fr>>(
-    circuit: &C,
-    toxic: &ToxicWaste,
-) -> Result<ProvingKey, SynthesisError> {
-    Ok(SetupContext::for_circuit(circuit)?.generate_with(toxic))
-}
-
-/// Low-level setup over pre-lowered matrices (the circuit entry points
-/// reduce to this; also used by harnesses that already hold matrices).
-/// Builds a throwaway domain — amortizing callers hold a [`SetupContext`].
+/// Low-level setup over pre-lowered matrices (for harnesses that already
+/// hold matrices). Builds a throwaway [`SetupContext`] — amortizing callers
+/// hold one.
 pub fn generate_parameters_from_matrices<R: rand::Rng + ?Sized>(
     matrices: &R1csMatrices<Fr>,
     rng: &mut R,
 ) -> ProvingKey {
-    generate_parameters_from_matrices_with(matrices, &ToxicWaste::sample(rng))
-}
-
-/// Deterministic matrix-level setup from explicit toxic waste.
-pub fn generate_parameters_from_matrices_with(
-    matrices: &R1csMatrices<Fr>,
-    toxic: &ToxicWaste,
-) -> ProvingKey {
-    generate_from_parts(matrices, &qap::qap_domain(matrices), toxic).0
-}
-
-/// The scalar phase of key generation, shared by the in-memory and
-/// streaming kernels: QAP evaluations at `τ` plus every derived scalar
-/// vector, **without** the toxic-element tails (the in-memory path appends
-/// those to its carrier batches; the streaming path emits the constants
-/// separately).
-struct KeygenScalars {
-    /// `a_query` scalars — `uᵢ(τ)`.
-    u: Vec<Fr>,
-    /// `b_g1_query`/`b_g2_query` scalars — `vᵢ(τ)`.
-    v: Vec<Fr>,
-    /// `gamma_abc_g1` scalars — instance columns of `(β·u + α·v + w)·γ⁻¹`.
-    ic: Vec<Fr>,
-    /// `l_query` scalars — witness columns of `(β·u + α·v + w)·δ⁻¹`.
-    l: Vec<Fr>,
-    /// `h_query` scalars — `τⁱ·Z(τ)/δ`.
-    h: Vec<Fr>,
-}
-
-fn keygen_scalars(
-    matrices: &R1csMatrices<Fr>,
-    domain: &Radix2Domain<Fr>,
-    toxic: &ToxicWaste,
-) -> KeygenScalars {
-    let qap = qap::evaluate_qap_at_with(matrices, domain, toxic.tau);
-    let num_vars = matrices.num_instance + matrices.num_witness;
-    let ninstance = matrices.num_instance;
-    debug_assert_eq!(qap.u.len(), num_vars);
-
-    let gamma_inv = toxic.gamma.inverse().expect("gamma != 0");
-    let delta_inv = toxic.delta.inverse().expect("delta != 0");
-
-    // gamma_abc (instance columns) and l_query (witness columns)
-    let mut ic = Vec::with_capacity(ninstance + 3);
-    let mut l = Vec::with_capacity(matrices.num_witness);
-    for i in 0..num_vars {
-        let combined = toxic.beta * qap.u[i] + toxic.alpha * qap.v[i] + qap.w[i];
-        if i < ninstance {
-            ic.push(combined * gamma_inv);
-        } else {
-            l.push(combined * delta_inv);
-        }
-    }
-    // h_query scalars: τ^i · Z(τ)/δ — jump-then-recur, chunk-parallel
-    let h = geometric_series(qap.zt * delta_inv, toxic.tau, domain.size - 1);
-    KeygenScalars {
-        u: qap.u,
-        v: qap.v,
-        ic,
-        l,
-        h,
-    }
-}
-
-/// The keygen kernel: QAP scalars at `τ`, then every key family through
-/// the batch-affine fixed-base tables, families in parallel.
-fn generate_from_parts(
-    matrices: &R1csMatrices<Fr>,
-    domain: &Radix2Domain<Fr>,
-    toxic: &ToxicWaste,
-) -> (ProvingKey, SetupTimings) {
-    let start = Instant::now();
-
-    // Scalar-side computations --------------------------------------------
-    let scalars = keygen_scalars(matrices, domain, toxic);
-    let num_vars = matrices.num_instance + matrices.num_witness;
-    // the G1 toxic elements α, β, δ ride along at the tail of the instance
-    // batch so they share its batch-affine normalization
-    let mut ic_scalars = scalars.ic;
-    ic_scalars.extend([toxic.alpha, toxic.beta, toxic.delta]);
-    let h_scalars = scalars.h;
-    let l_scalars = scalars.l;
-    // B-G2 batch with the G2 toxic elements β, γ, δ at the tail
-    let mut v_g2_scalars = Vec::with_capacity(num_vars + 3);
-    v_g2_scalars.extend_from_slice(&scalars.v);
-    v_g2_scalars.extend([toxic.beta, toxic.gamma, toxic.delta]);
-    let qap_eval = start.elapsed();
-
-    // Group-side computations (batch-affine fixed-base kernels) ------------
-    let commit_start = Instant::now();
-    let total_g1_muls = 3 * num_vars + h_scalars.len() + 3;
-    let w1 = FixedBaseTable::<G1Config>::suggested_window(total_g1_muls);
-    let w2 = FixedBaseTable::<G2Config>::suggested_window(v_g2_scalars.len());
-    let mut t2_slot = None;
-    let t1 = std::thread::scope(|scope| {
-        scope.spawn(|| t2_slot = Some(FixedBaseTable::new(G2Projective::generator(), w2)));
-        FixedBaseTable::new(G1Projective::generator(), w1)
-    });
-    let t2 = t2_slot.expect("scope joined the G2 table build");
-
-    // the six independent key families, concurrently; each family's
-    // `mul_many` additionally splits its scalars across cores
-    let mut a_query = Vec::new();
-    let mut b_g1_query = Vec::new();
-    let mut b_g2_ext = Vec::new();
-    let mut h_query = Vec::new();
-    let mut l_query = Vec::new();
-    let mut ic_ext = std::thread::scope(|scope| {
-        scope.spawn(|| a_query = t1.mul_many(&scalars.u));
-        scope.spawn(|| b_g1_query = t1.mul_many(&scalars.v));
-        scope.spawn(|| b_g2_ext = t2.mul_many(&v_g2_scalars));
-        scope.spawn(|| h_query = t1.mul_many(&h_scalars));
-        scope.spawn(|| l_query = t1.mul_many(&l_scalars));
-        t1.mul_many(&ic_scalars)
-    });
-
-    // peel the toxic elements back off their carrier batches
-    let delta_g2 = b_g2_ext.pop().expect("delta tail");
-    let gamma_g2 = b_g2_ext.pop().expect("gamma tail");
-    let beta_g2 = b_g2_ext.pop().expect("beta tail");
-    let b_g2_query = b_g2_ext;
-    let delta_g1 = ic_ext.pop().expect("delta tail");
-    let beta_g1 = ic_ext.pop().expect("beta tail");
-    let alpha_g1 = ic_ext.pop().expect("alpha tail");
-    let gamma_abc_g1 = ic_ext;
-    let commit = commit_start.elapsed();
-
-    let pk = ProvingKey {
-        vk: VerifyingKey {
-            alpha_g1,
-            beta_g2,
-            gamma_g2,
-            delta_g2,
-            gamma_abc_g1,
-        },
-        beta_g1,
-        delta_g1,
-        a_query,
-        b_g1_query,
-        b_g2_query,
-        h_query,
-        l_query,
-    };
-    let timings = SetupTimings {
-        qap_eval,
-        commit,
-        total: start.elapsed(),
-    };
-    (pk, timings)
-}
-
-/// The streaming keygen kernel: same scalar phase and fixed-base tables as
-/// [`generate_from_parts`], but families are walked serially in
-/// budget-sized chunks that are handed to `sink` and dropped, so peak
-/// memory is the tables + the scalar vectors + **one** chunk of points
-/// instead of the whole key (plus its serialized copy).
-fn generate_streaming_from_parts<S: KeySink>(
-    matrices: &R1csMatrices<Fr>,
-    domain: &Radix2Domain<Fr>,
-    toxic: &ToxicWaste,
-    sink: &mut S,
-    budget: MemoryBudget,
-) -> Result<SetupTimings, S::Error> {
-    let start = Instant::now();
-    let scalars = keygen_scalars(matrices, domain, toxic);
-    let num_vars = matrices.num_instance + matrices.num_witness;
-    let qap_eval = start.elapsed();
-
-    let commit_start = Instant::now();
-    // same window choices as the in-memory kernel, so per-chunk `mul_many`
-    // cost matches the monolithic path point-for-point
-    let total_g1_muls = 3 * num_vars + scalars.h.len() + 3;
-    let w1 = FixedBaseTable::<G1Config>::suggested_window(total_g1_muls);
-    let w2 = FixedBaseTable::<G2Config>::suggested_window(scalars.v.len() + 3);
-    let mut t2_slot = None;
-    let t1 = std::thread::scope(|scope| {
-        scope.spawn(|| t2_slot = Some(FixedBaseTable::new(G2Projective::generator(), w2)));
-        FixedBaseTable::new(G1Projective::generator(), w1)
-    });
-    let t2 = t2_slot.expect("scope joined the G2 table build");
-
-    // the fixed elements first — single-scalar muls normalize to the same
-    // canonical affine coordinates the batch kernel produces
-    sink.constants(&KeyConstants {
-        alpha_g1: t1.mul(toxic.alpha).into_affine(),
-        beta_g1: t1.mul(toxic.beta).into_affine(),
-        delta_g1: t1.mul(toxic.delta).into_affine(),
-        beta_g2: t2.mul(toxic.beta).into_affine(),
-        gamma_g2: t2.mul(toxic.gamma).into_affine(),
-        delta_g2: t2.mul(toxic.delta).into_affine(),
-    })?;
-
-    let g1_chunk = budget.chunk_len(uncompressed_size::<G1Config>());
-    let g2_chunk = budget.chunk_len(uncompressed_size::<G2Config>());
-    for family in KeyFamily::ALL {
-        let family_scalars: &[Fr] = match family {
-            KeyFamily::Ic => &scalars.ic,
-            KeyFamily::AQuery => &scalars.u,
-            KeyFamily::BG1Query => &scalars.v,
-            KeyFamily::BG2Query => &scalars.v,
-            KeyFamily::HQuery => &scalars.h,
-            KeyFamily::LQuery => &scalars.l,
-        };
-        sink.begin_family(family, family_scalars.len())?;
-        if family.is_g2() {
-            for chunk in family_scalars.chunks(g2_chunk) {
-                sink.g2_chunk(&t2.mul_many(chunk))?;
-            }
-        } else {
-            for chunk in family_scalars.chunks(g1_chunk) {
-                sink.g1_chunk(&t1.mul_many(chunk))?;
-            }
-        }
-        sink.end_family(family)?;
-    }
-    let commit = commit_start.elapsed();
-    Ok(SetupTimings {
-        qap_eval,
-        commit,
-        total: start.elapsed(),
-    })
-}
-
-/// Convenience: number of affine points the setup will produce, used by
-/// the bench harness for progress reporting.
-pub fn setup_output_points(matrices: &R1csMatrices<Fr>) -> usize {
-    let num_vars = matrices.num_instance + matrices.num_witness;
-    let domain = qap::qap_domain(matrices);
-    4 * num_vars + domain.size - 1
+    SetupContext::new(matrices.clone()).generate(rng)
 }

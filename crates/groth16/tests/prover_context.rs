@@ -1,4 +1,4 @@
-//! Pins the cached-[`ProverContext`] hot path to the uncached prover: under
+//! Pins the cached-[`ProverContext`] hot path to a throwaway context: under
 //! fixed randomness the two must produce byte-identical proofs, and a
 //! context reused across many proofs must keep doing so.
 
@@ -6,8 +6,7 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use zkrownn_ff::{Field, Fr};
 use zkrownn_groth16::{
-    create_proof_with_context_and_randomness, create_proof_with_randomness,
-    generate_parameters_from_matrices_with, verify_proof, ProverContext, ToxicWaste,
+    create_proof_with_context_and_randomness, verify_proof, ProverContext, SetupContext, ToxicWaste,
 };
 use zkrownn_r1cs::{ConstraintSystem, ProvingSynthesizer};
 
@@ -51,7 +50,7 @@ fn cached_context_is_byte_identical_to_uncached() {
     let cs = chain_system(37, 3);
     assert!(cs.is_satisfied().is_ok());
     let matrices = cs.to_matrices();
-    let pk = generate_parameters_from_matrices_with(&matrices, &toxic(0xc0ffee));
+    let (pk, _) = SetupContext::new(matrices.clone()).generate_timed(&toxic(0xc0ffee));
     let z = cs.full_assignment();
     let ctx = ProverContext::for_cs(&cs);
 
@@ -59,7 +58,8 @@ fn cached_context_is_byte_identical_to_uncached() {
     for round in 0..5 {
         let r = Fr::random(&mut rng);
         let s = Fr::random(&mut rng);
-        let uncached = create_proof_with_randomness(&pk, &matrices, &z, r, s);
+        let throwaway = ProverContext::new(matrices.clone());
+        let uncached = create_proof_with_context_and_randomness(&pk, &throwaway, &z, r, s);
         let cached = create_proof_with_context_and_randomness(&pk, &ctx, &z, r, s);
         assert_eq!(
             uncached.to_bytes(),
@@ -92,13 +92,27 @@ proptest! {
         let cs = chain_system(n, x0);
         prop_assert!(cs.is_satisfied().is_ok());
         let matrices = cs.to_matrices();
-        let pk = generate_parameters_from_matrices_with(&matrices, &toxic(seed | 1));
+        let (pk, _) = SetupContext::new(matrices.clone()).generate_timed(&toxic(seed | 1));
         let z = cs.full_assignment();
         let ctx = ProverContext::for_cs(&cs);
         let r = Fr::from_u64(seed ^ 0xaaaa) + Fr::one();
         let s = Fr::from_u64(seed ^ 0x5555) + Fr::one();
-        let uncached = create_proof_with_randomness(&pk, &matrices, &z, r, s);
+        let throwaway = ProverContext::new(matrices.clone());
+        let uncached = create_proof_with_context_and_randomness(&pk, &throwaway, &z, r, s);
         let cached = create_proof_with_context_and_randomness(&pk, &ctx, &z, r, s);
         prop_assert_eq!(uncached.to_bytes(), cached.to_bytes());
     }
+}
+
+#[test]
+#[should_panic(expected = "assignment length mismatch")]
+fn in_memory_adapters_reject_a_wrong_length_assignment() {
+    // the one kernel's shape check, as the infallible adapters surface it:
+    // a panic before the witness map or any MSM sees the short vector
+    let cs = chain_system(5, 2);
+    let (pk, _) = SetupContext::new(cs.to_matrices()).generate_timed(&toxic(0xbad));
+    let ctx = ProverContext::for_cs(&cs);
+    let mut z = cs.full_assignment();
+    z.pop();
+    create_proof_with_context_and_randomness(&pk, &ctx, &z, Fr::one(), Fr::one());
 }

@@ -1,7 +1,7 @@
 //! Pins the parallel batch-affine keygen to a serial per-point reference:
 //! under fixed toxic randomness, the proving key produced through the
 //! `SetupContext` hot path (signed-digit fixed-base tables, batch-affine
-//! accumulation, concurrent key families) must be *byte-identical* to keys
+//! accumulation, chunks split across cores) must be *byte-identical* to keys
 //! assembled one `scalar · G` double-and-add at a time. Mirrors
 //! `prover_context.rs` on the prover side.
 
@@ -11,8 +11,8 @@ use zkrownn_curves::{Affine, G1Affine, G1Projective, G2Affine, G2Projective, SwC
 use zkrownn_ff::{Field, Fr};
 use zkrownn_groth16::qap;
 use zkrownn_groth16::{
-    create_proof_with_context, generate_parameters_from_matrices_with, verify_proof, ProvingKey,
-    SetupContext, ToxicWaste, VerifyingKey,
+    create_proof_with_context_and_randomness, generate_parameters_from_matrices, verify_proof,
+    ProvingKey, SetupContext, ToxicWaste, VerifyingKey,
 };
 use zkrownn_r1cs::{ConstraintSystem, LinearCombination, ProvingSynthesizer, R1csMatrices};
 
@@ -118,7 +118,7 @@ fn batch_affine_keygen_is_byte_identical_to_serial() {
     let matrices = cs.to_matrices();
     let reference = reference_keygen(&matrices, &toxic(0xdecade));
     let ctx = SetupContext::new(matrices);
-    let fast = ctx.generate_with(&toxic(0xdecade));
+    let (fast, _) = ctx.generate_timed(&toxic(0xdecade));
     assert_eq!(
         fast.to_bytes(),
         reference.to_bytes(),
@@ -133,10 +133,11 @@ fn setup_context_feeds_both_keygen_and_prover() {
     // verifies under the key it generated alongside
     let cs = chain_system(25, 4);
     let sctx = SetupContext::new(cs.to_matrices());
-    let pk = sctx.generate_with(&toxic(0xfeed));
+    let (pk, _) = sctx.generate_timed(&toxic(0xfeed));
     let ctx = sctx.into_prover_context();
     let mut rng = rand::rngs::StdRng::seed_from_u64(99);
-    let proof = create_proof_with_context(&pk, &ctx, &cs, &mut rng);
+    let (r, s) = (Fr::random(&mut rng), Fr::random(&mut rng));
+    let proof = create_proof_with_context_and_randomness(&pk, &ctx, &cs.full_assignment(), r, s);
     let publics = cs.instance_assignment()[1..].to_vec();
     assert!(verify_proof(&pk.vk, &proof, &publics).is_ok());
 }
@@ -145,8 +146,10 @@ fn setup_context_feeds_both_keygen_and_prover() {
 fn matrix_level_wrapper_matches_context_path() {
     let cs = chain_system(16, 7);
     let matrices = cs.to_matrices();
-    let via_wrapper = generate_parameters_from_matrices_with(&matrices, &toxic(0xabba));
-    let via_context = SetupContext::new(matrices).generate_with(&toxic(0xabba));
+    // the same seed on both sides samples the same toxic waste
+    let rng = || rand::rngs::StdRng::seed_from_u64(0xabba);
+    let via_wrapper = generate_parameters_from_matrices(&matrices, &mut rng());
+    let via_context = SetupContext::new(matrices).generate(&mut rng());
     assert_eq!(via_wrapper.to_bytes(), via_context.to_bytes());
 }
 
@@ -164,7 +167,7 @@ proptest! {
         let matrices = cs.to_matrices();
         let tox = toxic(seed | 1);
         let reference = reference_keygen(&matrices, &tox);
-        let fast = SetupContext::new(matrices).generate_with(&tox);
+        let (fast, _) = SetupContext::new(matrices).generate_timed(&tox);
         prop_assert_eq!(fast.to_bytes(), reference.to_bytes());
     }
 }

@@ -9,7 +9,7 @@
 //! delegated to the per-segment checksums rather than per-point subgroup
 //! checks.
 
-use crate::format::{SegmentEntry, StoreError, StoreFile, StoreWriter};
+use crate::format::{StoreError, StoreFile, StoreWriter};
 use crate::map::StoreBackend;
 use crate::sha::Sha256;
 use std::io;
@@ -19,7 +19,7 @@ use zkrownn_curves::serialize::{
 };
 use zkrownn_curves::{Affine, G1Affine, G1Config, G2Affine, G2Config, MemoryBudget, SwCurveConfig};
 use zkrownn_groth16::setup::{KeyConstants, KeyFamily, KeySink};
-use zkrownn_groth16::{ProvingKey, VerifyingKey};
+use zkrownn_groth16::{KeySource, ProvingKey, VerifyingKey};
 
 /// Segment kind tags of the key-store layout (a 32-bit namespace owned by
 /// this crate, independent of the envelope's artifact-kind byte).
@@ -64,11 +64,11 @@ pub struct StoreMeta {
     pub statement_digest: [u8; 32],
 }
 
-/// A [`KeySink`] that writes streaming keygen output straight into a
-/// `.zkst` container — the memory-budgeted trusted-setup path.
+/// A [`KeySink`] that writes keygen output straight into a `.zkst`
+/// container — memory-budgeted trusted setup.
 ///
-/// Drop order of operations: construct, hand to
-/// `SetupContext::generate_streaming_with`, then call [`Self::finish`].
+/// Order of operations: construct, hand to `SetupContext::generate_into`,
+/// then call [`Self::finish`].
 pub struct KeyStoreWriter {
     inner: StoreWriter,
     meta: Option<StoreMeta>,
@@ -96,6 +96,19 @@ impl KeyStoreWriter {
         let r = self.inner.write(&buf);
         self.buf = buf;
         r
+    }
+
+    /// One whole family from memory, serialized a bounded chunk at a time.
+    fn write_family<C: SwCurveConfig>(
+        &mut self,
+        family: KeyFamily,
+        points: &[Affine<C>],
+    ) -> io::Result<()> {
+        self.begin_family(family, points.len())?;
+        for chunk in points.chunks(4096) {
+            self.write_points(chunk)?;
+        }
+        self.end_family(family)
     }
 
     /// Writes the metadata segment (if any), the table and the footer.
@@ -141,41 +154,19 @@ impl KeySink for KeyStoreWriter {
 }
 
 /// Writes an already-materialized [`ProvingKey`] into a store at `path` —
-/// the migration path for keys produced by the in-memory setup (and the
-/// byte-identity oracle for the streaming path in tests).
+/// the migration path for keys collected in memory (and the byte-identity
+/// oracle for keygen straight into a store in tests).
 pub fn write_proving_key(path: &Path, pk: &ProvingKey, meta: Option<StoreMeta>) -> io::Result<()> {
     let mut w = KeyStoreWriter::create(path, meta)?;
-    w.constants(&KeyConstants {
-        alpha_g1: pk.vk.alpha_g1,
-        beta_g1: pk.beta_g1,
-        delta_g1: pk.delta_g1,
-        beta_g2: pk.vk.beta_g2,
-        gamma_g2: pk.vk.gamma_g2,
-        delta_g2: pk.vk.delta_g2,
-    })?;
-    const CHUNK: usize = 4096;
-    for family in KeyFamily::ALL {
-        if family.is_g2() {
-            w.begin_family(family, pk.b_g2_query.len())?;
-            for chunk in pk.b_g2_query.chunks(CHUNK) {
-                w.g2_chunk(chunk)?;
-            }
-        } else {
-            let points: &[G1Affine] = match family {
-                KeyFamily::Ic => &pk.vk.gamma_abc_g1,
-                KeyFamily::AQuery => &pk.a_query,
-                KeyFamily::BG1Query => &pk.b_g1_query,
-                KeyFamily::HQuery => &pk.h_query,
-                KeyFamily::LQuery => &pk.l_query,
-                KeyFamily::BG2Query => unreachable!(),
-            };
-            w.begin_family(family, points.len())?;
-            for chunk in points.chunks(CHUNK) {
-                w.g1_chunk(chunk)?;
-            }
-        }
-        w.end_family(family)?;
-    }
+    let Ok(constants) = KeySource::constants(pk);
+    w.constants(&constants)?;
+    // in `KeyFamily::ALL` order, as keygen would emit them
+    w.write_family(KeyFamily::Ic, &pk.vk.gamma_abc_g1)?;
+    w.write_family(KeyFamily::AQuery, &pk.a_query)?;
+    w.write_family(KeyFamily::BG1Query, &pk.b_g1_query)?;
+    w.write_family(KeyFamily::BG2Query, &pk.b_g2_query)?;
+    w.write_family(KeyFamily::HQuery, &pk.h_query)?;
+    w.write_family(KeyFamily::LQuery, &pk.l_query)?;
     w.finish()
 }
 
@@ -278,15 +269,8 @@ impl KeyStore {
     /// Reconstructs the (small) verifying key with full point validation —
     /// what a registry registers when loading `.zkst` key files.
     pub fn verifying_key(&self) -> Result<VerifyingKey, StoreError> {
-        let constants = self.constants()?;
         let gamma_abc_g1 = self.read_family_validated::<G1Config>(segment_kind::IC)?;
-        Ok(VerifyingKey {
-            alpha_g1: constants.alpha_g1,
-            beta_g2: constants.beta_g2,
-            gamma_g2: constants.gamma_g2,
-            delta_g2: constants.delta_g2,
-            gamma_abc_g1,
-        })
+        Ok(self.constants()?.verifying_key(gamma_abc_g1))
     }
 
     /// Fully materializes the proving key (tests and migration tooling;
@@ -295,13 +279,7 @@ impl KeyStore {
     pub fn load_proving_key(&self) -> Result<ProvingKey, StoreError> {
         let constants = self.constants()?;
         Ok(ProvingKey {
-            vk: VerifyingKey {
-                alpha_g1: constants.alpha_g1,
-                beta_g2: constants.beta_g2,
-                gamma_g2: constants.gamma_g2,
-                delta_g2: constants.delta_g2,
-                gamma_abc_g1: self.read_family::<G1Config>(segment_kind::IC)?,
-            },
+            vk: constants.verifying_key(self.read_family::<G1Config>(segment_kind::IC)?),
             beta_g1: constants.beta_g1,
             delta_g1: constants.delta_g1,
             a_query: self.read_family::<G1Config>(segment_kind::A_QUERY)?,
@@ -310,11 +288,6 @@ impl KeyStore {
             h_query: self.read_family::<G1Config>(segment_kind::H_QUERY)?,
             l_query: self.read_family::<G1Config>(segment_kind::L_QUERY)?,
         })
-    }
-
-    /// The table entry of a family segment (count, length, checksum).
-    pub fn family_entry(&self, family: KeyFamily) -> Result<&SegmentEntry, StoreError> {
-        self.file.require(family_kind(family))
     }
 
     /// Streams one family segment through `consume` in budget-sized,

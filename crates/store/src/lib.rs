@@ -13,12 +13,12 @@
 //!   segment per [`zkrownn_groth16::KeyFamily`], a constants segment, and
 //!   an optional circuit-binding metadata segment. [`KeyStoreWriter`] is
 //!   the [`zkrownn_groth16::KeySink`] that turns
-//!   `SetupContext::generate_streaming_with` into memory-budgeted on-disk
-//!   keygen; [`KeyStore`] reads families back segment-at-a-time;
-//! * [`prover`] — [`create_proof_streamed`]: windowed Pippenger consuming
-//!   base chunks straight from the store at a fixed
-//!   [`zkrownn_curves::MemoryBudget`], byte-identical to the in-memory
-//!   prover;
+//!   `SetupContext::generate_into` into memory-budgeted on-disk keygen;
+//!   [`KeyStore`] reads families back segment-at-a-time;
+//! * [`prover`] — [`StoredKey`], the [`zkrownn_groth16::KeySource`] over a
+//!   store: windowed Pippenger consuming base chunks straight from disk at
+//!   a fixed [`zkrownn_curves::MemoryBudget`], feeding the same
+//!   [`zkrownn_groth16::prove`] kernel an in-memory key feeds;
 //! * [`sha`] — the workspace's SHA-256 (re-exported by the core crate),
 //!   which backs every segment checksum;
 //! * [`mod@atomic`] — the write-to-temp / `sync_all` / rename /
@@ -26,28 +26,32 @@
 //!   (even `kill -9`) mid-setup leaves at worst a stale `*.zkst.tmp`,
 //!   never a torn store at the final name.
 //!
-//! Both streaming paths are *pinned* byte-identical to their in-memory
-//! equivalents: chunked fixed-base multiplication produces the same
-//! canonical affine points, and MSM partial sums add up group-exactly.
+//! Sink and source are the only store-specific code on either path — keygen
+//! and proving each have one kernel — and both are *pinned* byte-identical
+//! to their in-memory counterparts: chunked fixed-base multiplication
+//! produces the same canonical affine points, and MSM partial sums add up
+//! group-exactly.
 //! Integrity is end-to-end — every byte of a store file is covered either
 //! by the header/table footer digest or by a segment checksum, and the
 //! streaming prover refuses to assemble a proof from a segment whose
 //! digest does not match.
 //!
+//! One keygen kernel into two sinks, one proof kernel from two sources:
+//!
 //! ```
 //! use rand::SeedableRng;
 //! use zkrownn_curves::MemoryBudget;
 //! use zkrownn_ff::{Field, Fr};
-//! use zkrownn_groth16::{SetupContext, ToxicWaste};
+//! use zkrownn_groth16::{prove, verify_proof, SetupContext, ToxicWaste};
 //! use zkrownn_r1cs::{assignment, Circuit, ConstraintSystem, ProvingSynthesizer, SynthesisError};
-//! use zkrownn_store::{create_proof_streamed, KeyStore, KeyStoreWriter};
+//! use zkrownn_store::{KeyStore, KeyStoreWriter, StoredKey};
 //!
 //! struct Square { x: Option<u64> }
 //! impl Circuit<Fr> for Square {
 //!     type Output = ();
 //!     fn synthesize<CS: ConstraintSystem<Fr>>(&self, cs: &mut CS) -> Result<(), SynthesisError> {
-//!         let y = cs.alloc_instance(|| Ok(Fr::from_u64(self.x.unwrap() * self.x.unwrap())))?;
 //!         let xv = self.x;
+//!         let y = cs.alloc_instance(|| assignment(xv.map(|x| Fr::from_u64(x * x))))?;
 //!         let x = cs.alloc_witness(|| assignment(xv.map(Fr::from_u64)))?;
 //!         cs.enforce(x.into(), x.into(), y.into());
 //!         Ok(())
@@ -59,28 +63,29 @@
 //! std::fs::create_dir_all(&dir)?;
 //! let path = dir.join("square.zkst");
 //!
-//! // streaming keygen: each fixed-base chunk goes to disk as it finishes
+//! // keygen: the same toxic waste into memory and, each fixed-base chunk
+//! // going to disk as it finishes, into a store
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+//! let toxic = ToxicWaste::sample(&mut rng);
 //! let budget = MemoryBudget::from_mb(64);
-//! let ctx = SetupContext::for_circuit(&Square { x: None })?;
+//! let setup = SetupContext::for_circuit(&Square { x: None })?;
+//! let (pk, _) = setup.generate_timed(&toxic);
 //! let mut sink = KeyStoreWriter::create(&path, None)?;
-//! ctx.generate_streaming_with(&ToxicWaste::sample(&mut rng), &mut sink, budget)?;
+//! setup.generate_into(&toxic, &mut sink, budget)?;
 //! sink.finish()?;
+//! let stored = StoredKey { store: KeyStore::open(&path)?, budget };
 //!
-//! // streaming prove: Pippenger consumes base chunks from the store
-//! let store = KeyStore::open(&path)?;
 //! let mut cs = ProvingSynthesizer::<Fr>::new();
 //! Square { x: Some(3) }.synthesize(&mut cs)?;
-//! let prover_ctx = ctx.into_prover_context();
-//! let z = cs.full_assignment();
-//! let r = Fr::random(&mut rng);
-//! let s = Fr::random(&mut rng);
-//! let proof = create_proof_streamed(&store, &prover_ctx, &z, r, s, budget)?;
-//! assert!(zkrownn_groth16::verify_proof(
-//!     &store.verifying_key()?,
-//!     &proof,
-//!     &[Fr::from_u64(9)],
-//! ).is_ok());
+//! let (ctx, z) = (setup.into_prover_context(), cs.full_assignment());
+//! let (r, s) = (Fr::random(&mut rng), Fr::random(&mut rng));
+//!
+//! // prove: monolithic MSMs over the in-memory key, Pippenger over base
+//! // chunks streamed from the store — the same proof
+//! let Ok((from_memory, _)) = prove(&ctx, &pk, &z, r, s);
+//! let (from_store, _) = prove(&ctx, &stored, &z, r, s)?;
+//! assert_eq!(from_memory, from_store);
+//! verify_proof(&stored.store.verifying_key()?, &from_store, &[Fr::from_u64(9)])?;
 //! # std::fs::remove_dir_all(&dir)?;
 //! # Ok(())
 //! # }
@@ -119,5 +124,5 @@ pub use map::ReadAt;
 #[cfg(feature = "std")]
 pub use map::StoreBackend;
 #[cfg(feature = "std")]
-pub use prover::{create_proof_streamed, create_proof_streamed_rng, create_proof_streamed_timed};
+pub use prover::{create_proof_streamed, create_proof_streamed_timed, StoredKey};
 pub use sha::{sha256, Sha256};

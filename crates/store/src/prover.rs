@@ -1,6 +1,6 @@
-//! The store-backed (memory-budgeted) Groth16 prover.
+//! The store-backed (memory-budgeted) [`KeySource`].
 //!
-//! The in-memory prover holds five point families and runs five monolithic
+//! The in-memory source holds five point families and runs five monolithic
 //! MSMs. Here each family is *streamed* out of the store in budget-sized
 //! chunks — decoded without per-point curve checks (the segment checksums
 //! are the integrity boundary), folded into a
@@ -8,11 +8,10 @@
 //! scalar vectors (32 B/element) plus **one** chunk of points, regardless
 //! of key size.
 //!
-//! MSM partial sums add up group-exactly and the final `(r, s)` assembly
-//! is the same [`zkrownn_groth16::assemble_proof`] the in-memory kernel
-//! calls, so a streamed proof is **byte-identical** to the cached-context
-//! proof for the same assignment and randomness — pinned by the
-//! `streaming` test suite.
+//! Everything else about a proof is [`zkrownn_groth16::prove`], the one
+//! kernel both sources feed; MSM partial sums add up group-exactly, so a
+//! streamed proof is **byte-identical** to the in-memory proof for the
+//! same assignment and randomness — pinned by the `streaming` test suite.
 //!
 //! Corruption safety: every segment's checksum is verified before its
 //! accumulated sum can reach the proof assembly; a flipped bit anywhere in
@@ -21,18 +20,77 @@
 
 use crate::format::StoreError;
 use crate::keystore::{segment_kind, KeyStore};
-use std::time::Instant;
-use zkrownn_curves::{G1Config, G2Config, MemoryBudget, MsmAccumulator};
+use core::borrow::Borrow;
+use zkrownn_curves::{MemoryBudget, MsmAccumulator, Projective, SwCurveConfig};
 use zkrownn_ff::Fr;
-use zkrownn_groth16::prover::{assemble_proof, ProofSums, ProverContext, ProverTimings};
-use zkrownn_groth16::Proof;
+use zkrownn_groth16::prover::{prove, KeySource, ProofSums, ProverContext, ProverTimings};
+use zkrownn_groth16::{KeyConstants, Proof};
 
-/// Creates a proof from a store-backed key at a fixed memory budget, with
-/// explicit zero-knowledge randomness `(r, s)`.
-///
-/// `z` is the full assignment (instance ‖ witness) of a satisfied
-/// synthesis of the same circuit the key was generated for; `ctx` is the
-/// prover's cached compute state. Byte-identical to
+/// A proving key in a `.zkst` store, read at a fixed memory budget — the
+/// on-disk [`KeySource`]. `S` is an owned [`KeyStore`] (what a prover kit
+/// holds) or a borrowed one.
+pub struct StoredKey<S = KeyStore> {
+    /// The open store.
+    pub store: S,
+    /// How many bytes of decoded points one streamed chunk may hold.
+    pub budget: MemoryBudget,
+}
+
+impl<S: Borrow<KeyStore>> StoredKey<S> {
+    /// One family MSM, streamed and checksum-verified.
+    fn stream_msm<C: SwCurveConfig>(
+        &self,
+        kind: u32,
+        scalars: &[Fr],
+    ) -> Result<Projective<C>, StoreError> {
+        let store = self.store.borrow();
+        let count = store.file().require(kind)?.count;
+        if count != scalars.len() as u64 {
+            return Err(StoreError::ShapeMismatch {
+                kind,
+                expected: scalars.len() as u64,
+                got: count,
+            });
+        }
+        let mut acc = MsmAccumulator::<C>::new();
+        store.stream_family::<C>(kind, self.budget, |at, pts| {
+            acc.accumulate(pts, &scalars[at as usize..at as usize + pts.len()]);
+        })?;
+        Ok(acc.finish())
+    }
+}
+
+/// The streaming source: segments serially (the budget bounds *total* live
+/// point memory, so concurrent families would split — and effectively
+/// shrink — it).
+impl<S: Borrow<KeyStore>> KeySource for StoredKey<S> {
+    type Error = StoreError;
+
+    fn constants(&self) -> Result<KeyConstants, StoreError> {
+        self.store.borrow().constants()
+    }
+
+    fn proof_sums(&self, z: &[Fr], witness: &[Fr], h: &[Fr]) -> Result<ProofSums, StoreError> {
+        Ok(ProofSums {
+            a_sum: self.stream_msm(segment_kind::A_QUERY, z)?,
+            b_g1_sum: self.stream_msm(segment_kind::B_G1_QUERY, z)?,
+            b_g2_sum: self.stream_msm(segment_kind::B_G2_QUERY, z)?,
+            lh_sum: self.stream_msm(segment_kind::L_QUERY, witness)?
+                + self.stream_msm(segment_kind::H_QUERY, h)?,
+        })
+    }
+
+    fn assignment_mismatch(expected: usize, got: usize) -> StoreError {
+        StoreError::ShapeMismatch {
+            kind: segment_kind::A_QUERY,
+            expected: expected as u64,
+            got: got as u64,
+        }
+    }
+}
+
+/// [`prove`] from a store-backed key at a fixed memory budget, with
+/// explicit zero-knowledge randomness `(r, s)`. Byte-identical to
 /// [`zkrownn_groth16::create_proof_with_context_and_randomness`] over the
 /// equivalent in-memory key.
 pub fn create_proof_streamed(
@@ -46,20 +104,6 @@ pub fn create_proof_streamed(
     create_proof_streamed_timed(store, ctx, z, r, s, budget).map(|(proof, _)| proof)
 }
 
-/// [`create_proof_streamed`] with fresh randomness from `rng`.
-pub fn create_proof_streamed_rng<R: rand::Rng + ?Sized>(
-    store: &KeyStore,
-    ctx: &ProverContext,
-    z: &[Fr],
-    rng: &mut R,
-    budget: MemoryBudget,
-) -> Result<Proof, StoreError> {
-    use zkrownn_ff::Field;
-    let r = Fr::random(rng);
-    let s = Fr::random(rng);
-    create_proof_streamed(store, ctx, z, r, s, budget)
-}
-
 /// [`create_proof_streamed`] returning the per-phase wall-clock breakdown
 /// (the bench harness's store-path source).
 pub fn create_proof_streamed_timed(
@@ -70,86 +114,5 @@ pub fn create_proof_streamed_timed(
     s: Fr,
     budget: MemoryBudget,
 ) -> Result<(Proof, ProverTimings), StoreError> {
-    let start = Instant::now();
-    let num_vars = ctx.matrices().num_instance + ctx.matrices().num_witness;
-    let num_instance = ctx.matrices().num_instance;
-    if z.len() != num_vars {
-        return Err(StoreError::ShapeMismatch {
-            kind: segment_kind::A_QUERY,
-            expected: num_vars as u64,
-            got: z.len() as u64,
-        });
-    }
-
-    // h(x) coefficients (the FFT-heavy part) — scalars stay in memory;
-    // they are 32 B/element against the key's 64–128 B/point
-    let h = ctx.witness_map(z);
-    let witness_map_time = start.elapsed();
-
-    let msm_start = Instant::now();
-    let witness = &z[num_instance..];
-    // segments serially (the budget bounds *total* live point memory, so
-    // concurrent families would split — and effectively shrink — it)
-    let a_sum = stream_msm_g1(store, segment_kind::A_QUERY, z, budget)?;
-    let b_g1_sum = stream_msm_g1(store, segment_kind::B_G1_QUERY, z, budget)?;
-    let b_g2_sum = {
-        let entry = store.family_entry(zkrownn_groth16::KeyFamily::BG2Query)?;
-        check_count(entry.count, z.len(), segment_kind::B_G2_QUERY)?;
-        let mut acc = MsmAccumulator::<G2Config>::new();
-        store.stream_family::<G2Config>(segment_kind::B_G2_QUERY, budget, |at, pts| {
-            acc.accumulate(pts, &z[at as usize..at as usize + pts.len()]);
-        })?;
-        acc.finish()
-    };
-    let lh_sum = stream_msm_g1(store, segment_kind::L_QUERY, witness, budget)?
-        + stream_msm_g1(store, segment_kind::H_QUERY, &h, budget)?;
-    let msm_time = msm_start.elapsed();
-
-    let constants = store.constants()?;
-    let proof = assemble_proof(
-        &constants,
-        &ProofSums {
-            a_sum,
-            b_g1_sum,
-            b_g2_sum,
-            lh_sum,
-        },
-        r,
-        s,
-    );
-    Ok((
-        proof,
-        ProverTimings {
-            witness_map: witness_map_time,
-            msm: msm_time,
-            total: start.elapsed(),
-        },
-    ))
-}
-
-fn check_count(got: u64, expected: usize, kind: u32) -> Result<(), StoreError> {
-    if got != expected as u64 {
-        return Err(StoreError::ShapeMismatch {
-            kind,
-            expected: expected as u64,
-            got,
-        });
-    }
-    Ok(())
-}
-
-/// One G1 family MSM, streamed and checksum-verified.
-fn stream_msm_g1(
-    store: &KeyStore,
-    kind: u32,
-    scalars: &[Fr],
-    budget: MemoryBudget,
-) -> Result<zkrownn_curves::G1Projective, StoreError> {
-    let entry = store.file().require(kind)?;
-    check_count(entry.count, scalars.len(), kind)?;
-    let mut acc = MsmAccumulator::<G1Config>::new();
-    store.stream_family::<G1Config>(kind, budget, |at, pts| {
-        acc.accumulate(pts, &scalars[at as usize..at as usize + pts.len()]);
-    })?;
-    Ok(acc.finish())
+    prove(ctx, &StoredKey { store, budget }, z, r, s)
 }

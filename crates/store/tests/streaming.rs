@@ -1,28 +1,28 @@
-//! Byte-identity pins for the streaming paths, under fixed toxic waste and
-//! fixed proof randomness:
+//! Byte-identity pins for the store-backed sink and source, under fixed
+//! toxic waste and fixed proof randomness:
 //!
-//! * streaming keygen through a [`KeyStoreWriter`] reloads as **exactly**
-//!   the proving key the in-memory `generate_with` produces — and the store
-//!   *file* it writes is byte-for-byte the file [`write_proving_key`]
-//!   produces from that in-memory key;
+//! * keygen into a [`KeyStoreWriter`] reloads as **exactly** the proving
+//!   key keygen collects in memory — and the store *file* it writes is
+//!   byte-for-byte the file [`write_proving_key`] produces from that
+//!   in-memory key; the one kernel yields the same key at every budget;
 //! * the streamed prover emits **exactly** the proof the in-memory
 //!   cached-context prover emits, at any memory budget;
 //! * corrupting a consumed segment yields a checksum error, never a
-//!   different proof.
+//!   different proof, and a wrong-length assignment a typed shape error.
 
 use std::path::PathBuf;
 
 use zkrownn_curves::MemoryBudget;
 use zkrownn_ff::{Field, Fr};
 use zkrownn_groth16::{
-    create_proof_with_context_and_randomness, verify_proof, SetupContext, ToxicWaste,
+    create_proof_with_context_and_randomness, verify_proof, KeyCollector, SetupContext, ToxicWaste,
 };
 use zkrownn_r1cs::{
     assignment, Circuit, ConstraintSystem, LinearCombination, ProvingSynthesizer, SynthesisError,
 };
 use zkrownn_store::{
     create_proof_streamed, segment_kind, write_proving_key, KeyStore, KeyStoreWriter, StoreBackend,
-    StoreMeta,
+    StoreError, StoreMeta,
 };
 
 /// A small but non-trivial circuit: proves knowledge of `x` with
@@ -89,14 +89,14 @@ fn streaming_keygen_is_byte_identical_to_in_memory_keygen() {
     };
     let ctx = SetupContext::for_circuit(&circuit).unwrap();
     let toxic = fixed_toxic();
-    let pk = ctx.generate_with(&toxic);
+    let (pk, _) = ctx.generate_timed(&toxic);
 
     // the streamed store reloads as exactly the in-memory key, at several
     // budgets (1 byte floors to the minimum chunk; 1 MB is one chunk)
     for (i, budget_bytes) in [1usize, 300 * 64, 1 << 20].into_iter().enumerate() {
         let path = temp_path(&format!("keygen-{i}.zkst"));
         let mut sink = KeyStoreWriter::create(&path, Some(META)).unwrap();
-        ctx.generate_streaming_with(&toxic, &mut sink, MemoryBudget::from_bytes(budget_bytes))
+        ctx.generate_into(&toxic, &mut sink, MemoryBudget::from_bytes(budget_bytes))
             .unwrap();
         sink.finish().unwrap();
 
@@ -117,6 +117,42 @@ fn streaming_keygen_is_byte_identical_to_in_memory_keygen() {
 }
 
 #[test]
+fn the_keygen_kernel_is_chunking_invariant() {
+    // one toxic waste, three ways through the one kernel: collected in a
+    // single chunk per family, collected at the `MIN_CHUNK` floor, and
+    // streamed to disk and loaded back — the same key bytes every time
+    let ctx = SetupContext::for_circuit(&Cubic {
+        x: None,
+        padding: 300,
+    })
+    .unwrap();
+    let toxic = fixed_toxic();
+    let collect = |budget: MemoryBudget| {
+        let mut sink = KeyCollector::default();
+        let Ok(_) = ctx.generate_into(&toxic, &mut sink, budget);
+        sink.into_key()
+    };
+    let unbounded = collect(MemoryBudget::from_bytes(usize::MAX));
+    // the floor really does chunk: the families here outgrow it
+    assert!(unbounded.a_query.len() > 2 * MemoryBudget::MIN_CHUNK);
+    let floored = collect(MemoryBudget::from_bytes(0));
+
+    let path = temp_path("chunking.zkst");
+    let mut sink = KeyStoreWriter::create(&path, None).unwrap();
+    ctx.generate_into(&toxic, &mut sink, MemoryBudget::from_bytes(0))
+        .unwrap();
+    sink.finish().unwrap();
+    let stored = KeyStore::open(&path).unwrap().load_proving_key().unwrap();
+
+    assert_eq!(
+        unbounded.to_bytes(),
+        ctx.generate_timed(&toxic).0.to_bytes()
+    );
+    assert_eq!(unbounded.to_bytes(), floored.to_bytes());
+    assert_eq!(unbounded.to_bytes(), stored.to_bytes());
+}
+
+#[test]
 fn streamed_proofs_are_byte_identical_to_in_memory_proofs() {
     let shape = Cubic {
         x: None,
@@ -124,7 +160,7 @@ fn streamed_proofs_are_byte_identical_to_in_memory_proofs() {
     };
     let ctx = SetupContext::for_circuit(&shape).unwrap();
     let toxic = fixed_toxic();
-    let pk = ctx.generate_with(&toxic);
+    let (pk, _) = ctx.generate_timed(&toxic);
     let path = temp_path("prove.zkst");
     write_proving_key(&path, &pk, None).unwrap();
 
@@ -170,7 +206,7 @@ fn corrupted_segments_yield_errors_never_wrong_proofs() {
         padding: 4,
     };
     let ctx = SetupContext::for_circuit(&shape).unwrap();
-    let pk = ctx.generate_with(&fixed_toxic());
+    let (pk, _) = ctx.generate_timed(&fixed_toxic());
     let path = temp_path("corrupt-src.zkst");
     write_proving_key(&path, &pk, None).unwrap();
     let pristine = std::fs::read(&path).unwrap();
@@ -224,5 +260,33 @@ fn corrupted_segments_yield_errors_never_wrong_proofs() {
             result.is_err(),
             "corruption at byte {off} produced a proof instead of an error"
         );
+    }
+}
+
+#[test]
+fn a_wrong_length_assignment_is_a_typed_shape_error() {
+    let shape = Cubic {
+        x: None,
+        padding: 4,
+    };
+    let ctx = SetupContext::for_circuit(&shape).unwrap();
+    let (pk, _) = ctx.generate_timed(&fixed_toxic());
+    let path = temp_path("shape.zkst");
+    write_proving_key(&path, &pk, None).unwrap();
+    let store = KeyStore::open(&path).unwrap();
+    let prover_ctx = ctx.into_prover_context();
+
+    // rejected by the kernel's own check, before the witness map or any
+    // segment read: the error names the expected variable count, which a
+    // per-segment count check against the short vector would not
+    let num_vars = pk.a_query.len();
+    let short = vec![Fr::one(); num_vars - 1];
+    let (r, s) = (Fr::from_u64(5), Fr::from_u64(6));
+    let budget = MemoryBudget::from_bytes(1 << 20);
+    match create_proof_streamed(&store, &prover_ctx, &short, r, s, budget) {
+        Err(StoreError::ShapeMismatch { expected, got, .. }) => {
+            assert_eq!((expected, got), (num_vars as u64, num_vars as u64 - 1));
+        }
+        other => panic!("expected ShapeMismatch, got {other:?}"),
     }
 }
