@@ -381,7 +381,7 @@ fn bench_verify_batch(c: &mut Criterion) {
     group.bench_function("batched-x8", |b| {
         b.iter(|| {
             let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-            let mut registry = KeyRegistry::new();
+            let registry = KeyRegistry::new();
             registry.register(id, &vk);
             for result in registry.verify_batch(&claims, &mut rng) {
                 result.expect("claim verifies");

@@ -46,7 +46,7 @@ pub struct Corpus {
 /// Builds the benchmark corpus in memory: quick-MLP and quick-CNN setups
 /// (deterministic seeds, so reruns regenerate byte-identical keys) with
 /// `mlp`/`cnn` distinct proofs each. Claims are interleaved across the two
-/// circuits so concurrent clients exercise both registry shards.
+/// circuits so concurrent clients exercise both circuits' coalescer queues.
 pub fn build_corpus(mlp: usize, cnn: usize) -> Corpus {
     let mut keys = Vec::new();
     let mut per_circuit: Vec<Vec<Vec<u8>>> = Vec::new();

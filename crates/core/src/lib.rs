@@ -23,7 +23,8 @@
 //!    are pinned to the disputed model's statement (a sound claim about a
 //!    *different* model fails with [`ZkrownnError::StatementMismatch`]),
 //!    and a registry caches pairing precomputation per [`CircuitId`] and
-//!    amortizes whole batches.
+//!    amortizes whole batches. Both run the one claim predicate in
+//!    [`verify`]: a batch of one is the single-claim check.
 //!
 //! Every exchanged object implements [`Artifact`] — a versioned,
 //! checksummed, self-identifying byte encoding — so kits and claims can be
@@ -76,8 +77,8 @@
 //! let received = SignedClaim::from_bytes(&wire)?;
 //! verifier.verify(&received)?;
 //!
-//! // services register the key once and verify claims in bulk
-//! let mut registry = KeyRegistry::new();
+//! // services register the key once (through `&self`) and verify in bulk
+//! let registry = KeyRegistry::new();
 //! registry.register_kit(&verifier);
 //! for result in registry.verify_batch(&[received], &mut rng) {
 //!     result?;
@@ -105,10 +106,13 @@
 //!   sigmoid → threshold → BER, Algorithm 1 of the paper);
 //! * [`artifact`] — the wire format: [`Artifact`] envelopes, [`CircuitId`]
 //!   synthesis-trace digests, the [`OwnershipStatement`];
-//! * [`session`] — the role types ([`Authority`], [`ProverKit`],
-//!   [`VerifierKit`], [`SignedClaim`]);
-//! * [`registry`] — [`KeyRegistry`]: cached key preparation + batch
-//!   verification;
+//! * [`session`] — the proving-side role types ([`Authority`],
+//!   [`ProverKit`]);
+//! * [`verify`] — the verifier's side, `no_std`: [`SignedClaim`],
+//!   [`VerifierKit`] and the one claim predicate every entry point runs;
+//! * [`registry`] — [`KeyRegistry`]: the concurrent (`&self`) cache of
+//!   prepared keys by [`CircuitId`], entering that predicate one circuit
+//!   group at a time;
 //! * [`prove`] — the [`OwnershipProof`] wire object;
 //! * [`mod@reference`] — bit-identical fixed-point extraction outside the
 //!   circuit; [`benchmarks`] — the Table II model zoo; [`inference`] —
@@ -140,7 +144,7 @@ pub use error::ZkrownnError;
 pub use model::{QuantLayer, QuantizedModel};
 pub use prove::OwnershipProof;
 #[cfg(feature = "std")]
-pub use registry::{KeyRegistry, ShardedKeyRegistry, REGISTRY_SHARDS};
+pub use registry::{KeyRegistry, ShardedKeyRegistry};
 #[cfg(feature = "std")]
 pub use session::{Authority, ProverKit, StoredProverKit};
 pub use verify::{SignedClaim, VerifierKit};

@@ -20,11 +20,14 @@
 //!   combined check fails — so a batch with a single forged claim still
 //!   yields precise per-claim verdicts.
 //!
-//! For concurrent servers (many worker threads verifying independently),
-//! [`ShardedKeyRegistry`] wraps the same cache in `CircuitId`-sharded
-//! reader-writer locks: registration takes a per-shard write lock,
-//! verification takes shared read locks, and claims for different circuits
-//! never contend.
+//! The registry owns only the *lookup*; the verdict itself is the one
+//! predicate in [`crate::verify`], which [`KeyRegistry::verify`] enters as
+//! a batch of one. There is one registry type and it is concurrent: every
+//! operation takes `&self`, the map sits behind a single reader-writer lock
+//! that is held for a lookup or an insert and never across pairing work —
+//! `register` prepares the key before taking it, verification clones the
+//! key's `Arc` and lets go — so a runtime registration never waits behind
+//! an in-flight verification, nor readers behind it.
 //!
 //! Note that the registry authenticates each claim against the statement
 //! *it carries*: `Ok(())` means "the watermark is in the model the claimant
@@ -36,31 +39,27 @@
 
 use crate::artifact::CircuitId;
 use crate::error::ZkrownnError;
-use crate::verify::{
-    check_proof_circuit, check_statement_circuit, verify_claim_prepared, SignedClaim, VerifierKit,
-};
-use std::collections::HashMap;
-use std::sync::RwLock;
-use zkrownn_groth16::{
-    prepare_inputs, verify_proof_with_prepared_inputs, verify_proofs_batch_prepared,
-    PreparedInputs, PreparedVerifyingKey, Proof, VerificationError, VerifyingKey,
-};
+use crate::verify::{verify_claims, SignedClaim, Undrawn, VerifierKit};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, RwLock};
+use zkrownn_groth16::{PreparedVerifyingKey, VerifyingKey};
 
-/// A cache of prepared verifying keys, indexed by circuit id.
+/// A concurrent cache of prepared verifying keys, indexed by circuit id.
+///
+/// The type is `Send + Sync` by construction (asserted at compile time) —
+/// wrap it in an `Arc` and hand it to every worker; workers serving the
+/// same circuit share the cached [`PreparedVerifyingKey`] without cloning
+/// it.
 #[derive(Default)]
 pub struct KeyRegistry {
-    prepared: HashMap<CircuitId, PreparedVerifyingKey>,
-    preparations: usize,
+    prepared: RwLock<HashMap<CircuitId, Arc<PreparedVerifyingKey>>>,
+    preparations: AtomicUsize,
 }
 
-/// Per-distinct-statement cache entry inside one `verify_batch` group: the
-/// statement's (re-synthesized) circuit id plus the instance commitment for
-/// each verdict value, prepared at most once and reused by the combined
-/// check *and* the per-claim fallback.
-struct StatementEntry {
-    statement_id: CircuitId,
-    inputs: [Option<Result<PreparedInputs, VerificationError>>; 2],
-}
+/// Alias kept because the frozen benchmark harness (`zkbench/`) names the
+/// registry this way; write [`KeyRegistry`].
+pub type ShardedKeyRegistry = KeyRegistry;
 
 impl KeyRegistry {
     /// An empty registry.
@@ -68,225 +67,28 @@ impl KeyRegistry {
         Self::default()
     }
 
+    fn get(&self, id: CircuitId) -> Option<Arc<PreparedVerifyingKey>> {
+        let prepared = self.prepared.read().expect("registry poisoned");
+        prepared.get(&id).cloned()
+    }
+
     /// Registers a verifying key for a circuit, preparing it (pairing
     /// precomputation) unless that circuit is already cached. Returns
-    /// `true` if the key was newly prepared.
-    pub fn register(&mut self, id: CircuitId, vk: &VerifyingKey) -> bool {
-        if self.prepared.contains_key(&id) {
+    /// `true` if the key was newly registered.
+    pub fn register(&self, id: CircuitId, vk: &VerifyingKey) -> bool {
+        if self.contains(id) {
             return false;
         }
-        self.prepared.insert(id, vk.prepare());
-        self.preparations += 1;
+        // prepared outside the lock; of two threads racing to register one
+        // circuit the loser's precomputation is dropped, uncounted
+        let pvk = Arc::new(vk.prepare());
+        let mut prepared = self.prepared.write().expect("registry poisoned");
+        if prepared.contains_key(&id) {
+            return false;
+        }
+        prepared.insert(id, pvk);
+        self.preparations.fetch_add(1, Ordering::Relaxed);
         true
-    }
-
-    /// Registers a [`VerifierKit`]'s key under its circuit id.
-    pub fn register_kit(&mut self, kit: &VerifierKit) -> bool {
-        self.register(kit.circuit_id(), kit.verifying_key())
-    }
-
-    /// Whether a circuit's key is registered.
-    pub fn contains(&self, id: CircuitId) -> bool {
-        self.prepared.contains_key(&id)
-    }
-
-    /// Number of registered circuits.
-    pub fn len(&self) -> usize {
-        self.prepared.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.prepared.is_empty()
-    }
-
-    /// How many pairing precomputations this registry has run — one per
-    /// registered circuit, however many claims are verified against it.
-    pub fn preparations(&self) -> usize {
-        self.preparations
-    }
-
-    /// Verifies a single claim against the registered keys.
-    pub fn verify(&self, claim: &SignedClaim) -> Result<(), ZkrownnError> {
-        let id = claim.circuit_id();
-        let pvk = self
-            .prepared
-            .get(&id)
-            .ok_or(ZkrownnError::UnknownCircuit(id))?;
-        verify_claim_prepared(pvk, id, claim)
-    }
-
-    /// Verifies many claims, amortizing everything amortizable, and returns
-    /// one `Result` per claim (index-aligned with `claims`).
-    ///
-    /// Claims are grouped by circuit id; within a group, the instance
-    /// commitment (the public-input MSM) is prepared once per distinct
-    /// statement and verdict, and all positive claims are checked with a
-    /// single random-linear-combination pairing equation (coefficients
-    /// drawn from `rng`). If the combined check fails, the group falls back
-    /// to per-claim verification — reusing the already-prepared commitments
-    /// — so exactly the bad claims are flagged. Negative-verdict claims are
-    /// verified individually and reported as
-    /// [`ZkrownnError::NegativeVerdict`] when their proof is sound (a
-    /// forged negative claim still reports [`ZkrownnError::InvalidProof`]).
-    pub fn verify_batch<R: rand::Rng + ?Sized>(
-        &self,
-        claims: &[SignedClaim],
-        rng: &mut R,
-    ) -> Vec<Result<(), ZkrownnError>> {
-        let refs: Vec<&SignedClaim> = claims.iter().collect();
-        self.verify_batch_refs(&refs, rng)
-    }
-
-    /// [`Self::verify_batch`] over borrowed claims — what sharded and
-    /// service front ends call after partitioning a mixed batch without
-    /// cloning statements around.
-    pub fn verify_batch_refs<R: rand::Rng + ?Sized>(
-        &self,
-        claims: &[&SignedClaim],
-        rng: &mut R,
-    ) -> Vec<Result<(), ZkrownnError>> {
-        let mut results: Vec<Result<(), ZkrownnError>> = vec![Ok(()); claims.len()];
-
-        // group by the circuit the proof names
-        let mut groups: HashMap<CircuitId, Vec<usize>> = HashMap::new();
-        for (i, claim) in claims.iter().enumerate() {
-            groups.entry(claim.circuit_id()).or_default().push(i);
-        }
-
-        for (id, indices) in groups {
-            let Some(pvk) = self.prepared.get(&id) else {
-                for i in indices {
-                    results[i] = Err(ZkrownnError::UnknownCircuit(id));
-                }
-                continue;
-            };
-
-            // per distinct statement: the circuit id (one setup-mode
-            // synthesis) and the per-verdict instance commitments, all
-            // computed at most once for the whole group — combined check
-            // and fallback included
-            let mut statement_cache: HashMap<[u8; 32], StatementEntry> = HashMap::new();
-            // positive claims eligible for the combined pairing check,
-            // built directly in the shape `verify_proofs_batch_prepared`
-            // consumes
-            let mut positive_idx: Vec<usize> = Vec::new();
-            let mut batch: Vec<(Proof, PreparedInputs)> = Vec::new();
-
-            for i in indices {
-                let claim = claims[i];
-                if let Err(e) = check_proof_circuit(id, claim) {
-                    results[i] = Err(e);
-                    continue;
-                }
-                let entry = statement_cache
-                    .entry(claim.statement.content_digest())
-                    .or_insert_with(|| StatementEntry {
-                        statement_id: claim.statement.circuit_id(),
-                        inputs: [None, None],
-                    });
-                if let Err(e) = check_statement_circuit(id, entry.statement_id) {
-                    results[i] = Err(e);
-                    continue;
-                }
-                let verdict = claim.proof.verdict;
-                let prepared = entry.inputs[usize::from(verdict)]
-                    .get_or_insert_with(|| {
-                        prepare_inputs(pvk, &claim.statement.public_inputs(verdict))
-                    })
-                    .clone();
-                let prepared = match prepared {
-                    Ok(p) => p,
-                    Err(e) => {
-                        results[i] = Err(ZkrownnError::InvalidProof(e));
-                        continue;
-                    }
-                };
-                if verdict {
-                    positive_idx.push(i);
-                    batch.push((claim.proof.proof.clone(), prepared));
-                } else {
-                    // sound-but-negative vs. forged must stay distinguishable,
-                    // so negatives are never folded into the combined check
-                    results[i] =
-                        match verify_proof_with_prepared_inputs(pvk, &claim.proof.proof, &prepared)
-                        {
-                            Ok(()) => Err(ZkrownnError::NegativeVerdict),
-                            Err(e) => Err(ZkrownnError::InvalidProof(e)),
-                        };
-                }
-            }
-
-            if batch.is_empty() {
-                continue;
-            }
-            match verify_proofs_batch_prepared(pvk, &batch, rng) {
-                Ok(()) => {} // every positive claim verified (already Ok)
-                Err(_) => {
-                    // locate the bad claims individually; the prepared
-                    // commitments ride along from the combined attempt
-                    for (i, (proof, prepared)) in positive_idx.iter().zip(&batch) {
-                        results[*i] = verify_proof_with_prepared_inputs(pvk, proof, prepared)
-                            .map_err(ZkrownnError::InvalidProof);
-                    }
-                }
-            }
-        }
-        results
-    }
-}
-
-/// Number of circuit shards — a power of two so the shard index is a mask
-/// over the (uniform) circuit-id digest bytes. Sixteen keeps write
-/// contention negligible for realistic circuit catalogs while staying
-/// cache-friendly to iterate.
-pub const REGISTRY_SHARDS: usize = 16;
-
-/// A concurrent, `CircuitId`-sharded [`KeyRegistry`] for multi-threaded
-/// verification services.
-///
-/// Every operation takes `&self`: registration write-locks only the shard
-/// the circuit hashes to, and verification takes shared read locks, so
-/// worker threads serving different circuits never contend and workers
-/// serving the *same* circuit share the cached [`PreparedVerifyingKey`]
-/// without cloning it. The type is `Send + Sync` by construction (asserted
-/// at compile time) — wrap it in an `Arc` and hand it to every worker.
-pub struct ShardedKeyRegistry {
-    shards: Vec<RwLock<KeyRegistry>>,
-}
-
-impl Default for ShardedKeyRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ShardedKeyRegistry {
-    /// An empty sharded registry with [`REGISTRY_SHARDS`] shards.
-    pub fn new() -> Self {
-        Self {
-            shards: (0..REGISTRY_SHARDS)
-                .map(|_| RwLock::new(KeyRegistry::new()))
-                .collect(),
-        }
-    }
-
-    /// The shard index a circuit id lives in.
-    pub fn shard_of(id: CircuitId) -> usize {
-        id.as_bytes()[0] as usize & (REGISTRY_SHARDS - 1)
-    }
-
-    fn shard(&self, id: CircuitId) -> &RwLock<KeyRegistry> {
-        &self.shards[Self::shard_of(id)]
-    }
-
-    /// Registers a verifying key for a circuit (write-locking only its
-    /// shard). Returns `true` if the key was newly prepared.
-    pub fn register(&self, id: CircuitId, vk: &VerifyingKey) -> bool {
-        self.shard(id)
-            .write()
-            .expect("shard poisoned")
-            .register(id, vk)
     }
 
     /// Registers a [`VerifierKit`]'s key under its circuit id.
@@ -296,74 +98,80 @@ impl ShardedKeyRegistry {
 
     /// Whether a circuit's key is registered.
     pub fn contains(&self, id: CircuitId) -> bool {
-        self.shard(id).read().expect("shard poisoned").contains(id)
+        self.get(id).is_some()
     }
 
-    /// Number of registered circuits (sums all shards).
+    /// Number of registered circuits.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("shard poisoned").len())
-            .sum()
+        self.prepared.read().expect("registry poisoned").len()
     }
 
-    /// Whether no circuit is registered.
+    /// Whether the registry is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Total pairing precomputations across all shards.
+    /// How many pairing precomputations this registry holds — one per
+    /// registered circuit, however many claims are verified against it.
     pub fn preparations(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("shard poisoned").preparations())
-            .sum()
+        self.preparations.load(Ordering::Relaxed)
     }
 
-    /// Verifies a single claim (read-locking only its circuit's shard).
+    /// Verifies a single claim against the registered keys: a batch of one.
     pub fn verify(&self, claim: &SignedClaim) -> Result<(), ZkrownnError> {
-        self.shard(claim.circuit_id())
-            .read()
-            .expect("shard poisoned")
-            .verify(claim)
+        self.verify_batch(core::slice::from_ref(claim), &mut Undrawn)
+            .pop()
+            .expect("one verdict per claim")
     }
 
-    /// Verifies many claims, amortizing per-circuit work exactly like
-    /// [`KeyRegistry::verify_batch`]; claims are partitioned per shard so
-    /// only the shards actually referenced are read-locked.
+    /// Verifies many claims, amortizing everything amortizable, and returns
+    /// one `Result` per claim (index-aligned with `claims`).
+    ///
+    /// Claims are grouped by circuit id; within a group, the instance
+    /// commitment (the public-input MSM) is prepared once per distinct
+    /// statement and verdict, and all positive claims — when there are two
+    /// or more — are checked with a single random-linear-combination
+    /// pairing equation (coefficients drawn from `rng`). If the combined
+    /// check fails, the group falls back to per-claim verification —
+    /// reusing the already-prepared commitments — so exactly the bad claims
+    /// are flagged. Negative-verdict claims are verified individually and
+    /// reported as [`ZkrownnError::NegativeVerdict`] when their proof is
+    /// sound (a forged negative claim still reports
+    /// [`ZkrownnError::InvalidProof`]).
     pub fn verify_batch<R: rand::Rng + ?Sized>(
         &self,
         claims: &[SignedClaim],
         rng: &mut R,
     ) -> Vec<Result<(), ZkrownnError>> {
-        let mut results: Vec<Result<(), ZkrownnError>> = vec![Ok(()); claims.len()];
-        let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); REGISTRY_SHARDS];
+        // group by the circuit the proof names
+        let mut groups: BTreeMap<CircuitId, Vec<usize>> = BTreeMap::new();
         for (i, claim) in claims.iter().enumerate() {
-            per_shard[Self::shard_of(claim.circuit_id())].push(i);
+            groups.entry(claim.circuit_id()).or_default().push(i);
         }
-        for (shard_idx, indices) in per_shard.into_iter().enumerate() {
-            if indices.is_empty() {
-                continue;
-            }
-            let refs: Vec<&SignedClaim> = indices.iter().map(|&i| &claims[i]).collect();
-            let shard_results = self.shards[shard_idx]
-                .read()
-                .expect("shard poisoned")
-                .verify_batch_refs(&refs, rng);
-            for (i, r) in indices.into_iter().zip(shard_results) {
-                results[i] = r;
+        let mut results = vec![Ok(()); claims.len()];
+        for (id, indices) in groups {
+            let group: Vec<&SignedClaim> = indices.iter().map(|&i| &claims[i]).collect();
+            // The registry passes no bound digest: it serves every statement
+            // of a circuit. (The ledger records which statements were
+            // registered; feeding those here is where a statement-id cache
+            // would land.)
+            let verdicts = match self.get(id) {
+                Some(pvk) => verify_claims(&pvk, id, None, &group, rng),
+                None => vec![Err(ZkrownnError::UnknownCircuit(id)); group.len()],
+            };
+            for (i, verdict) in indices.into_iter().zip(verdicts) {
+                results[i] = verdict;
             }
         }
         results
     }
 }
 
-// The whole point of the sharded registry is to be shared across worker
-// threads; lock it in at compile time so a non-Send field can never sneak
-// into the prepared-key cache unnoticed.
+// The whole point of the registry is to be shared across worker threads;
+// lock it in at compile time so a non-Send field can never sneak into the
+// prepared-key cache unnoticed.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<ShardedKeyRegistry>();
     assert_send_sync::<KeyRegistry>();
     assert_send_sync::<PreparedVerifyingKey>();
 };

@@ -1,7 +1,17 @@
-//! The verifier's side of the protocol: claims and the kit that checks
-//! them. Everything here is public-data-only and `no_std`-portable — it is
-//! the exact surface re-exported by the thin `zkrownn-verifier` crate for
-//! wasm and embedded verifiers.
+//! The verifier's side of the protocol: claims, the kit that checks them,
+//! and the one predicate that decides them. Everything here is
+//! public-data-only and `no_std`-portable — it is the exact surface
+//! re-exported by the thin `zkrownn-verifier` crate for wasm and embedded
+//! verifiers.
+//!
+//! "Is this claim valid?" is written once, in `verify_claims`: **admit**
+//! each claim (statement binding, circuit identity, input fold — no
+//! pairing), fold the admitted positives into one random-linear-combination
+//! check *when there are two or more*, and **settle** whatever that did not
+//! clear with one plain pairing check and the verdict gate. A batch of one
+//! is therefore admit + settle and draws no randomness; [`VerifierKit`],
+//! the `std`-only `KeyRegistry` (single and batch), the service's coalescer
+//! and `zkrownn_verify` all run these lines.
 //!
 //! The proving half (authorities, prover kits, key stores) lives in
 //! [`crate::session`] and needs `std`.
@@ -9,8 +19,12 @@
 use crate::artifact::{Artifact, ArtifactKind, CircuitId, OwnershipStatement, Reader, WireError};
 use crate::error::ZkrownnError;
 use crate::prove::OwnershipProof;
+use alloc::collections::BTreeMap;
 use alloc::vec::Vec;
-use zkrownn_groth16::{verify_proof_prepared, PreparedVerifyingKey, VerifyingKey};
+use zkrownn_groth16::{
+    prepare_inputs, verify_proof_with_prepared_inputs, verify_proofs_batch_prepared,
+    PreparedInputs, PreparedVerifyingKey, Proof, VerificationError, VerifyingKey,
+};
 
 /// The third-party verifier's side: public data only.
 ///
@@ -80,79 +94,132 @@ impl VerifierKit {
     /// of verdict 0 fails with [`ZkrownnError::NegativeVerdict`] —
     /// cryptographically sound, but not an ownership claim.
     pub fn verify(&self, claim: &SignedClaim) -> Result<(), ZkrownnError> {
-        if let Some(expected) = self.expected_statement {
-            if claim.statement.content_digest() != expected {
-                return Err(ZkrownnError::StatementMismatch);
-            }
-            // The statement is byte-identical to the one this kit was bound
-            // to at setup, whose synthesis trace produced `self.circuit_id`
-            // — no need to re-synthesize it per claim. (Soundness never
-            // rested on that check anyway: the pairing equation binds the
-            // proof to this kit's circuit-specific key.)
-            check_proof_circuit(self.circuit_id, claim)?;
-            return verify_claim_crypto(&self.pvk, claim);
-        }
-        verify_claim_prepared(&self.pvk, self.circuit_id, claim)
+        let (id, bound) = (self.circuit_id, self.expected_statement);
+        verify_claims(&self.pvk, id, bound, &[claim], &mut Undrawn)
+            .pop()
+            .expect("one verdict per claim")
     }
 }
 
-/// Full claim validation against a prepared key: circuit-identity checks
-/// (including one setup-mode synthesis of the claim's statement), the
-/// pairing equation, then the verdict gate.
-pub(crate) fn verify_claim_prepared(
-    pvk: &PreparedVerifyingKey,
-    expected: CircuitId,
-    claim: &SignedClaim,
-) -> Result<(), ZkrownnError> {
-    check_proof_circuit(expected, claim)?;
-    check_statement_circuit(expected, claim.statement.circuit_id())?;
-    verify_claim_crypto(pvk, claim)
+/// The rng handed to a batch of one: `verify_claims` draws RLC coefficients
+/// only for two or more positives, so a single claim never asks it.
+pub(crate) struct Undrawn;
+
+impl rand::RngCore for Undrawn {
+    fn next_u64(&mut self) -> u64 {
+        unreachable!("a batch of one draws no RLC coefficient")
+    }
 }
 
-/// The cryptographic tail of claim validation: the pairing equation over
-/// the statement's public inputs, then the verdict gate.
-pub(crate) fn verify_claim_crypto(
+/// What [`admit`] remembers about one distinct statement for the length of
+/// one [`verify_claims`] call: the circuit its shape synthesizes to and the
+/// instance commitment for each verdict value, each computed at most once
+/// and shared by the combined check *and* the per-claim settle after it.
+struct StatementEntry {
+    statement_id: CircuitId,
+    inputs: [Option<Result<PreparedInputs, VerificationError>>; 2],
+}
+
+/// Everything about a claim that is decided without a pairing, in the order
+/// callers rely on: the claim is about the `bound` statement (if any), its
+/// proof names circuit `id`, its statement's shape synthesizes to `id`, and
+/// its public inputs fold into the key's instance commitment.
+fn admit(
+    pvk: &PreparedVerifyingKey,
+    id: CircuitId,
+    bound: Option<[u8; 32]>,
+    claim: &SignedClaim,
+    cache: &mut BTreeMap<[u8; 32], StatementEntry>,
+) -> Result<PreparedInputs, ZkrownnError> {
+    let digest = claim.statement.content_digest();
+    if bound.is_some_and(|expected| expected != digest) {
+        return Err(ZkrownnError::StatementMismatch);
+    }
+    let names_this_circuit = |got: CircuitId| {
+        if got == id {
+            Ok(())
+        } else {
+            Err(ZkrownnError::CircuitMismatch { expected: id, got })
+        }
+    };
+    // the cheap half of the identity check: what the proof says it is for
+    names_this_circuit(claim.proof.circuit_id)?;
+    // the expensive half: one setup-mode synthesis per distinct statement
+    let entry = cache.entry(digest).or_insert_with(|| StatementEntry {
+        // A statement byte-identical to the bound one is the statement whose
+        // synthesis trace produced `id` at setup — no need to re-synthesize
+        // it per claim. (Soundness never rested on that check anyway: the
+        // pairing equation binds the proof to this circuit-specific key.)
+        statement_id: match bound {
+            Some(_) => id,
+            None => claim.statement.circuit_id(),
+        },
+        inputs: [None, None],
+    });
+    names_this_circuit(entry.statement_id)?;
+    let verdict = claim.proof.verdict;
+    entry.inputs[usize::from(verdict)]
+        .get_or_insert_with(|| prepare_inputs(pvk, &claim.statement.public_inputs(verdict)))
+        .clone()
+        .map_err(ZkrownnError::InvalidProof)
+}
+
+/// The cryptographic tail for one admitted claim: a plain pairing check,
+/// then the verdict gate. Sound-but-negative and forged stay
+/// distinguishable because the gate runs only after the pairing holds.
+fn settle(
     pvk: &PreparedVerifyingKey,
     claim: &SignedClaim,
+    inputs: &PreparedInputs,
 ) -> Result<(), ZkrownnError> {
-    let inputs = claim.statement.public_inputs(claim.proof.verdict);
-    verify_proof_prepared(pvk, &claim.proof.proof, &inputs).map_err(ZkrownnError::InvalidProof)?;
+    verify_proof_with_prepared_inputs(pvk, &claim.proof.proof, inputs)
+        .map_err(ZkrownnError::InvalidProof)?;
     if !claim.proof.verdict {
         return Err(ZkrownnError::NegativeVerdict);
     }
     Ok(())
 }
 
-/// The cheap half of the identity check: the proof must name the expected
-/// circuit.
-pub(crate) fn check_proof_circuit(
-    expected: CircuitId,
-    claim: &SignedClaim,
-) -> Result<(), ZkrownnError> {
-    if claim.proof.circuit_id != expected {
-        return Err(ZkrownnError::CircuitMismatch {
-            expected,
-            got: claim.proof.circuit_id,
-        });
-    }
-    Ok(())
-}
-
-/// The expensive half: the statement's actual shape must hash to the same
-/// id the verifier expects. Callers that check many claims against the
-/// same statement compute `statement_id` once (the `std`-only
-/// `KeyRegistry::verify_batch` caches it per distinct statement).
-pub(crate) fn check_statement_circuit(
-    expected: CircuitId,
-    statement_id: CircuitId,
-) -> Result<(), ZkrownnError> {
-    if statement_id != expected {
-        return Err(ZkrownnError::CircuitMismatch {
-            expected,
-            got: statement_id,
-        });
-    }
-    Ok(())
+/// The claim predicate: one `Result` per claim (index-aligned), all against
+/// the prepared key of circuit `id`, optionally pinned to the `bound`
+/// statement digest.
+///
+/// Admitted positive claims — two or more of them — are checked with one
+/// random-linear-combination pairing equation (coefficients from `rng`).
+/// Negatives are never folded in, and when the combined check fails every
+/// member is settled on its own, reusing the commitments already prepared,
+/// so exactly the bad claims are flagged.
+pub(crate) fn verify_claims<R: rand::Rng + ?Sized>(
+    pvk: &PreparedVerifyingKey,
+    id: CircuitId,
+    bound: Option<[u8; 32]>,
+    claims: &[&SignedClaim],
+    rng: &mut R,
+) -> Vec<Result<(), ZkrownnError>> {
+    let mut cache = BTreeMap::new();
+    let admitted: Vec<_> = claims
+        .iter()
+        .map(|claim| admit(pvk, id, bound, claim, &mut cache))
+        .collect();
+    // in the shape `verify_proofs_batch_prepared` consumes
+    let positives: Vec<(Proof, PreparedInputs)> = claims
+        .iter()
+        .zip(&admitted)
+        .filter(|(claim, _)| claim.proof.verdict)
+        .filter_map(|(claim, inputs)| {
+            Some((claim.proof.proof.clone(), inputs.as_ref().ok()?.clone()))
+        })
+        .collect();
+    let cleared =
+        positives.len() >= 2 && verify_proofs_batch_prepared(pvk, &positives, rng).is_ok();
+    claims
+        .iter()
+        .zip(admitted)
+        .map(|(claim, inputs)| match inputs? {
+            _ if cleared && claim.proof.verdict => Ok(()),
+            inputs => settle(pvk, claim, &inputs),
+        })
+        .collect()
 }
 
 /// A complete, portable ownership claim: the public statement plus the

@@ -26,7 +26,7 @@
 //!   [`ConsistencyProof`] as standard [`Artifact`](zkrownn::Artifact)
 //!   envelopes, plus the byte-level offline verifiers;
 //! * [`registry`] — [`LedgeredRegistry`]: the service-facing composition
-//!   of [`zkrownn::ShardedKeyRegistry`] and the ledger, appending one
+//!   of [`zkrownn::KeyRegistry`] and the ledger, appending one
 //!   leaf per distinct registration.
 //!
 //! ```

@@ -1,18 +1,18 @@
 //! The registry the service actually serves from: the concurrent
-//! [`ShardedKeyRegistry`] for verification, composed with the append-only
+//! [`KeyRegistry`] for verification, composed with the append-only
 //! [`Ledger`] recording every `(circuit, statement)` registration.
 //!
 //! Key verification and ledger queries have different concurrency shapes,
-//! so they keep their own synchronization: claim verification goes through
-//! the sharded per-circuit locks untouched (the coalescer holds an `Arc`
-//! to the inner [`ShardedKeyRegistry`]), while the ledger — appended to
-//! rarely, queried cheaply — sits behind one `RwLock` together with the
-//! leaf→index map that answers `PROVE_MEMBER` lookups.
+//! so they keep their own synchronization: claim verification only ever
+//! takes the key map's lock for a lookup (the coalescer holds an `Arc` to
+//! the inner [`KeyRegistry`] and never touches the ledger), while the
+//! ledger — appended to rarely, queried cheaply — sits behind one `RwLock`
+//! together with the leaf→index map that answers `PROVE_MEMBER` lookups.
 
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
-use zkrownn::{CircuitId, ShardedKeyRegistry, VerifierKit};
+use zkrownn::{CircuitId, KeyRegistry, VerifierKit};
 use zkrownn_groth16::VerifyingKey;
 
 use crate::accumulator::Ledger;
@@ -48,7 +48,7 @@ impl LedgerState {
     }
 }
 
-/// A [`ShardedKeyRegistry`] that additionally commits every registration
+/// A [`KeyRegistry`] that additionally commits every registration
 /// to an append-only Merkle ledger.
 ///
 /// Registration is idempotent on both layers: a repeated circuit skips the
@@ -57,7 +57,7 @@ impl LedgerState {
 /// statement does append — the ledger records registered disputes, not
 /// just key material.
 pub struct LedgeredRegistry {
-    keys: Arc<ShardedKeyRegistry>,
+    keys: Arc<KeyRegistry>,
     state: RwLock<LedgerState>,
 }
 
@@ -71,7 +71,7 @@ impl LedgeredRegistry {
     /// An empty registry over an empty ledger.
     pub fn new() -> Self {
         Self {
-            keys: Arc::new(ShardedKeyRegistry::new()),
+            keys: Arc::new(KeyRegistry::new()),
             state: RwLock::new(LedgerState {
                 ledger: Ledger::new(),
                 index: HashMap::new(),
@@ -82,7 +82,7 @@ impl LedgeredRegistry {
     /// The inner key registry — what the verification hot path (and the
     /// service's coalescer) uses; cloning the `Arc` never touches the
     /// ledger lock.
-    pub fn keys(&self) -> &Arc<ShardedKeyRegistry> {
+    pub fn keys(&self) -> &Arc<KeyRegistry> {
         &self.keys
     }
 
@@ -181,7 +181,7 @@ impl LedgeredRegistry {
     }
 }
 
-// Shared across server workers exactly like the inner sharded registry.
+// Shared across server workers exactly like the inner key registry.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<LedgeredRegistry>();

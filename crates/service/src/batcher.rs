@@ -11,17 +11,23 @@
 //!   private result channel;
 //! * the first worker to find a free drainer slot becomes the **drainer**:
 //!   it repeatedly swaps out everything queued (up to
-//!   [`CoalescerConfig::max_batch`]), runs one
-//!   [`ShardedKeyRegistry::verify_batch`] over the whole set, and posts
-//!   each result back — looping until the queue is empty;
+//!   [`CoalescerConfig::max_batch`]), runs one [`KeyRegistry::verify_batch`]
+//!   over the whole set, and posts each result back — looping until the
+//!   queue is empty;
 //! * while a batch is in the pairing kernel (milliseconds), newly arriving
 //!   claims pile up behind it, so under load batches grow to match the
 //!   arrival rate with *no* added idle waiting — an unloaded server still
 //!   verifies a lone claim immediately in a batch of one.
 //!
-//! Claims for different circuits use different queues (and different
-//! registry shards), so disputes over unrelated models never serialize
-//! behind each other.
+//! Claims for different circuits use different queues (and the registry
+//! holds its lock only to look a key up), so disputes over unrelated models
+//! never serialize behind each other.
+//!
+//! Every claim — coalesced, with batching switched off, or on a degraded
+//! circuit — reaches the registry through the same `verify_batch` call over
+//! a slice of one or many; the registry's verdict kernel treats a batch of
+//! one as the plain single-claim check, so the three differ only in how many
+//! claims share a call.
 //!
 //! # Degradation under poisoned batches
 //!
@@ -31,10 +37,13 @@
 //! invalid proofs can therefore force every honest claim sharing its
 //! batch to pay the fallback tax. After
 //! [`CoalescerConfig::poison_threshold`] *consecutive* poisoned batches
-//! for a circuit, the coalescer degrades that circuit to direct per-claim
-//! verification for [`CoalescerConfig::degrade_cooldown`] — honest
-//! claims then pay exactly one pairing check instead of riding in doomed
-//! batches. Degradations are counted in the metrics, and the circuit
+//! for a circuit, the coalescer degrades that circuit to batches of one
+//! for [`CoalescerConfig::degrade_cooldown`] — honest claims then pay
+//! exactly one pairing check instead of riding in doomed batches. A batch
+//! counts as poisoned only if it actually paid that tax: two or more
+//! positive claims reached the combined check and one of them was forged
+//! (forged *negative* claims are settled on their own and cost nobody else
+//! anything). Degradations are counted in the metrics, and the circuit
 //! re-enters batching automatically when the cooldown lapses.
 
 use std::collections::{HashMap, VecDeque};
@@ -44,7 +53,8 @@ use std::time::{Duration, Instant, SystemTime};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use zkrownn::{CircuitId, ShardedKeyRegistry, SignedClaim, ZkrownnError};
+use zkrownn::{CircuitId, KeyRegistry, SignedClaim, ZkrownnError};
+use zkrownn_groth16::VerificationError;
 
 use crate::metrics::Metrics;
 
@@ -106,7 +116,7 @@ struct CircuitQueue {
 
 /// The coalescing verification front end shared by all server workers.
 pub struct Coalescer {
-    registry: Arc<ShardedKeyRegistry>,
+    registry: Arc<KeyRegistry>,
     metrics: Arc<Metrics>,
     queues: Mutex<HashMap<CircuitId, Arc<CircuitQueue>>>,
     batching: AtomicBool,
@@ -119,11 +129,7 @@ pub struct Coalescer {
 
 impl Coalescer {
     /// Builds a coalescer over a shared registry and metrics sink.
-    pub fn new(
-        registry: Arc<ShardedKeyRegistry>,
-        metrics: Arc<Metrics>,
-        config: CoalescerConfig,
-    ) -> Self {
+    pub fn new(registry: Arc<KeyRegistry>, metrics: Arc<Metrics>, config: CoalescerConfig) -> Self {
         Self {
             registry,
             metrics,
@@ -138,7 +144,7 @@ impl Coalescer {
     }
 
     /// The registry claims are verified against.
-    pub fn registry(&self) -> &Arc<ShardedKeyRegistry> {
+    pub fn registry(&self) -> &Arc<KeyRegistry> {
         &self.registry
     }
 
@@ -168,14 +174,24 @@ impl Coalescer {
         StdRng::seed_from_u64(salt ^ clock)
     }
 
+    /// Records a batch and runs it through the registry — the one way a
+    /// claim, alone or in company, reaches the verdict kernel.
+    fn verify_batch(&self, claims: &[SignedClaim]) -> Vec<Result<(), ZkrownnError>> {
+        self.metrics.record_batch(claims.len());
+        self.registry.verify_batch(claims, &mut self.batch_rng())
+    }
+
     /// Verifies one claim, transparently coalescing it with whatever other
     /// claims for the same circuit are in flight. Blocks until this claim's
     /// own verdict is known.
     pub fn verify(&self, claim: SignedClaim) -> Result<(), ZkrownnError> {
+        let alone = |claim| {
+            let mut verdict = self.verify_batch(&[claim]);
+            verdict.pop().expect("one verdict per claim")
+        };
         if !self.batching() {
-            // ablation path: full per-claim verification, batch size 1
-            self.metrics.record_batch(1);
-            return self.registry.verify(&claim);
+            // ablation path: every claim is a batch of one
+            return alone(claim);
         }
 
         let queue = {
@@ -190,8 +206,7 @@ impl Coalescer {
                 if Instant::now() < until {
                     // degraded circuit: skip the queue, verify directly
                     drop(state);
-                    self.metrics.record_batch(1);
-                    return self.registry.verify(&claim);
+                    return alone(claim);
                 }
                 // cooldown lapsed: resume batching with a clean slate
                 state.degraded_until = None;
@@ -229,10 +244,9 @@ impl Coalescer {
             };
             let (claims, txs): (Vec<SignedClaim>, Vec<_>) =
                 taken.into_iter().map(|p| (p.claim, p.tx)).unzip();
-            let mut rng = self.batch_rng();
-            let results = self.registry.verify_batch(&claims, &mut rng);
-            self.metrics.record_batch(claims.len());
-            self.track_poisoning(queue, claims.len(), &results);
+            let results = self.verify_batch(&claims);
+            let verdicts: Vec<bool> = claims.iter().map(SignedClaim::verdict).collect();
+            self.track_poisoning(queue, combined_check_failed(&verdicts, &results));
             for (tx, result) in txs.into_iter().zip(results) {
                 // a receiver can only be gone if its worker died; dropping
                 // the result is then the right thing
@@ -243,21 +257,12 @@ impl Coalescer {
 
     /// Updates a circuit's poison streak after a batch and degrades it to
     /// per-claim verification once the streak reaches the threshold. Only
-    /// multi-claim batches count either way: a forged proof in a batch of
-    /// one costs nobody else anything, and a singleton success says
-    /// nothing about whether the poisoner left.
-    fn track_poisoning(
-        &self,
-        queue: &CircuitQueue,
-        batch_len: usize,
-        results: &[Result<(), ZkrownnError>],
-    ) {
-        if batch_len < 2 {
-            return;
-        }
-        let poisoned = results
-            .iter()
-            .any(|r| matches!(r, Err(ZkrownnError::InvalidProof(_))));
+    /// batches that ran a combined check count either way: a forged proof
+    /// that was settled alone costs nobody else anything, and a success
+    /// without a combined check says nothing about whether the poisoner
+    /// left.
+    fn track_poisoning(&self, queue: &CircuitQueue, poisoned: Option<bool>) {
+        let Some(poisoned) = poisoned else { return };
         let mut state = queue.state.lock().expect("circuit queue poisoned");
         if !poisoned {
             state.poison_streak = 0;
@@ -269,6 +274,22 @@ impl Coalescer {
             self.metrics.record_degradation();
         }
     }
+}
+
+/// Whether a batch's combined RLC check ran and failed — i.e. whether its
+/// members paid the fallback tax. `None` when fewer than two positive
+/// claims reached the combined check (there was none to fail); otherwise
+/// `Some(true)` iff one of them came back with a failed pairing equation.
+/// Negative claims, and positives turned away before the pairing stage
+/// (unknown or mismatched circuit, wrong input count), never enter it.
+fn combined_check_failed(verdicts: &[bool], results: &[Result<(), ZkrownnError>]) -> Option<bool> {
+    let forged = Err(ZkrownnError::InvalidProof(VerificationError::InvalidProof));
+    let reached: Vec<_> = verdicts
+        .iter()
+        .zip(results)
+        .filter(|(positive, result)| **positive && (result.is_ok() || **result == forged))
+        .collect();
+    (reached.len() >= 2).then(|| reached.iter().any(|(_, result)| result.is_err()))
 }
 
 #[cfg(test)]
@@ -283,6 +304,34 @@ mod tests {
         assert!(c.max_drainers >= 1);
         assert!(c.poison_threshold >= 1);
         assert!(c.degrade_cooldown > Duration::ZERO);
+    }
+
+    use combined_check_failed as poisoned;
+    const FORGED: Result<(), ZkrownnError> =
+        Err(ZkrownnError::InvalidProof(VerificationError::InvalidProof));
+
+    #[test]
+    fn a_forged_positive_among_positives_poisons_the_batch() {
+        assert_eq!(poisoned(&[true, true], &[Ok(()), FORGED]), Some(true));
+        let mixed = [FORGED, FORGED, Ok(())];
+        assert_eq!(poisoned(&[true, false, true], &mixed), Some(true));
+        // a clean combined check is what resets the streak
+        assert_eq!(poisoned(&[true, true], &[Ok(()), Ok(())]), Some(false));
+    }
+
+    #[test]
+    fn claims_settled_alone_never_poison_the_batch() {
+        // the forged claim is negative: it never entered the combined check
+        assert_eq!(poisoned(&[true, false], &[Ok(()), FORGED]), None);
+        // a lone positive — forged or not — is a plain pairing check
+        assert_eq!(poisoned(&[true], &[FORGED]), None);
+        assert_eq!(poisoned(&[true, false], &[FORGED, FORGED]), None);
+        // positives turned away before the pairing stage do not count
+        let (expected, got) = (3, 2);
+        let wrong_len = VerificationError::InputLengthMismatch { expected, got };
+        let wrong_len = Err(ZkrownnError::InvalidProof(wrong_len));
+        let turned_away = [Ok(()), wrong_len, Err(ZkrownnError::StatementMismatch)];
+        assert_eq!(poisoned(&[true, true, true], &turned_away), None);
     }
 
     #[test]

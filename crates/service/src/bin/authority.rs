@@ -1,7 +1,7 @@
 //! `zkrownn-authority` — the claim-verification daemon.
 //!
 //! Loads `.vk` key-registration files (written by `loadgen --write-corpus`
-//! or [`zkrownn_service::registration_bytes`]) into a sharded registry and
+//! or [`zkrownn_service::registration_bytes`]) into the key registry and
 //! serves the framed verification protocol until shut down.
 
 use std::path::Path;

@@ -84,7 +84,6 @@
 //! ```
 //!
 //! [`SignedClaim`]: zkrownn::SignedClaim
-//! [`ShardedKeyRegistry`]: zkrownn::ShardedKeyRegistry
 
 #![warn(missing_docs)]
 

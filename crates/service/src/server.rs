@@ -163,8 +163,9 @@ impl ServerHandle {
 /// Binds the listener and spawns the acceptor and worker threads.
 ///
 /// The registry is shared — the embedding process may keep registering
-/// circuits while the server runs (registration write-locks only the
-/// target shard and appends a leaf to the registration ledger).
+/// circuits while the server runs (registration prepares the key, takes
+/// the key map's write lock for the insert alone — in-flight verifications
+/// hold no lock — and appends a leaf to the registration ledger).
 pub fn serve(config: ServerConfig, registry: Arc<LedgeredRegistry>) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;

@@ -5,6 +5,9 @@
 //! no incorrect verdict under faults, and the daemon restarts cleanly
 //! after every plan.
 
+#[path = "../../../tests/support/verdict_corpus.rs"]
+mod verdict_corpus;
+
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::mpsc;
@@ -338,6 +341,72 @@ fn poisoned_batches_degrade_the_circuit_without_wrong_verdicts() {
         "degraded claims are batches of one"
     );
     assert_eq!(after.batched_claims - before.batched_claims, 2);
+}
+
+/// Verdict equivalence, coalescer columns: the corpus and expected table of
+/// the root `tests/verdict_equivalence.rs`, asked through the coalescer
+/// with batching on (one at a time, then all at once so claims coalesce
+/// into whatever batches the scheduler cuts), with batching off, and on a
+/// circuit degraded by a poisoned batch. Every column answers as a
+/// registry does.
+#[test]
+fn coalescer_verdicts_match_the_equivalence_table() {
+    use verdict_corpus::{Class, Column};
+    let corpus = verdict_corpus::corpus();
+    let registry = Arc::new(LedgeredRegistry::new());
+    registry.register_kit(&corpus.disputed);
+    registry.register_kit(&corpus.bystander);
+    let metrics = Arc::new(Metrics::new());
+    let coalescer = Coalescer::new(
+        Arc::clone(registry.keys()),
+        Arc::clone(&metrics),
+        CoalescerConfig {
+            max_drainers: 1,
+            poison_threshold: 1,
+            degrade_cooldown: Duration::from_secs(600),
+            ..CoalescerConfig::default()
+        },
+    );
+    let check = |column: &str, case: &verdict_corpus::Case| {
+        let result = coalescer.verify(case.claim.clone());
+        assert_eq!(
+            Class::of(&result),
+            case.expected(Column::Registry),
+            "coalescer ({column}) on the {} claim answered {result:?}",
+            case.name
+        );
+    };
+    let check_one_by_one = |column| corpus.cases.iter().for_each(|case| check(column, case));
+
+    check_one_by_one("batching on");
+    coalescer.set_batching(false);
+    check_one_by_one("batching off");
+    coalescer.set_batching(true);
+
+    // all at once, until a batch with the forged positive in it has
+    // degraded the disputed circuit (the corpus holds three sound
+    // positives, so any coalesced batch containing it is poisoned)
+    for round in 0.. {
+        assert!(round < 50, "no multi-claim batch was ever poisoned");
+        std::thread::scope(|scope| {
+            // sound claims lead (the corpus lists its forgeries first), so
+            // the forged positive piles up behind a drain in progress
+            for case in corpus.cases.iter().rev() {
+                scope.spawn(move || check("concurrent", case));
+            }
+        });
+        if metrics.snapshot().degradations >= 1 {
+            break;
+        }
+    }
+    let before = metrics.snapshot();
+    check_one_by_one("degraded");
+    let after = metrics.snapshot();
+    assert_eq!(
+        after.batches - before.batches,
+        corpus.cases.len() as u64,
+        "degraded claims are batches of one"
+    );
 }
 
 /// Graceful drain: a frame already in flight when shutdown is requested

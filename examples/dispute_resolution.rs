@@ -148,7 +148,7 @@ fn main() {
             "claim must be about the disputed model M'"
         );
     }
-    let mut registry = KeyRegistry::new();
+    let registry = KeyRegistry::new();
     registry.register_kit(&verifier_kit);
     let verdicts = registry.verify_batch(&claims, &mut rng);
     for (who, verdict) in ["Olivia", "Mallory"].iter().zip(&verdicts) {

@@ -98,7 +98,7 @@ fn main() {
     println!("[5/5] third-party verification from wire bytes only …");
     let received = SignedClaim::from_bytes(&claim_wire).expect("claim decodes");
     let received_vk = <VerifyingKey as Artifact>::from_bytes(&vk_wire).expect("vk decodes");
-    let mut registry = KeyRegistry::new();
+    let registry = KeyRegistry::new();
     registry.register(received.circuit_id(), &received_vk);
     let t = Instant::now();
     registry.verify(&received).expect("verification succeeds");

@@ -6,7 +6,8 @@
 //!
 //! * [`zkrownn`] — the end-to-end ownership-proof framework (start here:
 //!   `Authority::setup` → `ProverKit::prove` → `VerifierKit::verify`, with
-//!   `KeyRegistry::verify_batch` for many-claim services and the
+//!   the concurrent `KeyRegistry` and its `verify_batch` for many-claim
+//!   services — one claim predicate behind all of them — and the
 //!   `Artifact` wire format for everything that crosses a process)
 //! * [`zkrownn_ledger`] — the registry as a verifiable log: an append-only
 //!   Merkle accumulator over registrations with offline-checkable

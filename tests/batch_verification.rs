@@ -5,6 +5,7 @@
 //! exactly once for N ≥ 8 same-circuit claims.
 
 use rand::SeedableRng;
+use std::sync::atomic::{AtomicBool, Ordering};
 use zkrownn::{
     Artifact, Authority, CircuitId, ExtractionSpec, KeyRegistry, ProverKit, QuantLayer,
     QuantizedModel, SignedClaim, ZkrownnError,
@@ -62,7 +63,7 @@ fn shipped_claims_verify_in_a_fresh_context_with_one_preparation() {
         .iter()
         .map(|w| SignedClaim::from_bytes(w).expect("claim decodes"))
         .collect();
-    let mut registry = KeyRegistry::new();
+    let registry = KeyRegistry::new();
     registry.register(CircuitId::from_bytes(id_wire), &vk);
     assert_eq!(registry.preparations(), 1);
 
@@ -106,7 +107,7 @@ fn batch_results_are_per_claim() {
     let mut stray = good.clone();
     stray.proof.circuit_id = CircuitId::from_bytes([0; 32]);
 
-    let mut registry = KeyRegistry::new();
+    let registry = KeyRegistry::new();
     registry.register_kit(&verifier);
     let claims = [good, negative, forged, stray];
     let results = registry.verify_batch(&claims, &mut rng);
@@ -134,4 +135,79 @@ fn batch_results_are_per_claim() {
         registry.verify(&claims[1]),
         Err(ZkrownnError::NegativeVerdict)
     );
+}
+
+/// An rng that must never be asked for anything.
+struct PanickingRng;
+
+impl rand::RngCore for PanickingRng {
+    fn next_u64(&mut self) -> u64 {
+        panic!("an RLC coefficient was drawn")
+    }
+}
+
+/// A batch of one *is* the single-claim path: it draws no RLC coefficient
+/// (honest or forged), while two positives do fold into a combined check.
+#[test]
+fn a_batch_of_one_draws_no_randomness() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(603);
+    let (prover, verifier) = Authority::setup(&tiny_spec(vec![true; 4]), &mut rng);
+    let honest = prover.prove(&mut rng).unwrap();
+    let mut forged = honest.clone();
+    std::mem::swap(&mut forged.proof.proof.a, &mut forged.proof.proof.c);
+
+    let registry = KeyRegistry::new();
+    registry.register_kit(&verifier);
+    assert_eq!(
+        registry.verify_batch(std::slice::from_ref(&honest), &mut PanickingRng),
+        [Ok(())]
+    );
+    assert!(matches!(
+        registry.verify_batch(&[forged], &mut PanickingRng)[..],
+        [Err(ZkrownnError::InvalidProof(_))]
+    ));
+
+    let pair = [honest.clone(), honest];
+    let drew = std::panic::catch_unwind(|| registry.verify_batch(&pair, &mut PanickingRng));
+    assert!(drew.is_err(), "two positives must draw RLC coefficients");
+    // the panic unwound through no lock: the registry is still usable
+    assert_eq!(registry.verify(&pair[0]), Ok(()));
+    assert_eq!(registry.preparations(), 1);
+}
+
+/// Registration is not blocked by verification (and vice versa): the lock
+/// guards the key map only, never the pairing work.
+#[test]
+fn registration_proceeds_while_verification_is_in_flight() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(604);
+    let (prover, verifier) = Authority::setup(&tiny_spec(vec![true; 4]), &mut rng);
+    let (_, second) = Authority::setup(&tiny_spec(vec![true; 5]), &mut rng);
+    assert_ne!(verifier.circuit_id(), second.circuit_id());
+    let claim = prover.prove(&mut rng).unwrap();
+
+    let registry = KeyRegistry::new();
+    assert!(registry.register_kit(&verifier));
+    let stop = AtomicBool::new(false);
+    let (verifying_tx, verifying_rx) = std::sync::mpsc::channel();
+    let verdicts = std::thread::scope(|scope| {
+        let verifying = scope.spawn(|| {
+            let mut verdicts = Vec::new();
+            while !stop.load(Ordering::Relaxed) {
+                verdicts.push(registry.verify(&claim));
+                let _ = verifying_tx.send(());
+            }
+            verdicts
+        });
+        // the loop is verifying back to back from here until `stop`, so
+        // both registrations (a pairing precomputation each) run alongside
+        // in-flight verifications of the first circuit
+        verifying_rx.recv().expect("the verifier thread is running");
+        assert!(!registry.register_kit(&verifier), "already registered");
+        assert!(registry.register_kit(&second), "a new circuit");
+        stop.store(true, Ordering::Relaxed);
+        verifying.join().expect("verifier thread")
+    });
+    assert_eq!(registry.len(), 2);
+    assert_eq!(registry.preparations(), 2);
+    assert!(verdicts.iter().all(|v| *v == Ok(())));
 }

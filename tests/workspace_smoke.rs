@@ -49,7 +49,7 @@ fn tiny_mlp_ownership_proof_roundtrip() {
     let claim = prover.prove(&mut rng).expect("honest prover succeeds");
     let received = SignedClaim::from_bytes(&claim.to_bytes()).expect("claim decodes");
     verifier.verify(&received).expect("claim verifies");
-    let mut registry = KeyRegistry::new();
+    let registry = KeyRegistry::new();
     registry.register_kit(&verifier);
     registry
         .verify(&received)
