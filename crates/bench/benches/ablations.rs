@@ -19,8 +19,7 @@
 //!   to head over 8 independent base-field chains (the instruction-level-
 //!   parallel regime the MSM bucket passes and FFT butterflies run in):
 //!   the loop-structured schoolbook reference vs. the unrolled no-carry
-//!   CIOS kernel, plus whichever of the two `ActiveBackend` resolved to at
-//!   runtime;
+//!   CIOS kernel (the one `Fp` compiles against);
 //! * `prover-hot-path/*` — the prover-spine ablation over the quick
 //!   MNIST-MLP extraction circuit: a cold `create_proof_from_cs` (matrices
 //!   re-lowered, twiddle tables rebuilt per proof) vs. the cached
@@ -282,9 +281,7 @@ fn bench_average_fold(c: &mut Criterion) {
 
 fn bench_field_backend(c: &mut Criterion) {
     use zkrownn_ff::fq::FqParams;
-    use zkrownn_ff::{
-        ActiveBackend, BigInt256, FieldBackend, Fq, PrimeField, SchoolbookBackend, UnrolledBackend,
-    };
+    use zkrownn_ff::{BigInt256, FieldBackend, Fq, PrimeField, SchoolbookBackend, UnrolledBackend};
 
     // 8 independent Montgomery chains: enough in-flight products to expose
     // the pipelining difference between the kernels (a single dependent
@@ -319,11 +316,6 @@ fn bench_field_backend(c: &mut Criterion) {
     });
     group.bench_function("unrolled", |b| {
         b.iter(|| chains::<UnrolledBackend, LANES>(&seed, &y, 1024))
-    });
-    // `ActiveBackend` aliases one of the two above (feature-selected), so
-    // this row should match its target — a drift is a wiring bug
-    group.bench_function(format!("active-{}", ActiveBackend::NAME), |b| {
-        b.iter(|| chains::<ActiveBackend, LANES>(&seed, &y, 1024))
     });
     group.finish();
 }

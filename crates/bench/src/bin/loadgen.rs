@@ -8,9 +8,10 @@
 //!     run setup + proving once, write .vk/.claim files to DIR
 //!
 //! loadgen --corpus DIR [--addr HOST:PORT] [--smoke] [--json PATH]
-//!     drive an authority with the corpus at 1/4/16 client threads
-//!     (plus the batching-off ablation at 16) and emit the results;
-//!     without --addr an in-process server is started
+//!     drive an authority with the corpus at 1/4/16 client threads and
+//!     emit the results; without --addr an in-process server is started.
+//!     For the coalescing-off ablation point --addr at an authority
+//!     started with `--max-batch 1`: the rows come out `-nobatch`.
 //! ```
 
 use std::process::ExitCode;

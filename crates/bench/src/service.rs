@@ -146,7 +146,8 @@ pub struct ScenarioResult {
     pub name: String,
     /// Concurrent client threads.
     pub clients: usize,
-    /// Whether server-side claim coalescing was enabled.
+    /// Whether server-side claim coalescing was enabled — the server's
+    /// `STATS` reported a `max_batch` above 1.
     pub batching: bool,
     /// Claims submitted across all clients.
     pub total_claims: usize,
@@ -179,20 +180,21 @@ fn percentile_ms(sorted: &[Duration], q: f64) -> f64 {
     sorted[rank - 1].as_secs_f64() * 1e3
 }
 
-/// Runs one scenario against a running authority at `addr`: toggles
-/// batching, fires `clients` threads submitting `total` corpus claims
-/// round-robin, and reports throughput / latency / batch occupancy.
+/// Runs one scenario against a running authority at `addr`: fires
+/// `clients` threads submitting `total` corpus claims round-robin, and
+/// reports throughput / latency / batch occupancy. No control frame is
+/// sent: whether the server coalesces is its own configuration, read back
+/// from the `max_batch` its `STATS` reports, and the row is labelled from
+/// that (`-nobatch` when it is 1).
 pub fn run_scenario(
     addr: &str,
     corpus: &Corpus,
     clients: usize,
     total: usize,
-    batching: bool,
 ) -> Result<ScenarioResult, String> {
     let io = |stage: &'static str| move |e: zkrownn_service::ProtocolError| format!("{stage}: {e}");
     let mut control =
         Client::connect_with_retry(addr, Duration::from_secs(10)).map_err(|e| e.to_string())?;
-    control.set_batching(batching).map_err(io("set_batching"))?;
 
     // warm the registry's pairing preparation and the input-MSM cache so
     // the measurement sees steady-state service cost, then snapshot stats
@@ -268,6 +270,9 @@ pub fn run_scenario(
         batched as f64 / batches as f64
     };
     let batch_max = stats_field_u64(&after, "batch_max").unwrap_or(0);
+    let batching = stats_field_u64(&before, "max_batch")
+        .ok_or("the server's STATS reports no max_batch (pre-v4 authority?)")?
+        > 1;
 
     let submitted = per_client * clients;
     let elapsed_s = elapsed.as_secs_f64();
@@ -290,24 +295,24 @@ pub fn run_scenario(
     })
 }
 
-/// The standard scenario sweep: client-count scaling with coalescing on,
-/// plus the batching-off ablation at the highest client count.
+/// The standard scenario sweep: client-count scaling. Pointed at an
+/// authority started with `--max-batch 1` the same sweep is the
+/// coalescing-off ablation (rows `clients-N-nobatch`).
 pub fn standard_scenarios(
     addr: &str,
     corpus: &Corpus,
     total: usize,
 ) -> Result<Vec<ScenarioResult>, String> {
-    let mut out = Vec::new();
-    for clients in [1usize, 4, 16] {
-        out.push(run_scenario(addr, corpus, clients, total, true)?);
-    }
-    out.push(run_scenario(addr, corpus, 16, total, false)?);
-    Ok(out)
+    [1usize, 4, 16]
+        .into_iter()
+        .map(|clients| run_scenario(addr, corpus, clients, total))
+        .collect()
 }
 
 /// Serializes scenario results as the `BENCH_service.json` document
 /// (`zkrownn-bench-service/v1`). The `service-batching` ablation pair is
-/// the `clients-16` / `clients-16-nobatch` rows.
+/// the `clients-16` row of a default authority and the `clients-16-nobatch`
+/// row of one started with `--max-batch 1`.
 pub fn service_json(results: &[ScenarioResult], smoke: bool, corpus_claims: usize) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"schema\": \"zkrownn-bench-service/v1\",\n");

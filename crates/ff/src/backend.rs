@@ -16,12 +16,12 @@
 //!   4, which is what matters in the latency-bound chains (`x ← x·y`)
 //!   that dominate exponentiation, inversion and the Miller loop.
 //!
-//! The active backend is chosen at compile time: `UnrolledBackend` by
-//! default, or [`SchoolbookBackend`] when the `backend-schoolbook` cargo
-//! feature is set. Both backends are always compiled and exported so tests
-//! and benches can compare them directly; `tests/backend_equivalence.rs`
-//! pins them bit-identical under proptest, and the `field-backend`
-//! ablation group in `zkrownn-bench` measures the gap.
+//! [`Fp`](crate::fp::Fp) always compiles against [`UnrolledBackend`]
+//! ([`ActiveBackend`]); there is no build-time selector. Both backends are
+//! always compiled and exported, so the reference kernel is exercised by
+//! name: `tests/backend_equivalence.rs` pins the two bit-identical under
+//! proptest, `tests/mul_throughput.rs` gates the speed-up, and the
+//! `field-backend` ablation group in `zkrownn-bench` measures the gap.
 
 use crate::bigint::{adc, mac, sbb, BigInt256};
 use crate::fp::FpParams;
@@ -417,14 +417,8 @@ impl FieldBackend for UnrolledBackend {
     }
 }
 
-/// The backend [`Fp`](crate::fp::Fp) compiles against: [`UnrolledBackend`]
-/// unless the `backend-schoolbook` feature demands the reference kernel.
-#[cfg(not(feature = "backend-schoolbook"))]
+/// The backend [`Fp`](crate::fp::Fp) compiles against.
 pub type ActiveBackend = UnrolledBackend;
-
-/// The backend [`Fp`](crate::fp::Fp) compiles against (feature-selected).
-#[cfg(feature = "backend-schoolbook")]
-pub type ActiveBackend = SchoolbookBackend;
 
 #[cfg(test)]
 mod tests {

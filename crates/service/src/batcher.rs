@@ -23,11 +23,20 @@
 //! holds its lock only to look a key up), so disputes over unrelated models
 //! never serialize behind each other.
 //!
-//! Every claim — coalesced, with batching switched off, or on a degraded
-//! circuit — reaches the registry through the same `verify_batch` call over
-//! a slice of one or many; the registry's verdict kernel treats a batch of
-//! one as the plain single-claim check, so the three differ only in how many
-//! claims share a call.
+//! A claim takes one of two routes, and both end in the same registry
+//! `verify_batch` call over a slice of one or many (the registry's verdict
+//! kernel treats a batch of one as the plain single-claim check, so the
+//! routes differ only in how many claims share a call):
+//!
+//! * the **queue** of its circuit, as above — with
+//!   [`CoalescerConfig::max_batch`]` = 1` every drain takes one claim, which
+//!   is the whole "coalescing off" ablation: a configuration, not a switch;
+//! * a **batch of one**, skipping the queues, when the circuit is degraded
+//!   (below) or is not registered at all. The circuit id is 32 bytes the
+//!   claimant picks, so an unregistered id must never earn a queue: it
+//!   would stay in the map forever, and a client looping over random ids
+//!   would grow the daemon without bound. The registry still answers
+//!   `UnknownCircuit`, and the claim still counts as a batch of one.
 //!
 //! # Degradation under poisoned batches
 //!
@@ -47,7 +56,7 @@
 //! re-enters batching automatically when the cooldown lapses.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime};
 
@@ -61,11 +70,9 @@ use crate::metrics::Metrics;
 /// Tuning knobs for the [`Coalescer`].
 #[derive(Clone, Debug)]
 pub struct CoalescerConfig {
-    /// Start with coalescing enabled? (Runtime-togglable via
-    /// [`Coalescer::set_batching`] / the `SET_BATCHING` opcode.)
-    pub batching: bool,
     /// Ceiling on one RLC batch — bounds worst-case latency for the claim
-    /// at the head of a deep queue.
+    /// at the head of a deep queue. `1` turns coalescing off (the ablation
+    /// point: every claim pays its own input MSM and pairing check).
     pub max_batch: usize,
     /// Concurrent drainers allowed per circuit. On a multi-core box a few
     /// parallel batches keep every core busy; excess workers park and let
@@ -83,7 +90,6 @@ pub struct CoalescerConfig {
 impl Default for CoalescerConfig {
     fn default() -> Self {
         Self {
-            batching: true,
             max_batch: 64,
             max_drainers: std::thread::available_parallelism()
                 .map(|v| v.get())
@@ -119,7 +125,6 @@ pub struct Coalescer {
     registry: Arc<KeyRegistry>,
     metrics: Arc<Metrics>,
     queues: Mutex<HashMap<CircuitId, Arc<CircuitQueue>>>,
-    batching: AtomicBool,
     max_batch: usize,
     max_drainers: usize,
     poison_threshold: u32,
@@ -134,7 +139,6 @@ impl Coalescer {
             registry,
             metrics,
             queues: Mutex::new(HashMap::new()),
-            batching: AtomicBool::new(config.batching),
             max_batch: config.max_batch.max(1),
             max_drainers: config.max_drainers.max(1),
             poison_threshold: config.poison_threshold.max(1),
@@ -143,20 +147,9 @@ impl Coalescer {
         }
     }
 
-    /// The registry claims are verified against.
-    pub fn registry(&self) -> &Arc<KeyRegistry> {
-        &self.registry
-    }
-
-    /// Whether coalescing is currently enabled.
-    pub fn batching(&self) -> bool {
-        self.batching.load(Ordering::Relaxed)
-    }
-
-    /// Enables/disables coalescing at runtime (the ablation switch — with
-    /// it off every claim pays its own input MSM and pairing check).
-    pub fn set_batching(&self, on: bool) {
-        self.batching.store(on, Ordering::Relaxed);
+    /// The configured batch ceiling (at least 1), as `STATS` reports it.
+    pub fn max_batch(&self) -> usize {
+        self.max_batch
     }
 
     /// RLC challenge randomness: a fresh rng per batch, seeded from wall
@@ -189,8 +182,8 @@ impl Coalescer {
             let mut verdict = self.verify_batch(&[claim]);
             verdict.pop().expect("one verdict per claim")
         };
-        if !self.batching() {
-            // ablation path: every claim is a batch of one
+        if !self.registry.contains(claim.circuit_id()) {
+            // a claimant-chosen id earns no queue; see the module docs
             return alone(claim);
         }
 
@@ -271,7 +264,7 @@ impl Coalescer {
         state.poison_streak += 1;
         if state.poison_streak >= self.poison_threshold && state.degraded_until.is_none() {
             state.degraded_until = Some(Instant::now() + self.degrade_cooldown);
-            self.metrics.record_degradation();
+            self.metrics.degradations.add(1);
         }
     }
 }
@@ -292,6 +285,12 @@ fn combined_check_failed(verdicts: &[bool], results: &[Result<(), ZkrownnError>]
     (reached.len() >= 2).then(|| reached.iter().any(|(_, result)| result.is_err()))
 }
 
+// the shared claim corpus of the verdict-equivalence suites (included by
+// path: this crate has no edge to the root package)
+#[cfg(test)]
+#[path = "../../../tests/support/verdict_corpus.rs"]
+mod verdict_corpus;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,7 +298,6 @@ mod tests {
     #[test]
     fn config_defaults_are_sane() {
         let c = CoalescerConfig::default();
-        assert!(c.batching);
         assert!(c.max_batch >= 1);
         assert!(c.max_drainers >= 1);
         assert!(c.poison_threshold >= 1);
@@ -332,6 +330,41 @@ mod tests {
         let wrong_len = Err(ZkrownnError::InvalidProof(wrong_len));
         let turned_away = [Ok(()), wrong_len, Err(ZkrownnError::StatementMismatch)];
         assert_eq!(poisoned(&[true, true, true], &turned_away), None);
+    }
+
+    /// The circuit id is claimant-chosen: 64 distinct unregistered ids get
+    /// 64 typed rejections and leave nothing behind; a registered id gets
+    /// its one queue.
+    #[test]
+    fn unregistered_circuit_ids_never_earn_a_queue() {
+        let corpus = verdict_corpus::corpus();
+        let honest = corpus.cases.iter().find(|case| case.name == "honest");
+        let claim = honest
+            .expect("the corpus has an honest claim")
+            .claim
+            .clone();
+        let registry = Arc::new(KeyRegistry::new());
+        registry.register_kit(&corpus.disputed);
+        let metrics = Arc::new(Metrics::new());
+        let coalescer = Coalescer::new(registry, Arc::clone(&metrics), CoalescerConfig::default());
+
+        for i in 0..64u8 {
+            let mut stranger = claim.clone();
+            stranger.proof.circuit_id = CircuitId::from_bytes([i; 32]);
+            let verdict = coalescer.verify(stranger);
+            assert!(
+                matches!(verdict, Err(ZkrownnError::UnknownCircuit(_))),
+                "{verdict:?}"
+            );
+        }
+        assert_eq!(coalescer.queues.lock().unwrap().len(), 0);
+        coalescer
+            .verify(claim)
+            .expect("the registered circuit verifies");
+        assert_eq!(coalescer.queues.lock().unwrap().len(), 1);
+        // all 65 went through the one verdict kernel, as batches of one
+        let snapshot = metrics.snapshot();
+        assert_eq!((snapshot.batches, snapshot.batch_max), (65, 1));
     }
 
     #[test]

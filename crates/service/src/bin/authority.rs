@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use zkrownn_ledger::LedgeredRegistry;
-use zkrownn_service::{load_keys_dir_with, serve, CoalescerConfig, KeyLoadOptions, ServerConfig};
+use zkrownn_service::{load_keys_dir, serve, ServerConfig};
 
 const USAGE: &str = "\
 zkrownn-authority — ZKROWNN claim-verification daemon
@@ -29,8 +29,8 @@ OPTIONS:
     --workers N             worker threads (default: max(16, 2 x cores))
     --accept-queue N        connections queued for a worker before new ones
                             are shed with BUSY (default 128)
-    --no-batching           disable claim coalescing (ablation mode)
-    --max-batch N           RLC batch ceiling (default 64)
+    --max-batch N           RLC batch ceiling (default 64); 1 disables claim
+                            coalescing (ablation mode)
     --idle-shutdown-ms N    exit after N ms with no traffic
     --help                  print this help
 ";
@@ -41,78 +41,60 @@ fn fail(msg: &str) -> ExitCode {
     ExitCode::FAILURE
 }
 
+/// A numeric flag's value: it must be there, parse, and be at least `min`.
+fn at_least(min: usize, flag: &str, value: Result<String, String>) -> Result<usize, String> {
+    let n: usize = value?
+        .parse()
+        .map_err(|_| format!("{flag} expects a number"))?;
+    if n < min {
+        return Err(format!("{flag} must be at least {min}"));
+    }
+    Ok(n)
+}
+
 fn main() -> ExitCode {
     let mut config = ServerConfig {
         addr: "127.0.0.1:7791".into(),
         ..ServerConfig::default()
     };
-    let mut coalescer = CoalescerConfig::default();
     let mut keys_dir: Option<String> = None;
-    let mut key_options = KeyLoadOptions::default();
+    let mut strict_keys = false;
 
     let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
+    while let Some(flag) = args.next() {
+        let mut value = || {
             args.next()
                 .ok_or_else(|| format!("{flag} requires a value"))
         };
-        match arg.as_str() {
-            "--listen" => match value("--listen") {
-                Ok(v) => config.addr = v,
-                Err(e) => return fail(&e),
-            },
-            "--keys" => match value("--keys") {
-                Ok(v) => keys_dir = Some(v),
-                Err(e) => return fail(&e),
-            },
-            "--workers" => match value("--workers").and_then(|v| {
-                v.parse::<usize>()
-                    .map_err(|_| "--workers expects a number".into())
-            }) {
-                Ok(n) if n >= 1 => config.workers = n,
-                Ok(_) => return fail("--workers must be at least 1"),
-                Err(e) => return fail(&e),
-            },
-            "--max-batch" => match value("--max-batch").and_then(|v| {
-                v.parse::<usize>()
-                    .map_err(|_| "--max-batch expects a number".into())
-            }) {
-                Ok(n) if n >= 1 => coalescer.max_batch = n,
-                Ok(_) => return fail("--max-batch must be at least 1"),
-                Err(e) => return fail(&e),
-            },
-            "--idle-shutdown-ms" => match value("--idle-shutdown-ms").and_then(|v| {
-                v.parse::<u64>()
-                    .map_err(|_| "--idle-shutdown-ms expects a number".into())
-            }) {
-                Ok(ms) => config.idle_shutdown = Some(Duration::from_millis(ms)),
-                Err(e) => return fail(&e),
-            },
-            "--accept-queue" => match value("--accept-queue").and_then(|v| {
-                v.parse::<usize>()
-                    .map_err(|_| "--accept-queue expects a number".into())
-            }) {
-                Ok(n) if n >= 1 => config.accept_queue = n,
-                Ok(_) => return fail("--accept-queue must be at least 1"),
-                Err(e) => return fail(&e),
-            },
-            "--strict-keys" => key_options.strict = true,
-            "--no-batching" => coalescer.batching = false,
+        let parsed = match flag.as_str() {
+            "--listen" => value().map(|v| config.addr = v),
+            "--keys" => value().map(|v| keys_dir = Some(v)),
+            "--workers" => at_least(1, &flag, value()).map(|n| config.workers = n),
+            "--max-batch" => at_least(1, &flag, value()).map(|n| config.coalescer.max_batch = n),
+            "--accept-queue" => at_least(1, &flag, value()).map(|n| config.accept_queue = n),
+            "--idle-shutdown-ms" => at_least(0, &flag, value())
+                .map(|ms| config.idle_shutdown = Some(Duration::from_millis(ms as u64))),
+            "--strict-keys" => {
+                strict_keys = true;
+                Ok(())
+            }
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
-            other => return fail(&format!("unknown option {other}")),
+            other => Err(format!("unknown option {other}")),
+        };
+        if let Err(e) = parsed {
+            return fail(&e);
         }
     }
-    config.coalescer = coalescer;
 
     let registry = Arc::new(LedgeredRegistry::new());
     let mut quarantined_keys = 0u64;
     if let Some(dir) = keys_dir {
         // keys register in sorted path order, so the ledger root printed
         // below is reproducible for a given key directory
-        match load_keys_dir_with(&registry, Path::new(&dir), key_options) {
+        match load_keys_dir(&registry, Path::new(&dir), strict_keys) {
             Ok(report) => {
                 eprintln!(
                     "zkrownn-authority: registered {} circuit(s) from {dir}",
@@ -150,7 +132,7 @@ fn main() -> ExitCode {
         Ok(h) => h,
         Err(e) => return fail(&format!("binding listener: {e}")),
     };
-    handle.metrics().record_quarantined(quarantined_keys);
+    handle.metrics().quarantined_keys.add(quarantined_keys);
     // CI and tests poll for this exact line to learn the bound port
     println!("zkrownn-authority listening on {}", handle.addr());
 

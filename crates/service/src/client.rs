@@ -6,8 +6,8 @@
 //! *idempotent* operations (`VERIFY`, `STATS`, `ROOT`): a dropped
 //! connection or a [`Status::Busy`] shed from a saturated server is
 //! absorbed by retrying on a fresh connection instead of surfacing to the
-//! caller. Non-idempotent operations (`SET_BATCHING`, `SHUTDOWN`) are
-//! deliberately not retried.
+//! caller. The one non-idempotent operation (`SHUTDOWN`) is deliberately
+//! not retried.
 
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -73,16 +73,6 @@ impl Client {
     pub fn stats_json(&mut self) -> Result<String, ProtocolError> {
         let response = self.request(&Request::Stats)?;
         Ok(response.text())
-    }
-
-    /// Toggles claim coalescing server-side.
-    pub fn set_batching(&mut self, on: bool) -> Result<Response, ProtocolError> {
-        self.request(&Request::SetBatching(on))
-    }
-
-    /// Asks the server to shut down gracefully.
-    pub fn shutdown_server(&mut self) -> Result<Response, ProtocolError> {
-        self.request(&Request::Shutdown)
     }
 
     /// Fetches the current registration-ledger head. On `Ok` the response
@@ -256,25 +246,6 @@ pub fn stats_field_f64(json: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// Reads a boolean field out of the flat stats JSON.
-pub fn stats_field_bool(json: &str, key: &str) -> Option<bool> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
-}
-
-/// `true` when a response marks a claim as verified (positive verdict).
-pub fn is_verified(response: &Response) -> bool {
-    response.status == Status::Ok
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,10 +253,10 @@ mod tests {
     #[test]
     fn stats_scanning() {
         let json = "{\"schema\": \"zkrownn-service-stats/v1\", \"requests\": 42, \
-                    \"batch_mean\": 3.25, \"batching\": true, \"latency_mean_us\": 12.5}";
+                    \"batch_mean\": 3.25, \"max_batch\": 64, \"latency_mean_us\": 12.5}";
         assert_eq!(stats_field_u64(json, "requests"), Some(42));
         assert_eq!(stats_field_f64(json, "batch_mean"), Some(3.25));
-        assert_eq!(stats_field_bool(json, "batching"), Some(true));
+        assert_eq!(stats_field_u64(json, "max_batch"), Some(64));
         assert_eq!(stats_field_u64(json, "nope"), None);
         assert_eq!(stats_field_f64(json, "latency_mean_us"), Some(12.5));
     }

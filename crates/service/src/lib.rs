@@ -7,8 +7,8 @@
 //!
 //! * **wire protocol** ([`protocol`]) — length-prefixed frames carrying
 //!   [`SignedClaim`] artifact bytes in and typed status codes out, with a
-//!   `STATS` endpoint serving a JSON metrics snapshot and admin opcodes
-//!   for runtime batching control and graceful shutdown;
+//!   `STATS` endpoint serving a JSON metrics snapshot and a `SHUTDOWN`
+//!   opcode for a graceful stop;
 //! * **coalescing verifier** ([`batcher`]) — concurrent in-flight claims
 //!   for the same circuit are folded into one random-linear-combination
 //!   pairing check, so the registry's `verify_batch` amortization (one
@@ -94,10 +94,7 @@ pub mod protocol;
 pub mod server;
 
 pub use batcher::{Coalescer, CoalescerConfig};
-pub use client::{
-    is_verified, stats_field_bool, stats_field_f64, stats_field_u64, Client, RetryPolicy,
-    RetryingClient,
-};
+pub use client::{stats_field_f64, stats_field_u64, Client, RetryPolicy, RetryingClient};
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use protocol::{
     encode_request, encode_response, read_request, read_request_body, read_response, write_request,
@@ -140,51 +137,19 @@ pub fn parse_registration(bytes: &[u8]) -> Result<(CircuitId, [u8; 32], Verifyin
     Ok((CircuitId::from_bytes(id), digest, vk))
 }
 
-/// Startup-recovery policy for [`load_keys_dir_with`].
-#[derive(Clone, Copy, Debug)]
-pub struct KeyLoadOptions {
-    /// Abort on the first unreadable/corrupt key file instead of skipping
-    /// it. Off by default: one torn file should not take down a daemon
-    /// serving every other circuit. (`--strict-keys` on the binary.)
-    pub strict: bool,
-    /// Rename unreadable key files to `<name>.corrupt` so the next
-    /// startup doesn't re-parse known-bad bytes and an operator can
-    /// inspect or restore them. Best-effort; a failed rename still skips.
-    pub quarantine: bool,
-}
-
-impl Default for KeyLoadOptions {
-    fn default() -> Self {
-        Self {
-            strict: false,
-            quarantine: true,
-        }
-    }
-}
-
-/// What [`load_keys_dir_with`] found and did.
+/// What [`load_keys_dir`] found and did.
 #[derive(Debug, Default)]
 pub struct KeyLoadReport {
     /// Registrations successfully loaded (both `.vk` and `.zkst`).
     pub loaded: usize,
-    /// Key files that could not be read or parsed, with the error. When
-    /// quarantining is on they have been renamed to `<name>.corrupt`.
+    /// Key files that could not be read or parsed, with the error. They
+    /// have been renamed to `<name>.corrupt`.
     pub quarantined: Vec<(std::path::PathBuf, String)>,
     /// Leftover `*.tmp` staging files from an interrupted writer. They
     /// are never loaded (the atomic-commit protocol renames a finished
     /// store onto its final path) and are reported so operators can
     /// clean them up.
     pub stale_tmp: usize,
-}
-
-/// Registers every `*.vk` key-registration file **and** every `*.zkst`
-/// segmented key store under `dir`; returns how many were loaded.
-///
-/// Equivalent to [`load_keys_dir_with`] under the default
-/// [`KeyLoadOptions`]: unreadable files are quarantined and skipped, and
-/// only the loaded count is reported.
-pub fn load_keys_dir(registry: &LedgeredRegistry, dir: &Path) -> Result<usize, String> {
-    load_keys_dir_with(registry, dir, KeyLoadOptions::default()).map(|report| report.loaded)
 }
 
 /// Registers every `*.vk` key-registration file **and** every `*.zkst`
@@ -204,15 +169,18 @@ pub fn load_keys_dir(registry: &LedgeredRegistry, dir: &Path) -> Result<usize, S
 /// wrong format) is **skipped**: the survivors still load, in the same
 /// sorted order they would have loaded in without the bad file, so the
 /// ledger root over the survivors is stable. Skipped files are recorded in
-/// [`KeyLoadReport::quarantined`] and (unless
-/// [`KeyLoadOptions::quarantine`] is off) renamed to `<name>.corrupt`.
-/// With [`KeyLoadOptions::strict`] the first bad file aborts the load
-/// instead. `*.tmp` staging files left by an interrupted writer are never
-/// loaded and are counted in [`KeyLoadReport::stale_tmp`].
-pub fn load_keys_dir_with(
+/// [`KeyLoadReport::quarantined`] and renamed to `<name>.corrupt`, so the
+/// next startup doesn't re-parse known-bad bytes and an operator can
+/// inspect or restore them (best-effort; a failed rename still skips).
+/// With `strict` (`--strict-keys` on the binary) the first bad file aborts
+/// the load instead, untouched — off in the daemon by default, because one
+/// torn file should not take down a daemon serving every other circuit.
+/// `*.tmp` staging files left by an interrupted writer are never loaded
+/// and are counted in [`KeyLoadReport::stale_tmp`].
+pub fn load_keys_dir(
     registry: &LedgeredRegistry,
     dir: &Path,
-    options: KeyLoadOptions,
+    strict: bool,
 ) -> Result<KeyLoadReport, String> {
     let entries = std::fs::read_dir(dir).map_err(|e| e.to_string())?;
     let mut paths = Vec::new();
@@ -244,13 +212,11 @@ pub fn load_keys_dir_with(
                 registry.register(id, digest, &vk);
                 report.loaded += 1;
             }
-            Err(e) if options.strict => return Err(format!("{}: {e}", path.display())),
+            Err(e) if strict => return Err(format!("{}: {e}", path.display())),
             Err(e) => {
-                if options.quarantine {
-                    let mut quarantined = path.clone().into_os_string();
-                    quarantined.push(".corrupt");
-                    let _ = std::fs::rename(&path, &quarantined);
-                }
+                let mut quarantined = path.clone().into_os_string();
+                quarantined.push(".corrupt");
+                let _ = std::fs::rename(&path, &quarantined);
                 report.quarantined.push((path, e));
             }
         }

@@ -6,7 +6,19 @@
 //! without contention, and [`Metrics::snapshot`] reads a consistent-enough
 //! view for the `STATS` endpoint (individual counters are exact; cross-
 //! counter skew is bounded by in-flight requests).
+//!
+//! # Adding a counter
+//!
+//! One line in the [`counters!`](self) table below — a doc comment, the
+//! name and the kind ([`Count`], [`Peak`] or [`Gauge`]). The name becomes
+//! the public field on [`Metrics`] that call sites record through
+//! (`metrics.sheds.add(1)`), the public `u64` field of the same name on
+//! [`MetricsSnapshot`], and the key in the `STATS` JSON; nothing else is
+//! written by hand. A new key is a `STATS` schema change: bump the tag in
+//! [`MetricsSnapshot::to_json`] and the pinned key list in this module's
+//! tests.
 
+use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -21,252 +33,185 @@ const BUCKETS: usize = 40;
 /// ([`Status::Protocol`] is tracked separately as a framing error).
 const OUTCOMES: usize = 8;
 
-/// Shared, append-only service counters.
-pub struct Metrics {
-    started: Instant,
-    /// `VERIFY` requests received (== sum of `outcomes`, once answered).
-    requests: AtomicU64,
-    /// Per-[`Status`] response counts for `VERIFY` requests.
-    outcomes: [AtomicU64; OUTCOMES],
-    /// Frames rejected at the protocol layer (bad opcode/length/payload).
-    protocol_errors: AtomicU64,
-    /// Connections accepted.
-    connections: AtomicU64,
-    /// Claims currently inside the verification pipeline.
-    in_flight: AtomicU64,
-    /// Log₂-microsecond latency histogram over `VERIFY` handling.
-    latency_buckets: [AtomicU64; BUCKETS],
-    latency_sum_us: AtomicU64,
-    latency_max_us: AtomicU64,
-    /// Coalescer accounting: number of verification batches dispatched,
-    /// claims covered by them, and the largest batch seen.
-    batches: AtomicU64,
-    batched_claims: AtomicU64,
-    batch_max: AtomicU64,
-    /// Ledger endpoint accounting: `ROOT` requests served, and per-proof
-    /// hit/miss splits for `PROVE_MEMBER` and `CONSISTENCY`.
-    ledger_roots: AtomicU64,
-    ledger_membership_proofs: AtomicU64,
-    ledger_membership_misses: AtomicU64,
-    ledger_consistency_proofs: AtomicU64,
-    ledger_consistency_misses: AtomicU64,
-    /// Robustness accounting: connections shed with `Busy` at accept,
-    /// responses abandoned on the write deadline, RLC-degradation windows
-    /// entered by the coalescer, and key files quarantined at startup.
-    sheds: AtomicU64,
-    write_timeouts: AtomicU64,
-    degradations: AtomicU64,
-    quarantined_keys: AtomicU64,
+/// A monotone event or quantity count — the one kind that code outside
+/// this module moves.
+#[derive(Default)]
+pub struct Count(AtomicU64);
+
+impl Count {
+    /// Counts `n` more.
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
 }
 
-impl Default for Metrics {
-    fn default() -> Self {
-        Self::new()
+/// A high-water mark, raised by [`Metrics::end_verify`] and
+/// [`Metrics::record_batch`].
+#[derive(Default)]
+pub struct Peak(AtomicU64);
+
+/// A level that rises and falls: [`Metrics::begin_verify`] and
+/// [`Metrics::end_verify`] move it, the acceptor's idle check reads it.
+#[derive(Default)]
+pub struct Gauge(AtomicU64);
+
+impl Gauge {
+    /// The current level.
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
     }
+}
+
+/// Generates [`Metrics`], [`MetricsSnapshot`], the copy between them and
+/// the counter rows of the `STATS` JSON from one table of
+/// `/// doc` + `name: Kind` rows. The outcome slots and the latency
+/// histogram are not rows — recording into them is logic — so they are
+/// spelled out here once.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $name:ident: $kind:ident,)*) => {
+        /// Shared, append-only service counters.
+        pub struct Metrics {
+            started: Instant,
+            /// Per-[`Status`] response counts for `VERIFY` requests.
+            outcomes: [Count; OUTCOMES],
+            /// Log₂-microsecond latency histogram over `VERIFY` handling,
+            /// and the sum of its samples.
+            latency_buckets: [Count; BUCKETS],
+            latency_sum_us: Count,
+            $($(#[$doc])* pub $name: $kind,)*
+        }
+
+        /// A point-in-time copy of [`Metrics`], with derived quantiles and
+        /// the JSON emitter the `STATS` endpoint serves.
+        #[derive(Clone, Debug)]
+        pub struct MetricsSnapshot {
+            /// Time since the metrics were created (≈ server start).
+            pub uptime: Duration,
+            /// Responses by status code `0x00..=0x07`.
+            pub outcomes: [u64; OUTCOMES],
+            /// Log₂-microsecond latency histogram.
+            pub latency_buckets: [u64; BUCKETS],
+            /// Sum of all recorded latencies (µs).
+            pub latency_sum_us: u64,
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl Default for Metrics {
+            fn default() -> Self {
+                Self {
+                    started: Instant::now(),
+                    outcomes: Default::default(),
+                    latency_buckets: std::array::from_fn(|_| Count::default()),
+                    latency_sum_us: Count::default(),
+                    $($name: $kind::default(),)*
+                }
+            }
+        }
+
+        impl Metrics {
+            /// A point-in-time copy of every counter.
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    uptime: self.started.elapsed(),
+                    outcomes: std::array::from_fn(|i| self.outcomes[i].0.load(Ordering::Relaxed)),
+                    latency_buckets: std::array::from_fn(|i| self.latency_buckets[i].0.load(Ordering::Relaxed)),
+                    latency_sum_us: self.latency_sum_us.0.load(Ordering::Relaxed),
+                    $($name: self.$name.0.load(Ordering::Relaxed),)*
+                }
+            }
+
+            /// Every table row's name and cell, in declaration order.
+            #[cfg(test)]
+            fn cells(&self) -> Vec<(&'static str, &AtomicU64)> {
+                vec![$((stringify!($name), &self.$name.0),)*]
+            }
+        }
+
+        impl MetricsSnapshot {
+            /// Every table row as `(name, value)`, in declaration order.
+            fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$((stringify!($name), self.$name),)*].into_iter()
+            }
+        }
+    };
+}
+
+counters! {
+    /// `VERIFY` requests received (== sum of the outcomes, once answered).
+    requests: Count,
+    /// Frames rejected at the protocol layer (bad opcode/length/payload).
+    protocol_errors: Count,
+    /// Connections accepted.
+    connections: Count,
+    /// Claims currently inside the verification pipeline.
+    in_flight: Gauge,
+    /// Largest recorded latency (µs).
+    latency_max_us: Peak,
+    /// Verification batches dispatched by the coalescer.
+    batches: Count,
+    /// Claims covered by those batches.
+    batched_claims: Count,
+    /// Largest single batch.
+    batch_max: Peak,
+    /// `ROOT` requests served.
+    ledger_roots: Count,
+    /// `PROVE_MEMBER` requests answered with a proof.
+    ledger_membership_proofs: Count,
+    /// `PROVE_MEMBER` requests for leaves not in the ledger.
+    ledger_membership_misses: Count,
+    /// `CONSISTENCY` requests answered with a proof.
+    ledger_consistency_proofs: Count,
+    /// `CONSISTENCY` requests for sizes beyond the current tree.
+    ledger_consistency_misses: Count,
+    /// Connections shed with `Busy` because the accept queue was full.
+    sheds: Count,
+    /// Responses abandoned because a slow-reading peer held the socket
+    /// past the write deadline.
+    write_timeouts: Count,
+    /// Per-claim degradation windows entered by the coalescer (one circuit,
+    /// repeatedly poisoned RLC batches).
+    degradations: Count,
+    /// Key files quarantined (skipped and renamed to `*.corrupt`) during
+    /// startup key loading.
+    quarantined_keys: Count,
 }
 
 impl Metrics {
     /// Fresh, all-zero metrics anchored at "now".
     pub fn new() -> Self {
-        Self {
-            started: Instant::now(),
-            requests: AtomicU64::new(0),
-            outcomes: std::array::from_fn(|_| AtomicU64::new(0)),
-            protocol_errors: AtomicU64::new(0),
-            connections: AtomicU64::new(0),
-            in_flight: AtomicU64::new(0),
-            latency_buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            latency_sum_us: AtomicU64::new(0),
-            latency_max_us: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batched_claims: AtomicU64::new(0),
-            batch_max: AtomicU64::new(0),
-            ledger_roots: AtomicU64::new(0),
-            ledger_membership_proofs: AtomicU64::new(0),
-            ledger_membership_misses: AtomicU64::new(0),
-            ledger_consistency_proofs: AtomicU64::new(0),
-            ledger_consistency_misses: AtomicU64::new(0),
-            sheds: AtomicU64::new(0),
-            write_timeouts: AtomicU64::new(0),
-            degradations: AtomicU64::new(0),
-            quarantined_keys: AtomicU64::new(0),
-        }
-    }
-
-    /// Records a connection shed with `Busy` because the accept queue was
-    /// full.
-    pub fn record_shed(&self) {
-        self.sheds.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a response abandoned because a slow-reading peer held the
-    /// socket past the write deadline.
-    pub fn record_write_timeout(&self) {
-        self.write_timeouts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records the coalescer entering a per-claim degradation window for
-    /// one circuit (repeatedly poisoned RLC batches).
-    pub fn record_degradation(&self) {
-        self.degradations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` key files quarantined (skipped and renamed to
-    /// `*.corrupt`) during startup key loading.
-    pub fn record_quarantined(&self, n: u64) {
-        self.quarantined_keys.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records an accepted connection.
-    pub fn record_connection(&self) {
-        self.connections.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a frame rejected at the protocol layer.
-    pub fn record_protocol_error(&self) {
-        self.protocol_errors.fetch_add(1, Ordering::Relaxed);
+        Self::default()
     }
 
     /// Marks a `VERIFY` request as entering the pipeline.
     pub fn begin_verify(&self) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        self.in_flight.fetch_add(1, Ordering::Relaxed);
+        self.requests.add(1);
+        self.in_flight.0.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a finished `VERIFY` request: its outcome and its
     /// service-side latency (frame decoded → response ready).
     pub fn end_verify(&self, status: Status, latency: Duration) {
-        self.in_flight.fetch_sub(1, Ordering::Relaxed);
-        let slot = (status as u8) as usize;
-        if slot < OUTCOMES {
-            self.outcomes[slot].fetch_add(1, Ordering::Relaxed);
+        self.in_flight.0.fetch_sub(1, Ordering::Relaxed);
+        if let Some(outcome) = self.outcomes.get((status as u8) as usize) {
+            outcome.add(1);
         }
         let us = latency.as_micros().min(u128::from(u64::MAX)) as u64;
-        self.latency_buckets[bucket_of(us)].fetch_add(1, Ordering::Relaxed);
-        self.latency_sum_us.fetch_add(us, Ordering::Relaxed);
-        self.latency_max_us.fetch_max(us, Ordering::Relaxed);
+        self.latency_buckets[bucket_of(us)].add(1);
+        self.latency_sum_us.add(us);
+        self.latency_max_us.0.fetch_max(us, Ordering::Relaxed);
     }
 
     /// Records one dispatched verification batch of `n` claims.
     pub fn record_batch(&self, n: usize) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batched_claims.fetch_add(n as u64, Ordering::Relaxed);
-        self.batch_max.fetch_max(n as u64, Ordering::Relaxed);
-    }
-
-    /// Records one `ROOT` request served.
-    pub fn record_ledger_root(&self) {
-        self.ledger_roots.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one `PROVE_MEMBER` request: `hit` iff the leaf was in the
-    /// ledger and a proof was returned.
-    pub fn record_membership(&self, hit: bool) {
-        if hit {
-            self.ledger_membership_proofs
-                .fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.ledger_membership_misses
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records one `CONSISTENCY` request: `hit` iff the old size was a
-    /// valid prefix and a proof was returned.
-    pub fn record_consistency(&self, hit: bool) {
-        if hit {
-            self.ledger_consistency_proofs
-                .fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.ledger_consistency_misses
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// A point-in-time copy of every counter.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            uptime: self.started.elapsed(),
-            requests: self.requests.load(Ordering::Relaxed),
-            outcomes: std::array::from_fn(|i| self.outcomes[i].load(Ordering::Relaxed)),
-            protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
-            connections: self.connections.load(Ordering::Relaxed),
-            in_flight: self.in_flight.load(Ordering::Relaxed),
-            latency_buckets: std::array::from_fn(|i| {
-                self.latency_buckets[i].load(Ordering::Relaxed)
-            }),
-            latency_sum_us: self.latency_sum_us.load(Ordering::Relaxed),
-            latency_max_us: self.latency_max_us.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            batched_claims: self.batched_claims.load(Ordering::Relaxed),
-            batch_max: self.batch_max.load(Ordering::Relaxed),
-            ledger_roots: self.ledger_roots.load(Ordering::Relaxed),
-            ledger_membership_proofs: self.ledger_membership_proofs.load(Ordering::Relaxed),
-            ledger_membership_misses: self.ledger_membership_misses.load(Ordering::Relaxed),
-            ledger_consistency_proofs: self.ledger_consistency_proofs.load(Ordering::Relaxed),
-            ledger_consistency_misses: self.ledger_consistency_misses.load(Ordering::Relaxed),
-            sheds: self.sheds.load(Ordering::Relaxed),
-            write_timeouts: self.write_timeouts.load(Ordering::Relaxed),
-            degradations: self.degradations.load(Ordering::Relaxed),
-            quarantined_keys: self.quarantined_keys.load(Ordering::Relaxed),
-        }
+        self.batches.add(1);
+        self.batched_claims.add(n as u64);
+        self.batch_max.0.fetch_max(n as u64, Ordering::Relaxed);
     }
 }
 
+/// The histogram bucket of a sample: its bit length (0 for a zero sample).
 fn bucket_of(us: u64) -> usize {
-    if us == 0 {
-        0
-    } else {
-        ((64 - us.leading_zeros()) as usize).min(BUCKETS - 1)
-    }
-}
-
-/// A point-in-time copy of [`Metrics`], with derived quantiles and the
-/// JSON emitter the `STATS` endpoint serves.
-#[derive(Clone, Debug)]
-pub struct MetricsSnapshot {
-    /// Time since the metrics were created (≈ server start).
-    pub uptime: Duration,
-    /// `VERIFY` requests received.
-    pub requests: u64,
-    /// Responses by status code `0x00..=0x07`.
-    pub outcomes: [u64; OUTCOMES],
-    /// Frames rejected at the protocol layer.
-    pub protocol_errors: u64,
-    /// Connections accepted.
-    pub connections: u64,
-    /// Claims in the pipeline at snapshot time.
-    pub in_flight: u64,
-    /// Log₂-microsecond latency histogram.
-    pub latency_buckets: [u64; BUCKETS],
-    /// Sum of all recorded latencies (µs).
-    pub latency_sum_us: u64,
-    /// Largest recorded latency (µs).
-    pub latency_max_us: u64,
-    /// Verification batches dispatched.
-    pub batches: u64,
-    /// Claims covered by those batches.
-    pub batched_claims: u64,
-    /// Largest single batch.
-    pub batch_max: u64,
-    /// `ROOT` requests served.
-    pub ledger_roots: u64,
-    /// `PROVE_MEMBER` requests answered with a proof.
-    pub ledger_membership_proofs: u64,
-    /// `PROVE_MEMBER` requests for leaves not in the ledger.
-    pub ledger_membership_misses: u64,
-    /// `CONSISTENCY` requests answered with a proof.
-    pub ledger_consistency_proofs: u64,
-    /// `CONSISTENCY` requests for sizes beyond the current tree.
-    pub ledger_consistency_misses: u64,
-    /// Connections shed with `Busy` (accept queue full).
-    pub sheds: u64,
-    /// Responses abandoned on the write deadline (slow-reading peers).
-    pub write_timeouts: u64,
-    /// Per-claim degradation windows entered by the coalescer.
-    pub degradations: u64,
-    /// Key files quarantined during startup loading.
-    pub quarantined_keys: u64,
+    ((64 - us.leading_zeros()) as usize).min(BUCKETS - 1)
 }
 
 impl MetricsSnapshot {
@@ -282,12 +227,8 @@ impl MetricsSnapshot {
 
     /// Mean recorded latency in microseconds.
     pub fn latency_mean_us(&self) -> f64 {
-        let n = self.latency_count();
-        if n == 0 {
-            0.0
-        } else {
-            self.latency_sum_us as f64 / n as f64
-        }
+        // nothing recorded ⇒ the sum is 0 too, so the mean reads 0, not NaN
+        self.latency_sum_us as f64 / self.latency_count().max(1) as f64
     }
 
     /// Approximate latency quantile (bucket upper bound), `q` in `[0, 1]`.
@@ -309,80 +250,52 @@ impl MetricsSnapshot {
 
     /// Mean claims per dispatched batch (1.0 when every claim went solo).
     pub fn mean_batch(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.batched_claims as f64 / self.batches as f64
-        }
+        self.batched_claims as f64 / self.batches.max(1) as f64
     }
 
-    /// Renders the snapshot as the flat JSON document served by `STATS`.
-    ///
-    /// `batching`, `registered_circuits` and `ledger_size` are server-side
-    /// state reported alongside the counters.
+    /// Renders the snapshot as the flat JSON document served by `STATS`:
+    /// every table row under its own name, the eight `VERIFY` outcomes
+    /// under [`Status::name`], the derived latency and batch figures, and
+    /// the server-side state passed in — the coalescer's configured
+    /// `max_batch` (1 = coalescing off), how many `circuits` are registered
+    /// and the `ledger_size`.
     ///
     /// Schema history: `zkrownn-service-stats/v2` renamed `circuits` to
     /// `registered_circuits` and added `ledger_size` plus the five
     /// `ledger_*` operation counters; `v3` added the four robustness
     /// counters `sheds`, `write_timeouts`, `degradations` and
-    /// `quarantined_keys`. Everything earlier is otherwise unchanged.
-    pub fn to_json(&self, batching: bool, registered_circuits: usize, ledger_size: u64) -> String {
-        format!(
-            "{{\"schema\": \"zkrownn-service-stats/v3\", \"uptime_s\": {:.3}, \
-             \"requests\": {}, \"ok\": {}, \"negative_verdict\": {}, \"invalid_proof\": {}, \
-             \"unknown_circuit\": {}, \"circuit_mismatch\": {}, \"statement_mismatch\": {}, \
-             \"malformed_claim\": {}, \"internal\": {}, \"protocol_errors\": {}, \
-             \"connections\": {}, \"in_flight\": {}, \
-             \"latency_count\": {}, \"latency_mean_us\": {:.1}, \"latency_p50_us\": {}, \
-             \"latency_p99_us\": {}, \"latency_max_us\": {}, \
-             \"batches\": {}, \"batched_claims\": {}, \"batch_mean\": {:.3}, \"batch_max\": {}, \
-             \"ledger_roots\": {}, \"ledger_membership_proofs\": {}, \
-             \"ledger_membership_misses\": {}, \"ledger_consistency_proofs\": {}, \
-             \"ledger_consistency_misses\": {}, \
-             \"sheds\": {}, \"write_timeouts\": {}, \"degradations\": {}, \
-             \"quarantined_keys\": {}, \
-             \"batching\": {}, \"registered_circuits\": {}, \"ledger_size\": {}}}",
+    /// `quarantined_keys`; `v4` replaced the `batching` flag with
+    /// `max_batch`. Everything earlier is otherwise unchanged.
+    pub fn to_json(&self, max_batch: usize, circuits: usize, ledger_size: u64) -> String {
+        let outcomes = (0..OUTCOMES as u8)
+            .filter_map(Status::from_u8)
+            .map(|status| (status.name(), self.outcome(status)));
+        let extra = [
+            ("latency_count", self.latency_count()),
+            ("latency_p50_us", self.latency_quantile_us(0.50)),
+            ("latency_p99_us", self.latency_quantile_us(0.99)),
+            ("max_batch", max_batch as u64),
+            ("registered_circuits", circuits as u64),
+            ("ledger_size", ledger_size),
+        ];
+        let mut json = format!(
+            "{{\"schema\": \"zkrownn-service-stats/v4\", \"uptime_s\": {:.3}, \
+             \"latency_mean_us\": {:.1}, \"batch_mean\": {:.3}",
             self.uptime.as_secs_f64(),
-            self.requests,
-            self.outcome(Status::Ok),
-            self.outcome(Status::NegativeVerdict),
-            self.outcome(Status::InvalidProof),
-            self.outcome(Status::UnknownCircuit),
-            self.outcome(Status::CircuitMismatch),
-            self.outcome(Status::StatementMismatch),
-            self.outcome(Status::MalformedClaim),
-            self.outcome(Status::Internal),
-            self.protocol_errors,
-            self.connections,
-            self.in_flight,
-            self.latency_count(),
             self.latency_mean_us(),
-            self.latency_quantile_us(0.50),
-            self.latency_quantile_us(0.99),
-            self.latency_max_us,
-            self.batches,
-            self.batched_claims,
             self.mean_batch(),
-            self.batch_max,
-            self.ledger_roots,
-            self.ledger_membership_proofs,
-            self.ledger_membership_misses,
-            self.ledger_consistency_proofs,
-            self.ledger_consistency_misses,
-            self.sheds,
-            self.write_timeouts,
-            self.degradations,
-            self.quarantined_keys,
-            batching,
-            registered_circuits,
-            ledger_size,
-        )
+        );
+        for (key, value) in self.counters().chain(outcomes).chain(extra) {
+            write!(json, ", \"{key}\": {value}").expect("writing to a String cannot fail");
+        }
+        json + "}"
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::stats_field_u64;
 
     #[test]
     fn buckets_are_log2_microseconds() {
@@ -431,31 +344,43 @@ mod tests {
         assert!((s.mean_batch() - 4.0).abs() < 1e-9);
     }
 
+    /// Totality, driven by the declaration: every row of the table reaches
+    /// the snapshot field and the JSON key of its own name.
     #[test]
-    fn stats_json_is_balanced_and_tagged() {
+    fn every_declared_counter_reaches_the_snapshot_and_the_json() {
         let m = Metrics::new();
-        m.begin_verify();
-        m.end_verify(Status::Ok, Duration::from_micros(1500));
-        m.record_ledger_root();
-        m.record_membership(true);
-        m.record_membership(false);
-        m.record_consistency(true);
-        let json = m.snapshot().to_json(true, 2, 5);
+        for ((_, cell), value) in m.cells().into_iter().zip(1u64..) {
+            cell.store(value, Ordering::Relaxed);
+        }
+        let snapshot = m.snapshot();
+        let json = snapshot.to_json(64, 2, 5);
+        for ((name, value), expected) in snapshot.counters().zip(1u64..) {
+            assert_eq!(value, expected, "{name}");
+            assert_eq!(json.matches(&format!("\"{name}\":")).count(), 1, "{name}");
+            assert_eq!(stats_field_u64(&json, name), Some(expected), "{name}");
+        }
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"schema\": \"zkrownn-service-stats/v3\""));
-        assert!(json.contains("\"sheds\": 0"));
-        assert!(json.contains("\"write_timeouts\": 0"));
-        assert!(json.contains("\"degradations\": 0"));
-        assert!(json.contains("\"quarantined_keys\": 0"));
-        assert!(json.contains("\"batching\": true"));
-        assert!(json.contains("\"registered_circuits\": 2"));
-        assert!(json.contains("\"ledger_size\": 5"));
-        assert!(json.contains("\"ledger_roots\": 1"));
-        assert!(json.contains("\"ledger_membership_proofs\": 1"));
-        assert!(json.contains("\"ledger_membership_misses\": 1"));
-        assert!(json.contains("\"ledger_consistency_proofs\": 1"));
-        assert!(json.contains("\"ledger_consistency_misses\": 0"));
-        assert!(json.contains("\"requests\": 1"));
         assert!(!json.contains("NaN") && !json.contains("inf"));
+    }
+
+    /// Compatibility pin, deliberately *not* derived from the table: every
+    /// quoted string of a v4 document — the v3 key set with `batching`
+    /// replaced by `max_batch`, plus the schema tag. A counter renamed in
+    /// the table turns this red instead of silently changing the schema.
+    #[test]
+    fn stats_v4_key_set_is_pinned() {
+        const V4: &str = "schema zkrownn-service-stats/v4 uptime_s requests ok negative_verdict \
+            invalid_proof unknown_circuit circuit_mismatch statement_mismatch malformed_claim \
+            internal protocol_errors connections in_flight latency_count latency_mean_us \
+            latency_p50_us latency_p99_us latency_max_us batches batched_claims batch_mean \
+            batch_max ledger_roots ledger_membership_proofs ledger_membership_misses \
+            ledger_consistency_proofs ledger_consistency_misses sheds write_timeouts \
+            degradations quarantined_keys max_batch registered_circuits ledger_size";
+        let json = Metrics::new().snapshot().to_json(64, 2, 5);
+        let mut quoted: Vec<&str> = json.split('"').skip(1).step_by(2).collect();
+        let mut pinned: Vec<&str> = V4.split_whitespace().collect();
+        quoted.sort_unstable();
+        pinned.sort_unstable();
+        assert_eq!(quoted, pinned);
     }
 }

@@ -14,7 +14,7 @@
 //! |-------:|---------------|-------------------------------------------|
 //! | `0x01` | `VERIFY`      | a [`SignedClaim`] artifact (`Artifact::to_bytes`) |
 //! | `0x02` | `STATS`       | empty — response payload is the metrics JSON |
-//! | `0x03` | `SET_BATCHING`| one byte, `0` or `1`                      |
+//! | `0x03` | —             | retired (the v3 runtime batching switch), never reassigned: decodes as [`ProtocolError::UnknownOpcode`] |
 //! | `0x04` | `SHUTDOWN`    | empty — asks the server to drain and exit |
 //! | `0x05` | `ROOT`        | empty — response payload is a `LedgerRoot` artifact |
 //! | `0x06` | `PROVE_MEMBER`| a 64-byte registry leaf encoding — response payload is a `MembershipProof` artifact |
@@ -51,8 +51,7 @@ pub enum Opcode {
     Verify = 0x01,
     /// Fetch the metrics snapshot as JSON.
     Stats = 0x02,
-    /// Toggle claim coalescing at runtime (payload = one `0`/`1` byte).
-    SetBatching = 0x03,
+    // 0x03 was the v3 runtime batching switch; retired, never reassigned
     /// Graceful shutdown: stop accepting, drain in-flight work, exit.
     Shutdown = 0x04,
     /// Fetch the current registry-ledger head (a `LedgerRoot` artifact).
@@ -72,7 +71,6 @@ impl Opcode {
         match b {
             0x01 => Some(Self::Verify),
             0x02 => Some(Self::Stats),
-            0x03 => Some(Self::SetBatching),
             0x04 => Some(Self::Shutdown),
             0x05 => Some(Self::Root),
             0x06 => Some(Self::ProveMember),
@@ -89,8 +87,6 @@ pub enum Request {
     Verify(Vec<u8>),
     /// Fetch metrics.
     Stats,
-    /// Enable/disable coalescing.
-    SetBatching(bool),
     /// Graceful shutdown.
     Shutdown,
     /// Fetch the current ledger head.
@@ -107,7 +103,6 @@ impl Request {
         match self {
             Self::Verify(_) => Opcode::Verify,
             Self::Stats => Opcode::Stats,
-            Self::SetBatching(_) => Opcode::SetBatching,
             Self::Shutdown => Opcode::Shutdown,
             Self::Root => Opcode::Root,
             Self::ProveMember(_) => Opcode::ProveMember,
@@ -170,6 +165,24 @@ impl Status {
             0x09 => Some(Self::Busy),
             0xFF => Some(Self::Protocol),
             _ => None,
+        }
+    }
+
+    /// The status's snake_case name — the key its `VERIFY` outcome count is
+    /// reported under in the `STATS` JSON.
+    pub fn name(self) -> &'static str {
+        match self {
+            Self::Ok => "ok",
+            Self::NegativeVerdict => "negative_verdict",
+            Self::InvalidProof => "invalid_proof",
+            Self::UnknownCircuit => "unknown_circuit",
+            Self::CircuitMismatch => "circuit_mismatch",
+            Self::StatementMismatch => "statement_mismatch",
+            Self::MalformedClaim => "malformed_claim",
+            Self::Internal => "internal",
+            Self::NotInLedger => "not_in_ledger",
+            Self::Busy => "busy",
+            Self::Protocol => "protocol",
         }
     }
 
@@ -236,8 +249,8 @@ pub enum ProtocolError {
     UnknownOpcode(u8),
     /// The status byte is not a known [`Status`].
     UnknownStatus(u8),
-    /// The payload length is invalid for the opcode (e.g. `SET_BATCHING`
-    /// with a payload that isn't exactly one `0`/`1` byte).
+    /// The payload length is invalid for the opcode (e.g. `CONSISTENCY`
+    /// with a payload that isn't exactly eight bytes).
     BadPayload {
         /// The offending opcode.
         opcode: Opcode,
@@ -313,17 +326,6 @@ pub fn read_request_body(opcode: u8, r: &mut impl Read) -> Result<Request, Proto
                 _ => Request::Shutdown,
             })
         }
-        Opcode::SetBatching => {
-            if len != 1 {
-                return Err(ProtocolError::BadPayload { opcode, len });
-            }
-            let payload = read_payload(r, 1)?;
-            match payload[0] {
-                0 => Ok(Request::SetBatching(false)),
-                1 => Ok(Request::SetBatching(true)),
-                _ => Err(ProtocolError::BadPayload { opcode, len }),
-            }
-        }
         Opcode::ProveMember => {
             if len != 64 {
                 return Err(ProtocolError::BadPayload { opcode, len });
@@ -371,7 +373,6 @@ pub fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
     match req {
         Request::Verify(bytes) => write_frame(w, tag, bytes),
         Request::Stats | Request::Shutdown | Request::Root => write_frame(w, tag, &[]),
-        Request::SetBatching(on) => write_frame(w, tag, &[u8::from(*on)]),
         Request::ProveMember(leaf) => write_frame(w, tag, leaf),
         Request::Consistency(old_size) => write_frame(w, tag, &old_size.to_le_bytes()),
     }

@@ -50,7 +50,8 @@ pub struct ServerConfig {
     /// Worker threads — each owns one client connection at a time, so this
     /// bounds concurrent clients.
     pub workers: usize,
-    /// Coalescer tuning (batching on/off, batch ceiling, drainer cap).
+    /// Coalescer tuning (batch ceiling — 1 turns coalescing off — drainer
+    /// cap, poison handling).
     pub coalescer: CoalescerConfig,
     /// Exit when no request or connection has been seen for this long.
     /// `None` = run until told to stop.
@@ -129,11 +130,6 @@ impl ServerHandle {
     /// The server's metrics (shared with the workers; live).
     pub fn metrics(&self) -> &Arc<Metrics> {
         &self.shared.metrics
-    }
-
-    /// Whether claim coalescing is currently enabled.
-    pub fn batching(&self) -> bool {
-        self.shared.coalescer.batching()
     }
 
     /// Asks the server to stop: the listener closes and workers exit after
@@ -233,7 +229,7 @@ fn accept_loop(
             break;
         }
         if let Some(idle) = idle_shutdown {
-            if shared.metrics.snapshot().in_flight == 0 && shared.idle_for() > idle {
+            if shared.metrics.in_flight.get() == 0 && shared.idle_for() > idle {
                 shared.shutdown.store(true, Ordering::Relaxed);
                 break;
             }
@@ -241,7 +237,7 @@ fn accept_loop(
         match listener.accept() {
             Ok((stream, _peer)) => {
                 shared.touch();
-                shared.metrics.record_connection();
+                shared.metrics.connections.add(1);
                 // workers poll with a timeout; hand them a blocking socket
                 let _ = stream.set_nonblocking(false);
                 match conn_tx.try_send(stream) {
@@ -262,7 +258,7 @@ fn accept_loop(
 /// and closed. Best-effort — a peer that will not even read the `Busy`
 /// frame is simply dropped.
 fn shed(shared: &Shared, stream: TcpStream, poll: Duration) {
-    shared.metrics.record_shed();
+    shared.metrics.sheds.add(1);
     let _ = stream.set_write_timeout(Some(poll));
     let mut writer = &stream;
     let _ = write_response(
@@ -359,7 +355,7 @@ impl Write for DeadlineWriter<'_> {
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) if is_poll_timeout(&e) => {
                     if Instant::now() >= deadline {
-                        self.shared.metrics.record_write_timeout();
+                        self.shared.metrics.write_timeouts.add(1);
                         return Err(io::Error::new(
                             io::ErrorKind::TimedOut,
                             "peer did not drain the response before the deadline",
@@ -404,7 +400,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
         let request = match read_request_body(opcode[0], &mut reader) {
             Ok(req) => req,
             Err(e) => {
-                shared.metrics.record_protocol_error();
+                shared.metrics.protocol_errors.add(1);
                 let _ = write_response(
                     &mut DeadlineWriter::new(&stream, shared),
                     &Response::error(Status::Protocol, e.to_string()),
@@ -423,98 +419,79 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
     }
 }
 
-/// Handles one decoded request; returns whether the connection survives.
+/// Handles one decoded request: computes its response, writes it once,
+/// and returns whether the connection survives.
 fn dispatch(shared: &Shared, writer: &mut impl Write, request: Request) -> bool {
-    match request {
+    let metrics = &shared.metrics;
+    let ok = |payload| Response {
+        status: Status::Ok,
+        payload,
+    };
+    let response = match request {
         Request::Verify(bytes) => {
-            shared.metrics.begin_verify();
+            metrics.begin_verify();
             let start = Instant::now();
-            let (status, message) = match SignedClaim::from_bytes(&bytes) {
+            let response = match SignedClaim::from_bytes(&bytes) {
                 Ok(claim) => match shared.coalescer.verify(claim) {
-                    Ok(()) => (Status::Ok, String::new()),
-                    Err(e) => (Status::from_error(&e), e.to_string()),
+                    Ok(()) => Response::ok(),
+                    Err(e) => Response::error(Status::from_error(&e), e.to_string()),
                 },
-                Err(e) => (Status::MalformedClaim, e.to_string()),
+                Err(e) => Response::error(Status::MalformedClaim, e.to_string()),
             };
-            shared.metrics.end_verify(status, start.elapsed());
-            let response = if status == Status::Ok {
-                Response::ok()
-            } else {
-                Response::error(status, message)
-            };
-            write_response(writer, &response).is_ok()
+            metrics.end_verify(response.status, start.elapsed());
+            response
         }
         Request::Stats => {
-            let json = shared.metrics.snapshot().to_json(
-                shared.coalescer.batching(),
-                shared.registry.len(),
-                shared.registry.ledger_size(),
+            let registry = &shared.registry;
+            let json = metrics.snapshot().to_json(
+                shared.coalescer.max_batch(),
+                registry.len(),
+                registry.ledger_size(),
             );
-            let response = Response {
-                status: Status::Ok,
-                payload: json.into_bytes(),
-            };
-            write_response(writer, &response).is_ok()
+            ok(json.into_bytes())
         }
         Request::Root => {
-            shared.metrics.record_ledger_root();
-            let response = Response {
-                status: Status::Ok,
-                payload: shared.registry.current_root().to_bytes(),
-            };
-            write_response(writer, &response).is_ok()
+            metrics.ledger_roots.add(1);
+            ok(shared.registry.current_root().to_bytes())
         }
         Request::ProveMember(leaf_bytes) => {
             let leaf = LedgerLeaf::from_bytes(&leaf_bytes)
                 .expect("a 64-byte buffer always decodes as a leaf");
-            let response = match shared.registry.prove_member(&leaf) {
+            match shared.registry.prove_member(&leaf) {
                 Some(proof) => {
-                    shared.metrics.record_membership(true);
-                    Response {
-                        status: Status::Ok,
-                        payload: proof.to_bytes(),
-                    }
+                    metrics.ledger_membership_proofs.add(1);
+                    ok(proof.to_bytes())
                 }
                 None => {
-                    shared.metrics.record_membership(false);
+                    metrics.ledger_membership_misses.add(1);
                     Response::error(
                         Status::NotInLedger,
                         "no such (circuit, statement) registration in the ledger",
                     )
                 }
-            };
-            write_response(writer, &response).is_ok()
+            }
         }
-        Request::Consistency(old_size) => {
-            let response = match shared.registry.prove_consistency(old_size) {
-                Some(proof) => {
-                    shared.metrics.record_consistency(true);
-                    Response {
-                        status: Status::Ok,
-                        payload: proof.to_bytes(),
-                    }
-                }
-                None => {
-                    shared.metrics.record_consistency(false);
-                    Response::error(
-                        Status::NotInLedger,
-                        format!(
-                            "old size {old_size} exceeds the current ledger size {}",
-                            shared.registry.ledger_size()
-                        ),
-                    )
-                }
-            };
-            write_response(writer, &response).is_ok()
-        }
-        Request::SetBatching(on) => {
-            shared.coalescer.set_batching(on);
-            write_response(writer, &Response::ok()).is_ok()
-        }
+        Request::Consistency(old_size) => match shared.registry.prove_consistency(old_size) {
+            Some(proof) => {
+                metrics.ledger_consistency_proofs.add(1);
+                ok(proof.to_bytes())
+            }
+            None => {
+                metrics.ledger_consistency_misses.add(1);
+                Response::error(
+                    Status::NotInLedger,
+                    format!(
+                        "old size {old_size} exceeds the current ledger size {}",
+                        shared.registry.ledger_size()
+                    ),
+                )
+            }
+        },
         Request::Shutdown => {
             let _ = write_response(writer, &Response::ok());
             shared.shutdown.store(true, Ordering::Relaxed);
-            false
+            return false;
         }
-    }
+    };
+    write_response(writer, &response).is_ok()
 }

@@ -23,9 +23,9 @@ use zkrownn_faults::FaultPlan;
 use zkrownn_gadgets::FixedConfig;
 use zkrownn_groth16::VerifyingKey;
 use zkrownn_service::{
-    encode_request, load_keys_dir_with, read_response, registration_bytes, serve, Client,
-    Coalescer, CoalescerConfig, KeyLoadOptions, LedgeredRegistry, Metrics, Request, RetryPolicy,
-    RetryingClient, ServerConfig, ServerHandle, Status,
+    encode_request, load_keys_dir, read_response, registration_bytes, serve, Client, Coalescer,
+    CoalescerConfig, LedgeredRegistry, Metrics, Request, RetryPolicy, RetryingClient, ServerConfig,
+    ServerHandle, Status,
 };
 
 /// Same tiny deterministic extraction circuit the e2e suite uses.
@@ -160,7 +160,7 @@ fn startup_recovers_from_a_truncated_store_and_serves_survivors() {
     std::fs::write(dir.join("key-9.zkst.tmp"), &good_bytes[..64]).unwrap();
 
     let registry = test_registry();
-    let report = load_keys_dir_with(&registry, &dir, KeyLoadOptions::default()).unwrap();
+    let report = load_keys_dir(&registry, &dir, false).unwrap();
     assert_eq!(report.loaded, 4, "3 vk files + 1 good store");
     assert_eq!(report.quarantined.len(), 1);
     assert!(report.quarantined[0].0.ends_with("key-3.zkst"));
@@ -173,8 +173,7 @@ fn startup_recovers_from_a_truncated_store_and_serves_survivors() {
 
     // root over survivors must equal a clean load of only the survivors
     let clean_registry = test_registry();
-    let clean_report =
-        load_keys_dir_with(&clean_registry, &clean, KeyLoadOptions::default()).unwrap();
+    let clean_report = load_keys_dir(&clean_registry, &clean, false).unwrap();
     assert_eq!(clean_report.loaded, 4);
     assert!(clean_report.quarantined.is_empty());
     assert_eq!(
@@ -193,7 +192,7 @@ fn startup_recovers_from_a_truncated_store_and_serves_survivors() {
     // "restart": a second boot of the same directory finds the corpse
     // already quarantined and reproduces the identical root
     let second = test_registry();
-    let report2 = load_keys_dir_with(&second, &dir, KeyLoadOptions::default()).unwrap();
+    let report2 = load_keys_dir(&second, &dir, false).unwrap();
     assert_eq!(report2.loaded, 4);
     assert!(report2.quarantined.is_empty(), "quarantine is sticky");
     assert_eq!(second.current_root().root, registry.current_root().root);
@@ -202,12 +201,8 @@ fn startup_recovers_from_a_truncated_store_and_serves_survivors() {
     let strict_dir = base.join("strict");
     std::fs::create_dir_all(&strict_dir).unwrap();
     std::fs::write(strict_dir.join("bad.zkst"), &good_bytes[..40]).unwrap();
-    let strict = KeyLoadOptions {
-        strict: true,
-        ..KeyLoadOptions::default()
-    };
     assert!(
-        load_keys_dir_with(&test_registry(), &strict_dir, strict).is_err(),
+        load_keys_dir(&test_registry(), &strict_dir, true).is_err(),
         "--strict-keys must abort on the first bad file"
     );
     assert!(
@@ -346,9 +341,9 @@ fn poisoned_batches_degrade_the_circuit_without_wrong_verdicts() {
 /// Verdict equivalence, coalescer columns: the corpus and expected table of
 /// the root `tests/verdict_equivalence.rs`, asked through the coalescer
 /// with batching on (one at a time, then all at once so claims coalesce
-/// into whatever batches the scheduler cuts), with batching off, and on a
-/// circuit degraded by a poisoned batch. Every column answers as a
-/// registry does.
+/// into whatever batches the scheduler cuts), through a second coalescer
+/// configured with `max_batch = 1` (coalescing off), and on a circuit
+/// degraded by a poisoned batch. Every column answers as a registry does.
 #[test]
 fn coalescer_verdicts_match_the_equivalence_table() {
     use verdict_corpus::{Class, Column};
@@ -357,18 +352,16 @@ fn coalescer_verdicts_match_the_equivalence_table() {
     registry.register_kit(&corpus.disputed);
     registry.register_kit(&corpus.bystander);
     let metrics = Arc::new(Metrics::new());
-    let coalescer = Coalescer::new(
-        Arc::clone(registry.keys()),
-        Arc::clone(&metrics),
-        CoalescerConfig {
-            max_drainers: 1,
-            poison_threshold: 1,
-            degrade_cooldown: Duration::from_secs(600),
-            ..CoalescerConfig::default()
-        },
-    );
-    let check = |column: &str, case: &verdict_corpus::Case| {
-        let result = coalescer.verify(case.claim.clone());
+    let config = CoalescerConfig {
+        max_drainers: 1,
+        poison_threshold: 1,
+        degrade_cooldown: Duration::from_secs(600),
+        ..CoalescerConfig::default()
+    };
+    let keys = Arc::clone(registry.keys());
+    let coalescer = Coalescer::new(Arc::clone(&keys), Arc::clone(&metrics), config.clone());
+    let check_with = |co: &Coalescer, column: &str, case: &verdict_corpus::Case| {
+        let result = co.verify(case.claim.clone());
         assert_eq!(
             Class::of(&result),
             case.expected(Column::Registry),
@@ -376,12 +369,28 @@ fn coalescer_verdicts_match_the_equivalence_table() {
             case.name
         );
     };
+    let check = |column, case| check_with(&coalescer, column, case);
     let check_one_by_one = |column| corpus.cases.iter().for_each(|case| check(column, case));
 
     check_one_by_one("batching on");
-    coalescer.set_batching(false);
-    check_one_by_one("batching off");
-    coalescer.set_batching(true);
+
+    // coalescing off is a configuration: the same registry behind a
+    // coalescer whose batches hold one claim, however many pile up
+    let unbatched_metrics = Arc::new(Metrics::new());
+    let unbatched_config = CoalescerConfig {
+        max_batch: 1,
+        ..config
+    };
+    let unbatched = Coalescer::new(keys, Arc::clone(&unbatched_metrics), unbatched_config);
+    std::thread::scope(|scope| {
+        for case in &corpus.cases {
+            let unbatched = &unbatched;
+            scope.spawn(move || check_with(unbatched, "max_batch = 1", case));
+        }
+    });
+    let unbatched = unbatched_metrics.snapshot();
+    assert_eq!(unbatched.batches, corpus.cases.len() as u64);
+    assert_eq!(unbatched.batch_max, 1);
 
     // all at once, until a batch with the forged positive in it has
     // degraded the disputed circuit (the corpus holds three sound

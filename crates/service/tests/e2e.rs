@@ -1,14 +1,14 @@
 //! Socket-level integration tests for the authority daemon: real TCP
 //! connections against an in-process server, covering verdict mapping,
-//! malformed input, concurrency + coalescing, runtime batching control,
-//! and all three shutdown triggers.
+//! malformed input, concurrency + coalescing, the `max_batch = 1`
+//! ablation configuration, and all three shutdown triggers.
 //!
 //! One proving fixture is built lazily and shared by every test: four
 //! variants of the same tiny extraction circuit (honest, wrong-watermark,
 //! forged-under-different-toxic-waste, different-shape) exercise each
 //! response status without any network training.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::mpsc;
 use std::sync::{Arc, OnceLock};
@@ -23,8 +23,8 @@ use zkrownn_gadgets::FixedConfig;
 use zkrownn_groth16::VerifyingKey;
 use zkrownn_ledger::{verify_consistency, verify_membership, LedgerLeaf, LedgerRoot};
 use zkrownn_service::{
-    load_keys_dir, parse_registration, read_response, registration_bytes, serve, stats_field_bool,
-    stats_field_u64, Client, LedgeredRegistry, Request, ServerConfig, ServerHandle, Status,
+    load_keys_dir, parse_registration, read_response, registration_bytes, serve, stats_field_u64,
+    Client, CoalescerConfig, LedgeredRegistry, Request, ServerConfig, ServerHandle, Status,
 };
 
 /// A tiny, deterministic extraction spec (no training). Projections come
@@ -176,7 +176,7 @@ fn happy_path_claim_verifies_over_the_socket() {
     assert_eq!(stats_field_u64(&stats, "ok"), Some(1));
     assert_eq!(stats_field_u64(&stats, "registered_circuits"), Some(1));
     assert_eq!(stats_field_u64(&stats, "ledger_size"), Some(1));
-    assert_eq!(stats_field_bool(&stats, "batching"), Some(true));
+    assert_eq!(stats_field_u64(&stats, "max_batch"), Some(64));
     assert_eq!(stats.matches('{').count(), stats.matches('}').count());
 
     handle.shutdown_and_join();
@@ -244,6 +244,15 @@ fn framing_violations_get_a_protocol_response_and_close_the_connection() {
     let response = read_response(&mut raw).unwrap();
     assert_eq!(response.status, Status::Protocol);
 
+    // a well-formed v3 "batching off" frame: opcode 0x03 is retired, so
+    // it is an unknown byte like any other and switches nothing
+    let mut raw = TcpStream::connect(handle.addr()).unwrap();
+    raw.write_all(&[0x03, 1, 0, 0, 0, 0]).unwrap();
+    let response = read_response(&mut raw).unwrap();
+    assert_eq!(response.status, Status::Protocol);
+    // the server hangs up (a reset, if it closed with the frame's tail unread)
+    assert!(matches!(raw.read(&mut [0u8; 1]), Ok(0) | Err(_)));
+
     // a frame that starts but never finishes trips the deadline instead of
     // wedging the worker
     let mut raw = TcpStream::connect(handle.addr()).unwrap();
@@ -255,22 +264,23 @@ fn framing_violations_get_a_protocol_response_and_close_the_connection() {
     let mut client = Client::connect(handle.addr()).unwrap();
     let response = client.verify_bytes(fixture().claims[0].clone()).unwrap();
     assert_eq!(response.status, Status::Ok);
-    assert!(handle.metrics().snapshot().protocol_errors >= 3);
+    assert!(handle.metrics().snapshot().protocol_errors >= 4);
+    let stats = client.stats_json().unwrap();
+    assert_eq!(stats_field_u64(&stats, "max_batch"), Some(64), "{stats}");
 
     handle.shutdown_and_join();
 }
 
-#[test]
-fn concurrent_clients_all_get_their_own_verdict() {
-    let handle = start_server(test_config());
+/// Eight concurrent clients, each submitting `per_client` honest claims
+/// over its own connection and expecting `Ok` for every one.
+fn hammer(handle: &ServerHandle, per_client: usize) {
     let addr = handle.addr();
     let f = fixture();
-
     std::thread::scope(|scope| {
         for t in 0..8 {
             scope.spawn(move || {
                 let mut client = Client::connect(addr).unwrap();
-                for i in 0..4 {
+                for i in 0..per_client {
                     let claim = &f.claims[(t + i) % f.claims.len()];
                     let response = client.verify_bytes(claim.clone()).unwrap();
                     assert_eq!(response.status, Status::Ok, "client {t} claim {i}");
@@ -278,6 +288,12 @@ fn concurrent_clients_all_get_their_own_verdict() {
             });
         }
     });
+}
+
+#[test]
+fn concurrent_clients_all_get_their_own_verdict() {
+    let handle = start_server(test_config());
+    hammer(&handle, 4);
 
     let snapshot = handle.metrics().snapshot();
     assert_eq!(snapshot.outcome(Status::Ok), 32);
@@ -288,23 +304,31 @@ fn concurrent_clients_all_get_their_own_verdict() {
     handle.shutdown_and_join();
 }
 
+/// The coalescing ablation is a configuration, not a switch: a server
+/// started at `max_batch = 1` verifies every claim as a batch of one,
+/// however many clients pile up, and says so in `STATS`.
 #[test]
-fn batching_toggles_at_runtime_and_shows_in_stats() {
-    let handle = start_server(test_config());
-    let mut client = Client::connect(handle.addr()).unwrap();
+fn max_batch_one_is_the_coalescing_off_configuration() {
+    let config = ServerConfig {
+        coalescer: CoalescerConfig {
+            max_batch: 1,
+            ..CoalescerConfig::default()
+        },
+        ..test_config()
+    };
+    let handle = start_server(config);
+    hammer(&handle, 3);
 
-    assert_eq!(client.set_batching(false).unwrap().status, Status::Ok);
-    assert!(!handle.batching());
-    let response = client.verify_bytes(fixture().claims[0].clone()).unwrap();
-    assert_eq!(response.status, Status::Ok);
-    let stats = client.stats_json().unwrap();
-    assert_eq!(stats_field_bool(&stats, "batching"), Some(false));
-    // the ablation path still counts occupancy — as batches of one
-    assert_eq!(stats_field_u64(&stats, "batches"), Some(1));
-    assert_eq!(stats_field_u64(&stats, "batched_claims"), Some(1));
-
-    assert_eq!(client.set_batching(true).unwrap().status, Status::Ok);
-    assert!(handle.batching());
+    let snapshot = handle.metrics().snapshot();
+    assert_eq!(snapshot.outcome(Status::Ok), 24);
+    assert_eq!(snapshot.batch_max, 1);
+    assert_eq!(snapshot.batches, snapshot.batched_claims);
+    let stats = Client::connect(handle.addr())
+        .unwrap()
+        .stats_json()
+        .unwrap();
+    assert_eq!(stats_field_u64(&stats, "max_batch"), Some(1));
+    assert!(stats.contains("\"schema\": \"zkrownn-service-stats/v4\""));
 
     handle.shutdown_and_join();
 }
@@ -493,8 +517,8 @@ fn key_directory_loading_is_deterministic_and_sorted() {
 
     let reg_a = LedgeredRegistry::new();
     let reg_b = LedgeredRegistry::new();
-    assert_eq!(load_keys_dir(&reg_a, &dir_a).unwrap(), 7);
-    assert_eq!(load_keys_dir(&reg_b, &dir_b).unwrap(), 7);
+    assert_eq!(load_keys_dir(&reg_a, &dir_a, false).unwrap().loaded, 7);
+    assert_eq!(load_keys_dir(&reg_b, &dir_b, false).unwrap().loaded, 7);
     assert_eq!(reg_a.current_root().root, reg_b.current_root().root);
 
     // ...and that order is exactly sorted-by-name, store included

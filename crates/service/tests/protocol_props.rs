@@ -28,19 +28,17 @@ const ALL_STATUSES: [Status; 11] = [
 
 fn arb_request() -> impl Strategy<Value = Request> {
     (
-        0u8..7,
+        0u8..6,
         prop::collection::vec(any::<u8>(), 0..300),
-        any::<bool>(),
         any::<[u8; 64]>(),
         any::<u64>(),
     )
-        .prop_map(|(kind, bytes, on, leaf, old_size)| match kind {
+        .prop_map(|(kind, bytes, leaf, old_size)| match kind {
             0 => Request::Verify(bytes),
             1 => Request::Stats,
-            2 => Request::SetBatching(on),
-            3 => Request::Root,
-            4 => Request::ProveMember(leaf),
-            5 => Request::Consistency(old_size),
+            2 => Request::Root,
+            3 => Request::ProveMember(leaf),
+            4 => Request::Consistency(old_size),
             _ => Request::Shutdown,
         })
 }
@@ -187,7 +185,7 @@ proptest! {
 
 #[test]
 fn oversized_length_is_rejected_before_allocation() {
-    for opcode in [0x01u8, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07] {
+    for opcode in [0x01u8, 0x02, 0x04, 0x05, 0x06, 0x07] {
         let mut wire = vec![opcode];
         wire.extend_from_slice(&(MAX_FRAME_LEN as u32 + 1).to_le_bytes());
         assert_eq!(
@@ -216,6 +214,18 @@ fn unknown_opcodes_and_statuses_are_typed() {
         assert_eq!(
             read_request(&mut Cursor::new(&wire)),
             Err(ProtocolError::UnknownOpcode(b))
+        );
+    }
+    // 0x03 is retired, never reassigned: the v3 batching switch, well-formed
+    // (`03 01 00 00 00` + on/off byte) or not, is an unknown opcode
+    for wire in [
+        vec![0x03u8, 1, 0, 0, 0, 0],
+        vec![0x03, 1, 0, 0, 0, 1],
+        vec![0x03, 0, 0, 0, 0],
+    ] {
+        assert_eq!(
+            read_request(&mut Cursor::new(&wire)),
+            Err(ProtocolError::UnknownOpcode(0x03))
         );
     }
     let mut wire = vec![0x42u8];
@@ -260,25 +270,4 @@ fn wrong_payload_shapes_are_bad_payload() {
             })
         );
     }
-    // SET_BATCHING takes exactly one 0/1 byte
-    let mut wire = vec![0x03u8];
-    wire.extend_from_slice(&2u32.to_le_bytes());
-    wire.extend_from_slice(&[1, 1]);
-    assert_eq!(
-        read_request(&mut Cursor::new(&wire)),
-        Err(ProtocolError::BadPayload {
-            opcode: Opcode::SetBatching,
-            len: 2
-        })
-    );
-    let mut wire = vec![0x03u8];
-    wire.extend_from_slice(&1u32.to_le_bytes());
-    wire.push(7); // not 0/1
-    assert_eq!(
-        read_request(&mut Cursor::new(&wire)),
-        Err(ProtocolError::BadPayload {
-            opcode: Opcode::SetBatching,
-            len: 1
-        })
-    );
 }
