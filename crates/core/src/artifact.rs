@@ -36,7 +36,7 @@ use zkrownn_ff::{Fr, PrimeField};
 use zkrownn_gadgets::conv::ConvShape;
 use zkrownn_gadgets::fixed::FixedConfig;
 use zkrownn_groth16::{ProvingKey, VerifyingKey};
-use zkrownn_r1cs::{Circuit, SetupSynthesizer, ShapeSink};
+use zkrownn_r1cs::{Circuit, ShapeSink, TraceSynthesizer};
 
 // ---------------------------------------------------------------------------
 // SHA-256 (the content digest behind CircuitId and the envelope checksum)
@@ -90,17 +90,26 @@ impl ShapeSink for TraceHasher {
 
 /// Digest of a circuit's setup-mode synthesis trace.
 ///
-/// Computed by driving the circuit through the witness-free
-/// `SetupSynthesizer` and hashing every structural event it records —
-/// allocations and compacted constraints, coefficients included. The id is
-/// therefore derived from the *synthesized constraint system itself*, not
-/// from a side-channel description of it: "same shape ⇒ same circuit ⇒
-/// same trusted-setup keys" holds by construction, and no assignment value
+/// Computed by driving the circuit through a witness-free setup driver
+/// and hashing every structural event it emits — allocations and
+/// compacted constraints, coefficients included. The id is therefore
+/// derived from the *synthesized constraint system itself*, not from a
+/// side-channel description of it: "same shape ⇒ same circuit ⇒ same
+/// trusted-setup keys" holds by construction, and no assignment value
 /// (model parameters included — they are public *inputs*, not structure)
-/// can influence it, because the setup driver never evaluates a value
+/// can influence it, because the setup drivers never evaluate a value
 /// closure. Namespace labels are excluded, so renaming debug scopes keeps
 /// keys valid. The id doubles as the cache key for prepared verifying keys
 /// in a [`crate::KeyRegistry`].
+///
+/// The preimage is the `v1` trace: [`TRACE_DOMAIN_TAG`], then the records
+/// `zkrownn_r1cs` documents. How it is computed is not part of it — the
+/// digest-only `TraceSynthesizer` hands the hash one record per constraint
+/// and stores none of them, and the SHA-256 underneath uses the CPU's SHA
+/// extensions where it has them; the bytes are the same on every machine.
+/// A shorter coefficient encoding (a quarter of the bytes) is deliberately
+/// not used: it would be a `trace.v2`, re-keying every registered circuit,
+/// and with hardware SHA it saves nothing.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CircuitId([u8; 32]);
 
@@ -108,9 +117,10 @@ impl CircuitId {
     /// Derives the id of `circuit` by hashing its setup-mode synthesis
     /// trace. Never evaluates a value closure, so it works on witness-less
     /// circuits (and is what makes two same-shaped circuits provably share
-    /// keys).
+    /// keys). Keeps nothing of the circuit: each constraint is compacted,
+    /// encoded, absorbed and dropped.
     pub fn of_circuit<C: Circuit<Fr>>(circuit: &C) -> Self {
-        let mut cs = SetupSynthesizer::with_sink(TraceHasher::new());
+        let mut cs = TraceSynthesizer::with_sink(TraceHasher::new());
         circuit
             .synthesize(&mut cs)
             .expect("setup-mode synthesis evaluates no value closure and cannot fail");
@@ -521,6 +531,14 @@ fn write_i128s(vals: &[i128], out: &mut Vec<u8>) {
 /// configuration and the watermark *dimensions* (trigger count, signature
 /// length) — but never the trigger keys, the projection matrix or the
 /// signature bits themselves.
+///
+/// A statement that *decodes* describes a circuit that can be synthesized:
+/// [`Artifact::from_bytes`] checks the fields against each other (layer
+/// chain, conv / pool geometry, fixed-point widths, `max_errors ≤
+/// signature_bits`, …) and answers [`WireError::Malformed`] otherwise, so
+/// [`Self::circuit_id`] cannot panic on anything read off the wire. The
+/// fields are public, and a statement assembled by hand carries no such
+/// guarantee.
 #[derive(Clone, Debug, PartialEq)]
 pub struct OwnershipStatement {
     /// The quantized suspect model under dispute (public). Its `cfg` must
@@ -591,6 +609,11 @@ impl OwnershipStatement {
     /// The circuit digest tying this statement to its keys and proofs:
     /// the setup-trace digest of the extraction circuit this statement
     /// describes (public data suffices — no witness is consulted).
+    ///
+    /// # Panics
+    /// On a hand-built statement whose fields do not fit together — the
+    /// gadgets assert their shape preconditions. Decoded statements are
+    /// checked on the way in and never do.
     pub fn circuit_id(&self) -> CircuitId {
         CircuitId::of_circuit(&crate::circuit::ExtractionCircuit::from_statement(self))
     }
@@ -726,7 +749,7 @@ impl Artifact for OwnershipStatement {
             layers.push(layer);
         }
         r.finish()?;
-        Ok(Self {
+        let statement = Self {
             model: QuantizedModel {
                 layers,
                 input_len,
@@ -737,7 +760,13 @@ impl Artifact for OwnershipStatement {
             max_errors,
             fold_average,
             cfg,
-        })
+        };
+        // each field decoded on its own; a verifier's next step is to
+        // synthesize the circuit they describe *together*, which panics
+        // on shapes that do not fit — so that is checked here, where the
+        // bytes enter
+        crate::circuit::check_synthesizable(&statement).map_err(WireError::Malformed)?;
+        Ok(statement)
     }
 }
 

@@ -39,10 +39,10 @@ use zkrownn_gadgets::ber::ber_check;
 use zkrownn_gadgets::bits::Bit;
 use zkrownn_gadgets::cmp::truncate;
 use zkrownn_gadgets::conv::conv3d;
-use zkrownn_gadgets::fixed::FixedConfig;
-use zkrownn_gadgets::num::Num;
+use zkrownn_gadgets::fixed::{encode_fixed, FixedConfig};
+use zkrownn_gadgets::num::{Num, MAX_BITS};
 use zkrownn_gadgets::relu::relu_vec;
-use zkrownn_gadgets::sigmoid::sigmoid_vec;
+use zkrownn_gadgets::sigmoid::{sigmoid_vec, SIGMOID_COEFFS, SIGMOID_INPUT_INT_BITS};
 use zkrownn_gadgets::threshold::hard_threshold_vec;
 use zkrownn_r1cs::{assignment, Circuit, ConstraintSystem, ProvingSynthesizer, SynthesisError};
 
@@ -167,6 +167,130 @@ pub(crate) fn feed_forward_layers<CS: ConstraintSystem<Fr>>(
         };
     }
     Ok(act)
+}
+
+/// Why setup-mode synthesis of `statement`'s circuit would panic, if it
+/// would.
+///
+/// A statement arrives from whoever files a claim, and a verifier's first
+/// act is to synthesize the circuit it describes
+/// ([`OwnershipStatement::circuit_id`]). The gadgets treat their shape
+/// preconditions as programmer errors and `assert!` them, so every one of
+/// them that a statement's *public* fields can violate is checked here
+/// first, at a cost linear in the layer count:
+///
+/// * the dimensions: at least one trigger and one signature bit, no more
+///   tolerated errors than bits, and a layer chain in which each layer
+///   fits the previous one's output ([`QuantLayer::checked_out_len`]);
+/// * the widths: [`ExtractionCircuit::synthesize`]'s magnitude
+///   bookkeeping (`Num::bits`), replayed on one representative value per
+///   stage against the limits `Num::mul`, `truncate` and `is_negative`
+///   assert. Every value of a stage is built the same way, so one stands
+///   for all.
+///
+/// It does not bound *size*: a well-formed statement may still describe a
+/// circuit too large to synthesize.
+pub(crate) fn check_synthesizable(statement: &OwnershipStatement) -> Result<(), &'static str> {
+    let OwnershipStatement {
+        model,
+        num_triggers,
+        signature_bits,
+        max_errors,
+        fold_average,
+        cfg,
+    } = statement;
+    if *num_triggers == 0 || *signature_bits == 0 {
+        return Err("a statement needs at least one trigger and one signature bit");
+    }
+    if *max_errors > *signature_bits as u64 {
+        return Err("more tolerated bit errors than signature bits");
+    }
+    if model.input_len == 0 {
+        return Err("empty model input");
+    }
+    let (f, s) = (cfg.frac_bits, cfg.sigmoid_frac_bits);
+    // (also keeps every sum below clear of `u32` overflow)
+    if f == 0 || s <= f || s > MAX_BITS || cfg.int_bits > MAX_BITS {
+        return Err("fixed-point configuration out of range");
+    }
+
+    // the bounds the gadgets compute, and the limits they assert on them
+    const WIDE: &str = "fixed-point values too wide for the circuit";
+    let bit_len = |n: usize| usize::BITS - n.leading_zeros();
+    let constant = |v: i128| Num::constant(Fr::from_i128(v)).bits;
+    let add = |a: u32, b: u32| (a.max(b) + 1).min(MAX_BITS + 1); // Num::add / sub
+    let mul = |a: u32, b: u32| (a + b <= MAX_BITS).then_some(a + b).ok_or(WIDE); // Num::mul
+    let truncate = |x: u32, k: u32| {
+        (k > 0 && k < MAX_BITS && x < MAX_BITS)
+            .then(|| x.saturating_sub(k).max(1))
+            .ok_or(WIDE)
+    };
+    let inner_product =
+        |a: u32, b: u32, n: usize| mul(a, b).map(|term| (term + bit_len(n)).min(MAX_BITS + 1));
+    // `is_negative(x)` then `flag.select(a, b)`, the flag being the
+    // two-bit-wide complement of a decomposition bit
+    let branch_on_sign = |x: u32, a: u32, b: u32| {
+        (x < MAX_BITS).then_some(()).ok_or(WIDE)?;
+        mul(2, add(a, b)).map(|_| ())
+    };
+
+    let value = cfg.value_bits();
+    if value > MAX_BITS {
+        return Err(WIDE);
+    }
+    let act_bits = value + 2;
+    let mut act = value; // a trigger input
+    let mut len = model.input_len;
+    for layer in &model.layers {
+        len = layer
+            .checked_out_len(len)
+            .ok_or("a layer does not fit the output of the one before it")?;
+        // Dense and Conv are one inner product per output, then a bias
+        // and a truncation back to the tensor scale
+        let terms = match layer {
+            QuantLayer::Dense { in_dim, .. } => *in_dim,
+            QuantLayer::Conv { shape, .. } => shape.patch_len(),
+            QuantLayer::ReLU => {
+                branch_on_sign(act, 0, act)?;
+                continue;
+            }
+            QuantLayer::MaxPool { size, .. } => {
+                if *size > 1 {
+                    branch_on_sign(act + 1, act, act)?;
+                }
+                continue;
+            }
+            QuantLayer::Identity => continue,
+        };
+        let acc = add(inner_product(value, act, terms)?, value + f);
+        act = truncate(acc, f)?.min(act_bits);
+    }
+    len.checked_mul(*signature_bits)
+        .ok_or("projection matrix size overflows")?;
+
+    // zkAverage over the triggers
+    let sum = (act + bit_len(num_triggers - 1)).min(MAX_BITS + 1); // Num::sum
+    let mu = match *num_triggers {
+        _ if *fold_average => sum,
+        1 => sum,
+        t if t.is_power_of_two() => truncate(sum, t.trailing_zeros())?,
+        _ => (sum < MAX_BITS).then_some(sum).ok_or(WIDE)?, // div_by_const
+    };
+    // projection, rescaled to the tensor scale
+    let projected = truncate(inner_product(mu, value, len)?, f)?.min(act_bits);
+    // zkSigmoid: Horner over x² at scale s, truncating after every product
+    let coeff = |k: usize| constant(encode_fixed(SIGMOID_COEFFS[k], s));
+    let xs = (projected + s - f).min(SIGMOID_INPUT_INT_BITS + s);
+    let x2 = truncate(mul(xs, xs)?, s)?;
+    let mut acc = coeff(4);
+    for k in (0..4).rev() {
+        acc = add(truncate(mul(acc, x2)?, s)?, coeff(k));
+    }
+    let odd = truncate(mul(acc, xs)?, s)?;
+    let squashed = truncate(add(odd, constant(1 << (s - 1))), s - f)?;
+    // zkHardThresholding compares against ½; zkBER's counters are at most
+    // 66 bits wide whatever the statement says
+    (squashed + 1 < MAX_BITS).then_some(()).ok_or(WIDE)
 }
 
 impl<'a> ExtractionCircuit<'a> {
@@ -364,14 +488,20 @@ impl ExtractionSpec {
         );
         let mut model = self.model.clone();
         model.cfg = self.cfg;
-        OwnershipStatement {
+        let statement = OwnershipStatement {
             model,
             num_triggers: self.triggers.len(),
             signature_bits: self.signature.len(),
             max_errors: self.max_errors,
             fold_average: self.fold_average,
             cfg: self.cfg,
-        }
+        };
+        debug_assert_eq!(
+            check_synthesizable(&statement),
+            Ok(()),
+            "no verifier will decode this spec's statement"
+        );
+        statement
     }
 
     /// The fully-witnessed circuit, borrowing this spec's model and
@@ -554,6 +684,99 @@ mod tests {
             t.iter_mut().for_each(|v| *v = 0);
         }
         assert_eq!(spec.circuit_id(), same_shape.circuit_id());
+    }
+
+    /// `check_synthesizable` replays the gadgets' width bookkeeping; this
+    /// holds it to the gadgets themselves, in both directions, on
+    /// well-chained statements where only the fixed-point configuration,
+    /// the trigger count and the averaging mode vary: it accepts exactly
+    /// the statements whose synthesis does not panic. (Too lax and a
+    /// decoded claim kills a verifier; too strict and a working
+    /// configuration stops decoding.)
+    #[test]
+    fn the_width_check_is_exact() {
+        use rand::Rng;
+        use zkrownn_gadgets::conv::ConvShape;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(288);
+        let dense = |in_dim: usize, out_dim: usize| QuantLayer::Dense {
+            in_dim,
+            out_dim,
+            w: vec![1; in_dim * out_dim],
+            b: vec![1; out_dim],
+        };
+        let conv = QuantLayer::Conv {
+            shape: ConvShape {
+                in_channels: 2,
+                height: 3,
+                width: 3,
+                out_channels: 2,
+                kernel: 2,
+                stride: 1,
+            },
+            w: vec![1; 2 * 2 * 2 * 2],
+            b: vec![1; 2],
+        };
+        let pool = QuantLayer::MaxPool {
+            channels: 2,
+            height: 2,
+            width: 2,
+            size: 2,
+            stride: 1,
+        };
+        let models = [
+            (5, vec![dense(5, 3), QuantLayer::ReLU]),
+            (18, vec![conv, QuantLayer::ReLU, pool, dense(2, 2)]),
+            (2, vec![QuantLayer::Identity]),
+            (3, vec![dense(3, 4), dense(4, 2), dense(2, 2)]),
+        ];
+        let (mut accepted, mut rejected) = (0, 0);
+        for _ in 0..400 {
+            let (input_len, layers) = models[rng.gen_range(0..models.len())].clone();
+            // mostly the neighbourhood of working configurations, where
+            // the limits are; sometimes anything
+            let cfg = if rng.gen_range(0..4) > 0 {
+                let frac_bits = rng.gen_range(1u32..=24);
+                FixedConfig {
+                    frac_bits,
+                    sigmoid_frac_bits: frac_bits + rng.gen_range(0u32..=24),
+                    int_bits: rng.gen_range(0..=40),
+                }
+            } else {
+                FixedConfig {
+                    frac_bits: rng.gen_range(0..=44),
+                    sigmoid_frac_bits: rng.gen_range(0..=130),
+                    int_bits: rng.gen_range(0..=125),
+                }
+            };
+            let signature_bits = rng.gen_range(1..=3);
+            let statement = OwnershipStatement {
+                model: QuantizedModel {
+                    layers,
+                    input_len,
+                    cfg,
+                },
+                num_triggers: rng.gen_range(1..=5),
+                signature_bits,
+                max_errors: rng.gen_range(0..=signature_bits as u64),
+                fold_average: rng.gen(),
+                cfg,
+            };
+            let verdict = check_synthesizable(&statement);
+            let survives = std::panic::catch_unwind(|| statement.circuit_id()).is_ok();
+            assert_eq!(
+                verdict.is_ok(),
+                survives,
+                "{verdict:?} for {cfg:?}, T = {}, fold = {}, input_len = {input_len}",
+                statement.num_triggers,
+                statement.fold_average
+            );
+            if survives {
+                accepted += 1;
+            } else {
+                rejected += 1;
+            }
+        }
+        assert!(accepted > 60 && rejected > 60, "{accepted} / {rejected}");
     }
 
     #[test]

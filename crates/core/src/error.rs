@@ -50,6 +50,10 @@ pub enum ZkrownnError {
     /// Carries the rendered [`zkrownn_store::StoreError`] (this enum is
     /// `Clone + PartialEq`, which `std::io::Error` is not).
     Store(String),
+    /// The verifier lost this claim before it could answer — e.g. the
+    /// thread checking the batch it rode in died. Says nothing about the
+    /// claim itself; it can be filed again.
+    Internal(&'static str),
 }
 
 impl core::fmt::Display for ZkrownnError {
@@ -77,6 +81,7 @@ impl core::fmt::Display for ZkrownnError {
                 write!(f, "no verifying key registered for circuit {}", id.short())
             }
             Self::Store(e) => write!(f, "key store failed: {e}"),
+            Self::Internal(what) => write!(f, "verifier failed, claim not decided: {what}"),
         }
     }
 }

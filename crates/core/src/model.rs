@@ -64,13 +64,38 @@ impl QuantLayer {
     }
 
     /// Output length given an input length.
+    ///
+    /// # Panics
+    /// Panics if the layer does not fit `in_len` (see
+    /// [`Self::checked_out_len`], which does not).
     pub fn out_len(&self, in_len: usize) -> usize {
-        match self {
+        self.checked_out_len(in_len)
+            .expect("layer shape does not fit its input length")
+    }
+
+    /// Output length given an input length, or `None` if this layer cannot
+    /// be applied to `in_len` values: a dimension is zero, a kernel or
+    /// pooling window is larger than the extent it slides over, a stride
+    /// is zero, the parameter vectors are not the size the shape says, the
+    /// declared input volume is not `in_len`, or a product wraps `usize`.
+    /// Everything downstream (the circuit, the fixed-point reference)
+    /// indexes and divides by these numbers unchecked, so this is the one
+    /// place a layer read off the wire gets checked against its input.
+    pub fn checked_out_len(&self, in_len: usize) -> Option<usize> {
+        // output extent of a `window` sliding by `stride` over `extent`
+        let slide = |extent: usize, window: usize, stride: usize| {
+            (window >= 1 && window <= extent && stride >= 1).then(|| (extent - window) / stride + 1)
+        };
+        let volume = |c: usize, h: usize, w: usize| c.checked_mul(h)?.checked_mul(w);
+        let out_len = match self {
             QuantLayer::Dense {
-                out_dim, in_dim, ..
+                in_dim,
+                out_dim,
+                w,
+                b,
             } => {
-                assert_eq!(in_len, *in_dim, "dense input length mismatch");
-                *out_dim
+                let sized = Some(w.len()) == in_dim.checked_mul(*out_dim) && b.len() == *out_dim;
+                (sized && in_len == *in_dim).then_some(*out_dim)?
             }
             QuantLayer::ReLU | QuantLayer::Identity => in_len,
             QuantLayer::MaxPool {
@@ -80,16 +105,27 @@ impl QuantLayer {
                 size,
                 stride,
             } => {
-                assert_eq!(in_len, channels * height * width, "maxpool input length");
-                let oh = (height - size) / stride + 1;
-                let ow = (width - size) / stride + 1;
-                channels * oh * ow
+                if volume(*channels, *height, *width)? != in_len {
+                    return None;
+                }
+                // no larger than the input volume, so it cannot wrap
+                channels * slide(*height, *size, *stride)? * slide(*width, *size, *stride)?
             }
-            QuantLayer::Conv { shape, .. } => {
-                assert_eq!(in_len, shape.in_len(), "conv input length mismatch");
-                shape.out_len()
+            QuantLayer::Conv { shape, w, b } => {
+                let patch = volume(shape.in_channels, shape.kernel, shape.kernel)?;
+                let sized = Some(w.len()) == patch.checked_mul(shape.out_channels)
+                    && b.len() == shape.out_channels;
+                if !sized || volume(shape.in_channels, shape.height, shape.width)? != in_len {
+                    return None;
+                }
+                volume(
+                    shape.out_channels,
+                    slide(shape.height, shape.kernel, shape.stride)?,
+                    slide(shape.width, shape.kernel, shape.stride)?,
+                )?
             }
-        }
+        };
+        (out_len >= 1).then_some(out_len)
     }
 }
 

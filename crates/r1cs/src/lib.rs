@@ -13,11 +13,12 @@
 //!   describing allocations and constraints, with assignment values behind
 //!   `FnOnce` closures;
 //! * a driver is a type implementing [`ConstraintSystem`], deciding what to
-//!   do with each event. Three drivers ship with the crate:
+//!   do with each event. Four drivers ship with the crate:
 //!
 //! | driver | evaluates value closures? | produces |
 //! |---|---|---|
 //! | [`SetupSynthesizer`] | **never** | constraint matrices + optional shape trace ([`ShapeSink`]) |
+//! | [`TraceSynthesizer`] | **never** | the shape trace only — nothing is stored (what a shape digest runs on) |
 //! | [`ProvingSynthesizer`] | always | matrices + the dense assignment `z` |
 //! | [`CountingSynthesizer`] | never | constraint/variable counts, per-namespace density |
 //!
@@ -451,47 +452,214 @@ pub trait Circuit<F: PrimeField> {
 // Setup driver
 // ---------------------------------------------------------------------------
 
-/// A streaming consumer of the canonical shape trace emitted by
-/// [`SetupSynthesizer`] (typically a hash state; `()` discards the trace).
+/// A streaming consumer of the canonical shape trace the setup-mode
+/// drivers emit — typically a hash state.
+///
+/// The trace is one byte string; how it is cut into `absorb` calls is
+/// **not** part of the format. Today the drivers hand over one constraint
+/// record per call, with any allocation tags since the previous
+/// constraint in front of it; a sink must give the same answer for any
+/// other chunking of the same bytes (a hash does; so does a `Vec`).
 pub trait ShapeSink {
     /// Absorbs the next trace bytes.
     fn absorb(&mut self, bytes: &[u8]);
+
+    /// Whether this sink throws away what it is given. A driver encodes
+    /// nothing at all for a sink that says yes — `()` does — so a
+    /// synthesis nobody reads the trace of does not pay for its bytes.
+    fn discards(&self) -> bool {
+        false
+    }
 }
 
 impl ShapeSink for () {
     fn absorb(&mut self, _bytes: &[u8]) {}
-}
 
-/// The trusted-setup driver: records the constraint structure and **never
-/// evaluates a value closure**, so it can run on a machine that holds no
-/// witness (and no public-input values either).
-///
-/// Every structural event is also streamed into a [`ShapeSink`] as a
-/// canonical byte trace — tag bytes for allocations, and for each
-/// constraint the compacted linear combinations (term counts, variable
-/// kind/index, canonical little-endian coefficient bytes). Hashing that
-/// trace yields a digest with the property *same trace ⇒ same matrices ⇒
-/// same trusted-setup keys*; namespaces are deliberately excluded so
-/// renaming a debug scope never orphans existing keys.
-pub struct SetupSynthesizer<F: PrimeField, S: ShapeSink = ()> {
-    num_instance: usize,
-    num_witness: usize,
-    constraints: Vec<Constraint<F>>,
-    sink: S,
+    fn discards(&self) -> bool {
+        true
+    }
 }
 
 const TRACE_ALLOC_INSTANCE: u8 = 1;
 const TRACE_ALLOC_WITNESS: u8 = 2;
 const TRACE_ENFORCE: u8 = 3;
 
-fn absorb_lc<F: PrimeField, S: ShapeSink>(sink: &mut S, lc: &LinearCombination<F>) {
-    sink.absorb(&(lc.0.len() as u64).to_le_bytes());
-    for (v, c) in &lc.0 {
-        let (tag, idx) = v.sort_key();
-        sink.absorb(&[tag]);
-        sink.absorb(&(idx as u64).to_le_bytes());
-        sink.absorb(&c.to_le_bytes());
+/// Appends one constraint's trace record to `out` — the `v1` format, and
+/// the only place it is written down: the tag byte `3`, then for each of
+/// the three *compacted* combinations a `u64` LE term count followed by,
+/// per term, a `u8` variable kind (0 = one, 1 = instance, 2 = witness), a
+/// `u64` LE index and the coefficient's 32-byte canonical LE encoding.
+/// (An allocation's record is its tag byte alone: `1` instance, `2`
+/// witness.)
+fn encode_constraint<F: PrimeField>(
+    out: &mut Vec<u8>,
+    a: &LinearCombination<F>,
+    b: &LinearCombination<F>,
+    c: &LinearCombination<F>,
+) {
+    out.reserve(1 + 3 * 8 + (1 + 8 + 32) * (a.0.len() + b.0.len() + c.0.len()));
+    out.push(TRACE_ENFORCE);
+    for lc in [a, b, c] {
+        out.extend_from_slice(&(lc.0.len() as u64).to_le_bytes());
+        for (v, coeff) in &lc.0 {
+            let (kind, idx) = v.sort_key();
+            out.push(kind);
+            out.extend_from_slice(&(idx as u64).to_le_bytes());
+            out.extend_from_slice(&coeff.to_le_bytes());
+        }
     }
+}
+
+/// Allocation tags waiting for the next constraint are flushed on their
+/// own once this many have piled up, so a circuit that allocates without
+/// constraining cannot grow the record buffer without bound.
+const PENDING_TAGS_MAX: usize = 4096;
+
+/// The digest-only setup driver: streams the canonical shape trace into a
+/// [`ShapeSink`] and **keeps nothing** — each constraint is compacted,
+/// encoded, absorbed and dropped. It has no `constraints()` and no
+/// `to_matrices()`; the type, not a flag, says nothing was stored. This is
+/// the driver to hash a circuit's shape with (a `CircuitId` is exactly
+/// that); [`SetupSynthesizer`] is the one to use when the matrices are
+/// needed too, and emits the same bytes.
+///
+/// Like every setup-mode driver it never evaluates a value closure.
+///
+/// The trace is a sequence of records — a tag byte per allocation, and
+/// per constraint the compacted linear combinations (term counts,
+/// variable kind/index, canonical little-endian coefficient bytes).
+/// Hashing it yields a digest with the property *same trace ⇒ same
+/// matrices ⇒ same trusted-setup keys*; namespaces are deliberately
+/// excluded so renaming a debug scope never orphans existing keys. A
+/// constraint's whole record is built in one reused buffer and handed to
+/// the sink in a single [`ShapeSink::absorb`], the allocation tags since
+/// the previous constraint riding in front of it in order.
+pub struct TraceSynthesizer<F: PrimeField, S: ShapeSink> {
+    num_instance: usize,
+    num_witness: usize,
+    num_constraints: usize,
+    /// Encoded records not yet absorbed.
+    record: Vec<u8>,
+    sink: S,
+    _marker: core::marker::PhantomData<F>,
+}
+
+impl<F: PrimeField, S: ShapeSink> TraceSynthesizer<F, S> {
+    /// A fresh digest-only driver streaming the shape trace into `sink`.
+    pub fn with_sink(sink: S) -> Self {
+        Self {
+            num_instance: 1, // the implicit constant 1
+            num_witness: 0,
+            num_constraints: 0,
+            record: Vec::new(),
+            sink,
+            _marker: core::marker::PhantomData,
+        }
+    }
+
+    /// Number of constraints synthesized so far.
+    pub fn num_constraints(&self) -> usize {
+        self.num_constraints
+    }
+
+    /// Instance-block size (including the constant 1).
+    pub fn num_instance_variables(&self) -> usize {
+        self.num_instance
+    }
+
+    /// Number of witness variables.
+    pub fn num_witness_variables(&self) -> usize {
+        self.num_witness
+    }
+
+    /// Consumes the driver, returning the sink with the whole trace
+    /// absorbed.
+    pub fn into_sink(mut self) -> S {
+        self.flush();
+        self.sink
+    }
+
+    fn flush(&mut self) {
+        if !self.record.is_empty() {
+            self.sink.absorb(&self.record);
+            self.record.clear();
+        }
+    }
+
+    fn trace_alloc(&mut self, tag: u8) {
+        if self.sink.discards() {
+            return;
+        }
+        self.record.push(tag);
+        if self.record.len() >= PENDING_TAGS_MAX {
+            self.flush();
+        }
+    }
+
+    /// Counts and traces one constraint whose combinations are already
+    /// compacted.
+    fn trace_constraint(
+        &mut self,
+        a: &LinearCombination<F>,
+        b: &LinearCombination<F>,
+        c: &LinearCombination<F>,
+    ) {
+        self.num_constraints += 1;
+        if self.sink.discards() {
+            return;
+        }
+        encode_constraint(&mut self.record, a, b, c);
+        self.flush();
+    }
+}
+
+impl<F: PrimeField, S: ShapeSink> ConstraintSystem<F> for TraceSynthesizer<F, S> {
+    fn alloc_instance<V>(&mut self, _value: V) -> Result<Variable, SynthesisError>
+    where
+        V: FnOnce() -> Result<F, SynthesisError>,
+    {
+        self.trace_alloc(TRACE_ALLOC_INSTANCE);
+        let var = Variable::Instance(self.num_instance);
+        self.num_instance += 1;
+        Ok(var)
+    }
+
+    fn alloc_witness<V>(&mut self, _value: V) -> Result<Variable, SynthesisError>
+    where
+        V: FnOnce() -> Result<F, SynthesisError>,
+    {
+        self.trace_alloc(TRACE_ALLOC_WITNESS);
+        let var = Variable::Witness(self.num_witness);
+        self.num_witness += 1;
+        Ok(var)
+    }
+
+    fn enforce(
+        &mut self,
+        a: LinearCombination<F>,
+        b: LinearCombination<F>,
+        c: LinearCombination<F>,
+    ) {
+        self.trace_constraint(&a.compact(), &b.compact(), &c.compact());
+    }
+
+    fn push_namespace(&mut self, _name: &str) {}
+
+    fn pop_namespace(&mut self) {}
+}
+
+/// The trusted-setup driver: records the constraint structure and **never
+/// evaluates a value closure**, so it can run on a machine that holds no
+/// witness (and no public-input values either).
+///
+/// It is a [`TraceSynthesizer`] that also keeps every compacted
+/// constraint, for [`Self::to_matrices`]: the shape trace it streams into
+/// its [`ShapeSink`] is byte-for-byte the digest-only driver's (one
+/// encoder, one record per `absorb`), and with the default `()` sink no
+/// trace is encoded at all.
+pub struct SetupSynthesizer<F: PrimeField, S: ShapeSink = ()> {
+    trace: TraceSynthesizer<F, S>,
+    constraints: Vec<Constraint<F>>,
 }
 
 impl<F: PrimeField> SetupSynthesizer<F> {
@@ -511,10 +679,8 @@ impl<F: PrimeField, S: ShapeSink> SetupSynthesizer<F, S> {
     /// A fresh setup driver streaming the shape trace into `sink`.
     pub fn with_sink(sink: S) -> Self {
         Self {
-            num_instance: 1, // the implicit constant 1
-            num_witness: 0,
+            trace: TraceSynthesizer::with_sink(sink),
             constraints: Vec::new(),
-            sink,
         }
     }
 
@@ -525,12 +691,12 @@ impl<F: PrimeField, S: ShapeSink> SetupSynthesizer<F, S> {
 
     /// Instance-block size (including the constant 1).
     pub fn num_instance_variables(&self) -> usize {
-        self.num_instance
+        self.trace.num_instance
     }
 
     /// Number of witness variables.
     pub fn num_witness_variables(&self) -> usize {
-        self.num_witness
+        self.trace.num_witness
     }
 
     /// The recorded constraints.
@@ -540,34 +706,32 @@ impl<F: PrimeField, S: ShapeSink> SetupSynthesizer<F, S> {
 
     /// Lowers the structure to column-indexed sparse matrices.
     pub fn to_matrices(&self) -> R1csMatrices<F> {
-        lower_constraints(&self.constraints, self.num_instance, self.num_witness)
+        lower_constraints(
+            &self.constraints,
+            self.trace.num_instance,
+            self.trace.num_witness,
+        )
     }
 
     /// Consumes the driver, returning the sink with the absorbed trace.
     pub fn into_sink(self) -> S {
-        self.sink
+        self.trace.into_sink()
     }
 }
 
 impl<F: PrimeField, S: ShapeSink> ConstraintSystem<F> for SetupSynthesizer<F, S> {
-    fn alloc_instance<V>(&mut self, _value: V) -> Result<Variable, SynthesisError>
+    fn alloc_instance<V>(&mut self, value: V) -> Result<Variable, SynthesisError>
     where
         V: FnOnce() -> Result<F, SynthesisError>,
     {
-        self.sink.absorb(&[TRACE_ALLOC_INSTANCE]);
-        let var = Variable::Instance(self.num_instance);
-        self.num_instance += 1;
-        Ok(var)
+        self.trace.alloc_instance(value)
     }
 
-    fn alloc_witness<V>(&mut self, _value: V) -> Result<Variable, SynthesisError>
+    fn alloc_witness<V>(&mut self, value: V) -> Result<Variable, SynthesisError>
     where
         V: FnOnce() -> Result<F, SynthesisError>,
     {
-        self.sink.absorb(&[TRACE_ALLOC_WITNESS]);
-        let var = Variable::Witness(self.num_witness);
-        self.num_witness += 1;
-        Ok(var)
+        self.trace.alloc_witness(value)
     }
 
     fn enforce(
@@ -577,10 +741,7 @@ impl<F: PrimeField, S: ShapeSink> ConstraintSystem<F> for SetupSynthesizer<F, S>
         c: LinearCombination<F>,
     ) {
         let (a, b, c) = (a.compact(), b.compact(), c.compact());
-        self.sink.absorb(&[TRACE_ENFORCE]);
-        absorb_lc(&mut self.sink, &a);
-        absorb_lc(&mut self.sink, &b);
-        absorb_lc(&mut self.sink, &c);
+        self.trace.trace_constraint(&a, &b, &c);
         self.constraints.push(Constraint { a, b, c });
     }
 
@@ -952,6 +1113,17 @@ mod tests {
         v.into()
     }
 
+    /// A caller's own sink: keeps the trace bytes, and counts the calls
+    /// that delivered them.
+    #[derive(Debug, Default, PartialEq)]
+    struct Collect(Vec<u8>, usize);
+    impl ShapeSink for Collect {
+        fn absorb(&mut self, bytes: &[u8]) {
+            self.0.extend_from_slice(bytes);
+            self.1 += 1;
+        }
+    }
+
     /// `x³ + x + 5 = y`, the classic Pinocchio example.
     struct Cubic {
         y: u64,
@@ -1043,13 +1215,6 @@ mod tests {
 
     #[test]
     fn shape_trace_distinguishes_structure_not_values() {
-        #[derive(Default)]
-        struct Collect(Vec<u8>);
-        impl ShapeSink for Collect {
-            fn absorb(&mut self, bytes: &[u8]) {
-                self.0.extend_from_slice(bytes);
-            }
-        }
         let trace = |circuit: &Cubic| {
             let mut cs = SetupSynthesizer::with_sink(Collect::default());
             circuit.synthesize(&mut cs).unwrap();
@@ -1081,6 +1246,183 @@ mod tests {
         assert_ne!(t1, cs.into_sink().0);
     }
 
+    /// The `v1` trace of the three-constraint cubic, written out from the
+    /// layout (not by calling the encoder): whatever a later change does
+    /// to how records are built or chunked, a caller's sink sees exactly
+    /// these bytes in this order, and every existing `CircuitId` stands.
+    #[test]
+    fn shape_trace_v1_bytes_are_pinned() {
+        const ONE: u8 = 0;
+        const INSTANCE: u8 = 1;
+        const WITNESS: u8 = 2;
+        // u64 LE term count, then per term: kind, u64 LE index, 32-byte
+        // LE canonical coefficient (all small here)
+        fn combination(terms: &[(u8, u8, u8)]) -> Vec<u8> {
+            let mut out = vec![terms.len() as u8, 0, 0, 0, 0, 0, 0, 0];
+            for &(kind, index, coeff) in terms {
+                out.push(kind);
+                out.extend_from_slice(&[index, 0, 0, 0, 0, 0, 0, 0]);
+                out.push(coeff);
+                out.extend_from_slice(&[0; 31]);
+            }
+            out
+        }
+        let expected = [
+            // y, then x, x², x³
+            vec![1, 2, 2, 2],
+            // x · x = x²
+            vec![3],
+            combination(&[(WITNESS, 0, 1)]),
+            combination(&[(WITNESS, 0, 1)]),
+            combination(&[(WITNESS, 1, 1)]),
+            // x² · x = x³
+            vec![3],
+            combination(&[(WITNESS, 1, 1)]),
+            combination(&[(WITNESS, 0, 1)]),
+            combination(&[(WITNESS, 2, 1)]),
+            // (5 + x + x³) · 1 = y, terms in canonical order
+            vec![3],
+            combination(&[(ONE, 0, 5), (WITNESS, 0, 1), (WITNESS, 2, 1)]),
+            combination(&[(ONE, 0, 1)]),
+            combination(&[(INSTANCE, 1, 1)]),
+        ]
+        .concat();
+        assert_eq!(expected.len(), 4 + 3 * (1 + 3 * 8) + 11 * 41);
+
+        let mut cs = SetupSynthesizer::with_sink(Collect::default());
+        Cubic { y: 35, x: None }.synthesize(&mut cs).unwrap();
+        assert_eq!(cs.into_sink().0, expected);
+    }
+
+    /// Unsorted, duplicated and cancelling terms, an empty combination,
+    /// allocations between constraints and after the last one.
+    struct Messy;
+
+    impl Circuit<Fr> for Messy {
+        type Output = ();
+        fn synthesize<CS: ConstraintSystem<Fr>>(&self, cs: &mut CS) -> Result<(), SynthesisError> {
+            let i = cs.alloc_instance(|| Ok(Fr::from_u64(1)))?;
+            let w: Vec<Variable> = (0..4)
+                .map(|_| cs.alloc_witness(|| Ok(Fr::from_u64(1))))
+                .collect::<Result<_, _>>()?;
+            // w3 + w0 + 2·w3 − w1 + w1: sorts, merges to w0 + 3·w3, drops w1
+            let a = lc(w[3]) + lc(w[0]) + lc(w[3]).scale(Fr::from_u64(2)) - lc(w[1]) + lc(w[1]);
+            let b = lc(i) + LinearCombination::constant(-Fr::one()) + lc(w[2]);
+            cs.enforce(a, b, lc(w[2]) - lc(w[2]));
+            let late = cs.alloc_witness(|| Ok(Fr::from_u64(1)))?;
+            cs.ns("scope")
+                .enforce(lc(late), lc(Variable::One), lc(late) + lc(i) + lc(late));
+            cs.alloc_instance(|| Ok(Fr::from_u64(1)))?;
+            cs.alloc_witness(|| Ok(Fr::from_u64(1)))?;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn digest_only_and_setup_drivers_feed_identical_bytes() {
+        let mut setup = SetupSynthesizer::with_sink(Collect::default());
+        Messy.synthesize(&mut setup).unwrap();
+        let mut trace = TraceSynthesizer::with_sink(Collect::default());
+        Messy.synthesize(&mut trace).unwrap();
+        assert_eq!(
+            (
+                trace.num_constraints(),
+                trace.num_instance_variables(),
+                trace.num_witness_variables()
+            ),
+            (
+                setup.num_constraints(),
+                setup.num_instance_variables(),
+                setup.num_witness_variables()
+            )
+        );
+        // the first constraint went out compacted: w0 + 3·w3, a
+        // three-term b, and an empty c
+        let stored = &setup.constraints()[0];
+        assert_eq!(
+            stored.a.0,
+            vec![
+                (Variable::Witness(0), Fr::one()),
+                (Variable::Witness(3), Fr::from_u64(3))
+            ]
+        );
+        assert_eq!((stored.b.0.len(), stored.c.0.len()), (3, 0));
+        let (setup, trace) = (setup.into_sink(), trace.into_sink());
+        assert_eq!(setup.0, trace.0);
+        // 5 + 1 + 2 tags, two records of 25 bytes plus 41 per term
+        assert_eq!(trace.0.len(), 8 + 2 * 25 + 41 * (2 + 3 + 1 + 1 + 2));
+        // the trailing allocations were flushed by `into_sink`
+        assert_eq!(trace.0[trace.0.len() - 2..], [1, 2]);
+    }
+
+    /// A CNN-shaped toy: thousands of parameter and input allocations up
+    /// front, then one long inner product per output. The sink is called
+    /// once per constraint — the allocation tags ride in front of the
+    /// next record — plus a flush per `PENDING_TAGS_MAX` tags and one for
+    /// the trailing allocation.
+    #[test]
+    fn a_constraint_is_one_absorb() {
+        struct Toy;
+        impl Circuit<Fr> for Toy {
+            type Output = ();
+            fn synthesize<CS: ConstraintSystem<Fr>>(
+                &self,
+                cs: &mut CS,
+            ) -> Result<(), SynthesisError> {
+                let kernels: Vec<Variable> = (0..3 * PENDING_TAGS_MAX / 2)
+                    .map(|_| cs.alloc_instance(|| Ok(Fr::one())))
+                    .collect::<Result<_, _>>()?;
+                let pixels: Vec<Variable> = (0..PENDING_TAGS_MAX)
+                    .map(|_| cs.alloc_witness(|| Ok(Fr::one())))
+                    .collect::<Result<_, _>>()?;
+                for patch in pixels.chunks(27) {
+                    let mut acc = LinearCombination::zero();
+                    for (p, k) in patch.iter().zip(&kernels) {
+                        let prod = cs.alloc_witness(|| Ok(Fr::one()))?;
+                        cs.enforce(lc(*p), lc(*k), lc(prod));
+                        acc = acc + lc(prod);
+                    }
+                    let out = cs.alloc_witness(|| Ok(Fr::one()))?;
+                    cs.enforce(acc, lc(Variable::One), lc(out));
+                }
+                cs.alloc_instance(|| Ok(Fr::one()))?;
+                Ok(())
+            }
+        }
+        let mut setup = SetupSynthesizer::with_sink(Collect::default());
+        Toy.synthesize(&mut setup).unwrap();
+        let constraints = setup.num_constraints();
+        let Collect(bytes, calls) = setup.into_sink();
+        assert!(constraints > PENDING_TAGS_MAX);
+        assert!(
+            (constraints..=constraints + 3).contains(&calls),
+            "{calls} absorbs for {constraints} constraints"
+        );
+        let mut trace = TraceSynthesizer::with_sink(Collect::default());
+        Toy.synthesize(&mut trace).unwrap();
+        assert_eq!(trace.into_sink(), Collect(bytes, calls));
+    }
+
+    /// A sink that discards is never fed, so nothing was encoded for it.
+    #[test]
+    fn a_discarding_sink_is_never_fed() {
+        struct Unread;
+        impl ShapeSink for Unread {
+            fn absorb(&mut self, _bytes: &[u8]) {
+                panic!("encoded a trace for a sink that discards it");
+            }
+            fn discards(&self) -> bool {
+                true
+            }
+        }
+        let mut setup = SetupSynthesizer::with_sink(Unread);
+        Messy.synthesize(&mut setup).unwrap();
+        assert_eq!(setup.num_constraints(), 2);
+        assert_eq!(setup.to_matrices().a.len(), 2);
+        setup.into_sink();
+        assert!(().discards());
+    }
+
     #[test]
     fn namespaces_do_not_affect_trace_or_matrices() {
         struct Wrapped(bool);
@@ -1107,13 +1449,6 @@ mod tests {
                     );
                 }
                 Ok(())
-            }
-        }
-        #[derive(Default)]
-        struct Collect(Vec<u8>);
-        impl ShapeSink for Collect {
-            fn absorb(&mut self, bytes: &[u8]) {
-                self.0.extend_from_slice(bytes);
             }
         }
         let trace = |w: &Wrapped| {

@@ -54,10 +54,21 @@
 //! (forged *negative* claims are settled on their own and cost nobody else
 //! anything). Degradations are counted in the metrics, and the circuit
 //! re-enters batching automatically when the cooldown lapses.
+//!
+//! # A panic in the verdict kernel
+//!
+//! Decoding rejects every statement the kernel is known to choke on, so a
+//! panic under `verify_batch` is a bug — but one claim's bug must not
+//! become another claim's verdict, or the circuit's outage. The drainer
+//! that hit it unwinds (and its server worker with it); its slot is given
+//! back by a drop guard, so the circuit keeps its `max_drainers`; the
+//! other members of its batch, whose result senders it drops on the way
+//! out, are answered `ZkrownnError::Internal` — retryable, and no
+//! statement about their claims — instead of waiting forever.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant, SystemTime};
 
 use rand::rngs::StdRng;
@@ -118,6 +129,38 @@ struct QueueState {
 #[derive(Default)]
 struct CircuitQueue {
     state: Mutex<QueueState>,
+}
+
+/// One of a circuit's `max_drainers` slots, held for the length of a
+/// [`Coalescer::drain`]. The drain loop gives it back itself, under the
+/// same lock that found the queue empty; this guard gives it back when
+/// the loop never got that far because the verdict kernel panicked — so a
+/// claim that kills its worker costs the circuit nothing but that worker.
+struct DrainerSlot<'a> {
+    queue: &'a CircuitQueue,
+    held: bool,
+}
+
+impl Drop for DrainerSlot<'_> {
+    fn drop(&mut self) {
+        if !self.held {
+            return;
+        }
+        // the counters are valid at every step, so a poisoned lock is
+        // still a usable one (and `Drop` must not panic)
+        let mut state = self
+            .queue
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        state.drainers -= 1;
+        if state.drainers == 0 {
+            // the workers behind these entries parked because drainers
+            // were running; none is left, so answer them `Internal` (by
+            // dropping their senders) rather than never
+            state.pending.clear();
+        }
+    }
 }
 
 /// The coalescing verification front end shared by all server workers.
@@ -219,17 +262,24 @@ impl Coalescer {
         if drain {
             self.drain(&queue);
         }
-        rx.recv().expect("drainer exited without posting a result")
+        // the sender is dropped unanswered only when the drainer holding
+        // it unwound out of the verdict kernel; this claim was in that
+        // batch (or queued behind it) and is not the one to blame
+        rx.recv().unwrap_or(Err(ZkrownnError::Internal(
+            "the batch this claim rode in was lost to a panic",
+        )))
     }
 
     /// Drains a circuit queue until it is empty: repeatedly swap out up to
     /// `max_batch` pending claims, batch-verify them, and post results.
     fn drain(&self, queue: &CircuitQueue) {
+        let mut slot = DrainerSlot { queue, held: true };
         loop {
             let taken: Vec<Pending> = {
                 let mut state = queue.state.lock().expect("circuit queue poisoned");
                 if state.pending.is_empty() {
                     state.drainers -= 1;
+                    slot.held = false;
                     return;
                 }
                 let n = state.pending.len().min(self.max_batch);
@@ -338,11 +388,7 @@ mod tests {
     #[test]
     fn unregistered_circuit_ids_never_earn_a_queue() {
         let corpus = verdict_corpus::corpus();
-        let honest = corpus.cases.iter().find(|case| case.name == "honest");
-        let claim = honest
-            .expect("the corpus has an honest claim")
-            .claim
-            .clone();
+        let claim = honest_claim(&corpus);
         let registry = Arc::new(KeyRegistry::new());
         registry.register_kit(&corpus.disputed);
         let metrics = Arc::new(Metrics::new());
@@ -365,6 +411,124 @@ mod tests {
         // all 65 went through the one verdict kernel, as batches of one
         let snapshot = metrics.snapshot();
         assert_eq!((snapshot.batches, snapshot.batch_max), (65, 1));
+    }
+
+    fn honest_claim(corpus: &verdict_corpus::Corpus) -> SignedClaim {
+        let honest = corpus.cases.iter().find(|case| case.name == "honest");
+        honest
+            .expect("the corpus has an honest claim")
+            .claim
+            .clone()
+    }
+
+    /// A claim the verdict kernel panics on: the statement says three
+    /// inputs, its first layer takes two. Decoding refuses it
+    /// (`WireError::Malformed`), so it is built by hand — it stands for
+    /// whatever kernel bug the decoder does not know about yet.
+    fn kernel_panicking_claim(honest: &SignedClaim) -> SignedClaim {
+        let mut claim = honest.clone();
+        claim.statement.model.input_len += 1;
+        claim
+    }
+
+    fn coalescer_for(corpus: &verdict_corpus::Corpus, max_drainers: usize) -> Arc<Coalescer> {
+        let registry = Arc::new(KeyRegistry::new());
+        registry.register_kit(&corpus.disputed);
+        let config = CoalescerConfig {
+            max_drainers,
+            ..CoalescerConfig::default()
+        };
+        Arc::new(Coalescer::new(registry, Arc::new(Metrics::new()), config))
+    }
+
+    fn drainers(coalescer: &Coalescer, id: CircuitId) -> usize {
+        let queue = Arc::clone(&coalescer.queues.lock().unwrap()[&id]);
+        let state = queue.state.lock().unwrap();
+        state.drainers
+    }
+
+    /// `verify` on a thread of its own, the verdict (if any) on a channel.
+    fn verify_elsewhere(
+        coalescer: &Arc<Coalescer>,
+        claim: SignedClaim,
+    ) -> mpsc::Receiver<Result<(), ZkrownnError>> {
+        let (tx, rx) = mpsc::channel();
+        let coalescer = Arc::clone(coalescer);
+        std::thread::spawn(move || tx.send(coalescer.verify(claim)));
+        rx
+    }
+
+    const DEADLINE: Duration = Duration::from_secs(60);
+
+    /// `max_drainers` claims that each kill the thread verifying them must
+    /// leave the circuit serving: every slot comes back, and the next
+    /// honest claim gets its verdict. (Before the slot was unwind-safe the
+    /// counter stayed at `max_drainers` and that claim parked forever.)
+    #[test]
+    fn a_panicking_claim_gives_its_drainer_slot_back() {
+        let corpus = verdict_corpus::corpus();
+        let honest = honest_claim(&corpus);
+        let max_drainers = 3;
+        let coalescer = coalescer_for(&corpus, max_drainers);
+        for _ in 0..max_drainers {
+            let (coalescer, claim) = (Arc::clone(&coalescer), kernel_panicking_claim(&honest));
+            let died = std::thread::spawn(move || coalescer.verify(claim)).join();
+            assert!(died.is_err(), "the hand-broken claim no longer panics");
+        }
+        assert_eq!(drainers(&coalescer, honest.circuit_id()), 0);
+        let verdict = verify_elsewhere(&coalescer, honest.clone()).recv_timeout(DEADLINE);
+        assert_eq!(verdict.expect("the circuit is wedged"), Ok(()));
+        assert_eq!(drainers(&coalescer, honest.circuit_id()), 0);
+    }
+
+    /// An honest claim that shares a batch with a kernel-panicking one is
+    /// answered `Internal` — not left waiting, and not given a verdict it
+    /// did not earn — and the circuit verifies the next claim as usual.
+    #[test]
+    fn batch_mates_of_a_panicking_claim_are_answered_internal() {
+        let corpus = verdict_corpus::corpus();
+        let honest = honest_claim(&corpus);
+        let id = honest.circuit_id();
+        let coalescer = coalescer_for(&corpus, 1);
+        coalescer
+            .verify(honest.clone())
+            .expect("an honest claim verifies");
+        let queue = Arc::clone(&coalescer.queues.lock().unwrap()[&id]);
+
+        // take the one drainer slot, so the honest claim parks in the queue
+        queue.state.lock().unwrap().drainers = 1;
+        let parked = verify_elsewhere(&coalescer, honest.clone());
+        while queue.state.lock().unwrap().pending.is_empty() {
+            std::thread::yield_now();
+        }
+        // the slot's holder now drains a batch of two: the parked claim and
+        // one that panics the kernel
+        let (tx, doomed) = mpsc::channel();
+        let claim = kernel_panicking_claim(&honest);
+        queue
+            .state
+            .lock()
+            .unwrap()
+            .pending
+            .push_back(Pending { claim, tx });
+        let drainer = {
+            let (coalescer, queue) = (Arc::clone(&coalescer), Arc::clone(&queue));
+            std::thread::spawn(move || coalescer.drain(&queue))
+        };
+        assert!(drainer.join().is_err(), "the drainer survived the batch");
+
+        let verdict = parked
+            .recv_timeout(DEADLINE)
+            .expect("the batch-mate is stranded");
+        assert!(
+            matches!(verdict, Err(ZkrownnError::Internal(_))),
+            "{verdict:?}"
+        );
+        assert!(doomed.recv().is_err(), "the panicking claim got a verdict");
+        assert_eq!(drainers(&coalescer, id), 0);
+        coalescer
+            .verify(honest)
+            .expect("the circuit still verifies");
     }
 
     #[test]

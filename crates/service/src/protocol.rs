@@ -196,7 +196,9 @@ impl Status {
             E::StatementMismatch => Self::StatementMismatch,
             E::CircuitMismatch { .. } => Self::CircuitMismatch,
             E::UnknownCircuit(_) => Self::UnknownCircuit,
-            E::UnsatisfiedCircuit(_) | E::Synthesis(_) | E::Store(_) => Self::Internal,
+            E::UnsatisfiedCircuit(_) | E::Synthesis(_) | E::Store(_) | E::Internal(_) => {
+                Self::Internal
+            }
         }
     }
 }

@@ -418,6 +418,50 @@ fn coalescer_verdicts_match_the_equivalence_table() {
     );
 }
 
+/// A checksummed claim whose statement cannot be synthesized — 150 bytes
+/// from anyone, naming a registered circuit — used to decode, reach the
+/// verdict kernel and kill the worker holding it (the pool is fixed, and
+/// the circuit lost a drainer slot each time). Over the socket every row
+/// of the hand-broken table is now `MalformedClaim`, on one connection
+/// that stays usable and in front of a circuit that still verifies.
+#[test]
+fn unsynthesizable_claims_are_malformed_and_cost_the_daemon_nothing() {
+    let corpus = verdict_corpus::corpus();
+    let honest = corpus.cases.iter().find(|c| c.name == "honest").unwrap();
+    let registry = Arc::new(LedgeredRegistry::new());
+    registry.register_kit(&corpus.disputed);
+    let workers = 2;
+    let config = ServerConfig {
+        workers,
+        ..test_config()
+    };
+    let handle = serve(config, registry).expect("bind");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+
+    let table = verdict_corpus::unsynthesizable(&honest.claim);
+    assert!(
+        table.len() > workers,
+        "enough to empty the pool, were they fatal"
+    );
+    for (name, claim) in &table {
+        let response = client.verify(claim).expect("the connection survives");
+        assert_eq!(response.status, Status::MalformedClaim, "{name}");
+    }
+    let response = client
+        .verify(&honest.claim)
+        .expect("the connection survives");
+    assert_eq!(response.status, Status::Ok, "{}", response.text());
+
+    let snapshot = handle.metrics().snapshot();
+    assert_eq!(snapshot.latency_count(), table.len() as u64 + 1);
+    assert_eq!(
+        snapshot.batches, 1,
+        "only the honest claim reached the kernel"
+    );
+    handle.shutdown();
+    join_within(handle, Duration::from_secs(10));
+}
+
 /// Graceful drain: a frame already in flight when shutdown is requested
 /// is read to completion, dispatched, and answered before the worker
 /// exits — the peer sees a verdict, not a cut connection.

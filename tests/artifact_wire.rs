@@ -10,6 +10,7 @@ use zkrownn::{
 };
 use zkrownn_curves::{G1Affine, G1Projective, G2Affine, G2Projective};
 use zkrownn_ff::{Field, Fr};
+use zkrownn_gadgets::conv::ConvShape;
 use zkrownn_gadgets::FixedConfig;
 use zkrownn_groth16::{Proof, ProvingKey, VerifyingKey};
 
@@ -52,12 +53,99 @@ fn arb_statement() -> impl Strategy<Value = OwnershipStatement> {
                 },
                 num_triggers,
                 signature_bits,
-                max_errors: rng.gen_range(0u64..8),
+                max_errors: rng.gen_range(0..=signature_bits as u64),
                 fold_average: rng.gen(),
                 cfg,
             }
         },
     )
+}
+
+/// A statement whose fields were drawn with little regard for each other:
+/// dimensions 0–6, any layer kinds in any order, fixed-point fields 0–40.
+/// Parameter vectors are the size their layer's shape says (the wire
+/// format cannot express anything else). Half the layers are made to fit
+/// the one before and half the configurations are the default, so that
+/// well-formed statements turn up too.
+fn arb_unchecked_statement() -> impl Strategy<Value = OwnershipStatement> {
+    any::<u64>().prop_map(|seed| {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let input_len = rng.gen_range(0usize..=6);
+        let mut fits = Some(input_len); // what the next layer should take
+        let mut layers = Vec::new();
+        for _ in 0..rng.gen_range(0..=3) {
+            let fit = fits.filter(|_| rng.gen());
+            let dim = |rng: &mut rand::rngs::StdRng| rng.gen_range(0usize..=6);
+            // a volume c·h·w that is `len`, when asked to fit
+            let volume = |rng: &mut rand::rngs::StdRng| match fit {
+                Some(len) if len % 2 == 0 && rng.gen() => (2, len / 2, 1),
+                Some(len) => (1, 1, len),
+                None => (dim(rng) % 3, dim(rng), dim(rng)),
+            };
+            let layer = match rng.gen_range(0..5) {
+                0 => {
+                    let (in_dim, out_dim) = (fit.unwrap_or_else(|| dim(&mut rng)), dim(&mut rng));
+                    QuantLayer::Dense {
+                        in_dim,
+                        out_dim,
+                        w: vec![1; in_dim * out_dim],
+                        b: vec![1; out_dim],
+                    }
+                }
+                1 => QuantLayer::ReLU,
+                2 => QuantLayer::Identity,
+                3 => {
+                    let (channels, height, width) = volume(&mut rng);
+                    QuantLayer::MaxPool {
+                        channels,
+                        height,
+                        width,
+                        size: rng.gen_range(0..=2),
+                        stride: rng.gen_range(0..=2),
+                    }
+                }
+                _ => {
+                    let (in_channels, height, width) = volume(&mut rng);
+                    let shape = ConvShape {
+                        in_channels,
+                        height,
+                        width,
+                        out_channels: rng.gen_range(0..=2),
+                        kernel: rng.gen_range(0..=2),
+                        stride: rng.gen_range(0..=2),
+                    };
+                    QuantLayer::Conv {
+                        shape,
+                        w: vec![1; shape.out_channels * in_channels * shape.kernel * shape.kernel],
+                        b: vec![1; shape.out_channels],
+                    }
+                }
+            };
+            fits = fits.and_then(|len| layer.checked_out_len(len));
+            layers.push(layer);
+        }
+        let cfg = if rng.gen() {
+            FixedConfig::default()
+        } else {
+            FixedConfig {
+                frac_bits: rng.gen_range(0..=40),
+                sigmoid_frac_bits: rng.gen_range(0..=40),
+                int_bits: rng.gen_range(0..=40),
+            }
+        };
+        OwnershipStatement {
+            model: QuantizedModel {
+                layers,
+                input_len,
+                cfg,
+            },
+            num_triggers: rng.gen_range(0..=3),
+            signature_bits: rng.gen_range(0..=4),
+            max_errors: rng.gen_range(0..=5),
+            fold_average: rng.gen(),
+            cfg,
+        }
+    })
 }
 
 fn arb_proof() -> impl Strategy<Value = Proof> {
@@ -348,4 +436,22 @@ fn sha256_matches_known_vectors() {
     let long =
         zkrownn::artifact::sha256(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq");
     assert_eq!(long[..4], [0x24, 0x8d, 0x6a, 0x61]);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// Decoding is the gate in front of the shape synthesis every verifier
+    /// runs next (`circuit_id`), and that synthesis asserts its shape
+    /// preconditions: whatever decodes must synthesize. Never a panic.
+    #[test]
+    fn a_statement_that_decodes_can_be_synthesized(stmt in arb_unchecked_statement()) {
+        match OwnershipStatement::from_bytes(&stmt.to_bytes()) {
+            Err(e) => prop_assert!(matches!(e, WireError::Malformed(_)), "{e:?}"),
+            Ok(decoded) => {
+                let id = std::panic::catch_unwind(|| decoded.circuit_id());
+                prop_assert!(id.is_ok(), "decoded, then panicked in synthesis: {stmt:?}");
+            }
+        }
+    }
 }

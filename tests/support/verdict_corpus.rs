@@ -18,6 +18,7 @@ use zkrownn::{
     Authority, CircuitId, ExtractionSpec, ProverKit, QuantLayer, QuantizedModel, SignedClaim,
     VerifierKit, ZkrownnError,
 };
+use zkrownn_gadgets::conv::ConvShape;
 use zkrownn_gadgets::FixedConfig;
 
 /// The error class an entry point answered with.
@@ -169,4 +170,71 @@ pub fn corpus() -> Corpus {
         bystander,
         cases,
     }
+}
+
+/// Hand-broken copies of `honest` (the corpus's two-input `Dense 2→2`,
+/// `ReLU` claim): each still serializes, still checksums and still names
+/// the registered circuit, but describes a circuit that cannot be
+/// synthesized — fields that are each fine on their own and do not fit
+/// *together*. A decoder that lets one through hands the verdict kernel a
+/// panic (`feed_forward_layers`' shape asserts, a gadget's width limit, a
+/// division by a zero stride), so every decoder must answer `Malformed`.
+pub fn unsynthesizable(honest: &SignedClaim) -> Vec<(&'static str, SignedClaim)> {
+    let broken = |name, edit: &dyn Fn(&mut zkrownn::OwnershipStatement)| {
+        let mut claim = honest.clone();
+        edit(&mut claim.statement);
+        (name, claim)
+    };
+    let conv = |kernel, stride| QuantLayer::Conv {
+        shape: ConvShape {
+            in_channels: 2,
+            height: 1,
+            width: 1,
+            out_channels: 1,
+            kernel,
+            stride,
+        },
+        w: vec![0; 2 * kernel * kernel],
+        b: vec![0],
+    };
+    vec![
+        broken("input_len off by one", &|s| s.model.input_len += 1),
+        broken("dense chain mismatch", &|s| {
+            s.model.layers.push(QuantLayer::Dense {
+                in_dim: 3,
+                out_dim: 1,
+                w: vec![0; 3],
+                b: vec![0],
+            })
+        }),
+        broken("conv kernel > height", &|s| {
+            s.model.layers = vec![conv(2, 1)]
+        }),
+        broken("conv stride 0", &|s| s.model.layers = vec![conv(1, 0)]),
+        broken("pool window > width", &|s| {
+            s.model.layers.push(QuantLayer::MaxPool {
+                channels: 1,
+                height: 2,
+                width: 1,
+                size: 2,
+                stride: 1,
+            })
+        }),
+        broken("zero-width layer", &|s| {
+            s.model.layers.push(QuantLayer::Dense {
+                in_dim: 2,
+                out_dim: 0,
+                w: vec![],
+                b: vec![],
+            })
+        }),
+        broken("frac_bits = 0", &|s| s.cfg.frac_bits = 0),
+        broken("sigmoid scale below the tensor scale", &|s| {
+            s.cfg.sigmoid_frac_bits = s.cfg.frac_bits
+        }),
+        broken("values too wide", &|s| s.cfg.int_bits = 100),
+        broken("max_errors > N", &|s| s.max_errors = 5),
+        broken("no triggers", &|s| s.num_triggers = 0),
+        broken("no signature bits", &|s| s.signature_bits = 0),
+    ]
 }

@@ -10,8 +10,8 @@
 mod verdict_corpus;
 
 use rand::{Rng, SeedableRng};
-use verdict_corpus::{corpus, Case, Class, Column};
-use zkrownn::{Artifact, KeyRegistry, SignedClaim, VerifierKit, ZkrownnError};
+use verdict_corpus::{corpus, unsynthesizable, Case, Class, Column};
+use zkrownn::{Artifact, KeyRegistry, SignedClaim, VerifierKit, WireError, ZkrownnError};
 use zkrownn_verifier::{zkrownn_verify, VerifyError};
 
 /// Maps the byte-level verifier's error back onto the library's classes.
@@ -129,4 +129,38 @@ fn every_entry_point_answers_the_table() {
         &registry.verify_batch(&claims, &mut rng),
     );
     assert_eq!(registry.preparations(), 2);
+}
+
+/// A claim whose statement cannot be synthesized is a *decode* error at
+/// every byte-level entry point — never a verdict, never a panic in the
+/// shape synthesis a verifier runs next (which is where each of these
+/// used to land: they decoded field by field).
+#[test]
+fn unsynthesizable_statements_do_not_decode() {
+    let corpus = corpus();
+    let honest = corpus.cases.iter().find(|c| c.name == "honest").unwrap();
+    let vk_bytes = Artifact::to_bytes(corpus.disputed.verifying_key());
+    let statement_bytes = Artifact::to_bytes(&honest.claim.statement);
+    for (name, claim) in unsynthesizable(&honest.claim) {
+        let decoded = SignedClaim::from_bytes(&claim.to_bytes());
+        assert!(
+            matches!(decoded, Err(WireError::Malformed(_))),
+            "{name}: {decoded:?}"
+        );
+        // the third party: as the claim, and as its own trust anchor
+        let as_claim = zkrownn_verify(&vk_bytes, &statement_bytes, &claim.to_bytes());
+        assert!(
+            matches!(as_claim, Err(VerifyError::Claim(WireError::Malformed(_)))),
+            "{name}: {as_claim:?}"
+        );
+        let own_statement = Artifact::to_bytes(&claim.statement);
+        let as_anchor = zkrownn_verify(&vk_bytes, &own_statement, &claim.to_bytes());
+        assert!(
+            matches!(
+                as_anchor,
+                Err(VerifyError::Statement(WireError::Malformed(_)))
+            ),
+            "{name}: {as_anchor:?}"
+        );
+    }
 }
