@@ -881,15 +881,23 @@ mod tests {
     #[test]
     fn quick_rows_setup_mode_agrees_with_proving_mode() {
         use zkrownn_r1cs::SetupSynthesizer;
-        for name in ["ber", "relu", "hardthreshold"] {
+        for name in ["ber", "relu", "hardthreshold", "mnist-mlp", "cifar-cnn"] {
             let circuit = row_circuit(name, Scale::Quick);
             let mut setup = SetupSynthesizer::<Fr>::new();
             circuit.synthesize(&mut setup).unwrap();
-            let cs = build_row(name, Scale::Quick);
-            assert_eq!(setup.num_constraints(), cs.num_constraints(), "row {name}");
+            let mut cs = ProvingSynthesizer::<Fr>::new();
+            circuit.synthesize(&mut cs).unwrap();
+            // the matrices the prover lowers are the ones the keys were
+            // made from, entry for entry — setup's are pinned through the
+            // golden `CircuitId`s, the prover's only through this
+            let (proved, keyed) = (cs.to_matrices(), setup.to_matrices());
             assert_eq!(
-                setup.num_witness_variables(),
-                cs.num_witness_variables(),
+                (proved.num_instance, proved.num_witness),
+                (keyed.num_instance, keyed.num_witness),
+                "row {name}"
+            );
+            assert!(
+                proved.a == keyed.a && proved.b == keyed.b && proved.c == keyed.c,
                 "row {name}"
             );
         }

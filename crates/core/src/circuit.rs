@@ -131,8 +131,8 @@ pub(crate) fn feed_forward_layers<CS: ConstraintSystem<Fr>>(
                 let b = &bias_nums[li];
                 (0..*out_dim)
                     .map(|o| {
-                        let row: Vec<Num> = w[o * in_dim..(o + 1) * in_dim].to_vec();
-                        let acc = Num::inner_product(&row, &act, cs)?.add(&b[o].shl(f));
+                        let row = &w[o * in_dim..(o + 1) * in_dim];
+                        let acc = Num::inner_product(row, &act, cs)?.add(&b[o].shl(f));
                         let mut out = truncate(&acc, f, cs)?;
                         out.bits = out.bits.min(act_bits);
                         Ok(out)
@@ -404,13 +404,13 @@ impl Circuit<Fr> for ExtractionCircuit<'_> {
         // -- zkFeedForward until l_wm, per trigger ------------------------
         let mut ff = cs.ns("feed-forward");
         let mut activations: Vec<Vec<Num>> = Vec::with_capacity(trigger_nums.len());
-        for trig in &trigger_nums {
+        for trig in trigger_nums {
             activations.push(feed_forward_layers(
                 self.model,
                 &self.cfg,
                 &weight_nums,
                 &bias_nums,
-                trig.clone(),
+                trig,
                 &mut ff,
             )?);
         }
@@ -421,10 +421,7 @@ impl Circuit<Fr> for ExtractionCircuit<'_> {
         let mu: Vec<Num> = if self.fold_average {
             // raw sums; the 1/T is inside the projection matrix
             (0..m)
-                .map(|j| {
-                    let terms: Vec<Num> = activations.iter().map(|a| a[j].clone()).collect();
-                    Num::sum(&terms)
-                })
+                .map(|j| Num::sum(activations.iter().map(|a| &a[j])))
                 .collect()
         } else {
             average_rows(&activations, &mut cs.ns("average"))?
@@ -447,8 +444,8 @@ impl Circuit<Fr> for ExtractionCircuit<'_> {
             .collect::<Result<_, _>>()?;
         let projections: Vec<Num> = (0..n)
             .map(|j| {
-                let col: Vec<Num> = (0..m).map(|i| proj_nums[i * n + j].clone()).collect();
-                let acc = Num::inner_product(&mu, &col, &mut proj_ns)?;
+                let col = (0..m).map(|i| &proj_nums[i * n + j]);
+                let acc = Num::inner_product(&mu, col, &mut proj_ns)?;
                 let mut out = truncate(&acc, f, &mut proj_ns)?;
                 out.bits = out.bits.min(act_bits);
                 Ok(out)

@@ -23,10 +23,7 @@ pub fn average_rows<CS: ConstraintSystem<Fr>>(
     );
     let n = rows.len() as u64;
     (0..width)
-        .map(|j| {
-            let terms: Vec<Num> = rows.iter().map(|row| row[j].clone()).collect();
-            div_by_const(&Num::sum(&terms), n, cs)
-        })
+        .map(|j| div_by_const(&Num::sum(rows.iter().map(|row| &row[j])), n, cs))
         .collect()
 }
 
@@ -70,6 +67,7 @@ pub fn average_reference(entries: &[i128], rows: usize, cols: usize) -> Vec<i128
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alloc::vec;
     use rand::Rng;
     use rand::SeedableRng;
     use zkrownn_r1cs::ProvingSynthesizer;

@@ -18,10 +18,12 @@ pub fn bit_errors<CS: ConstraintSystem<Fr>>(
     cs: &mut CS,
 ) -> Result<Num, SynthesisError> {
     assert_eq!(a.len(), b.len(), "signature length mismatch");
-    let mut sum = Num::zero();
-    for (x, y) in a.iter().zip(b.iter()) {
-        sum = sum.add(&x.xor(y, cs)?.num);
-    }
+    let flips: Vec<Bit> = a
+        .iter()
+        .zip(b)
+        .map(|(x, y)| x.xor(y, cs))
+        .collect::<Result<_, _>>()?;
+    let mut sum = Num::sum(flips.iter().map(|flip| &flip.num));
     sum.bits = usize::BITS - a.len().leading_zeros() + 1;
     Ok(sum)
 }
@@ -73,6 +75,7 @@ pub fn ber_reference(wm: &[bool], extracted: &[bool]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alloc::vec;
     use rand::Rng;
     use rand::SeedableRng;
     use zkrownn_r1cs::ProvingSynthesizer;

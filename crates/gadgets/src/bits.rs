@@ -152,17 +152,20 @@ pub fn to_bits<CS: ConstraintSystem<Fr>>(
         v
     });
     let mut bits = Vec::with_capacity(n as usize);
-    let mut recompose = LinearCombination::<Fr>::zero();
+    // Σ 2^i·bᵢ − num, built in one buffer; `num` goes first because its
+    // variables were allocated before the bits and so sort before them
+    let mut recompose = LinearCombination::<Fr>::with_capacity(num.lc.terms().len() + n as usize);
+    recompose -= &num.lc;
     let mut weight = Fr::one();
     for i in 0..n {
         let bit = Bit::alloc(cs, || Ok((assignment(v)? >> i) & 1 == 1))?;
-        recompose = recompose + bit.num.lc.clone().scale(weight);
+        recompose.add_scaled(&bit.num.lc, weight);
         weight = weight.double();
         bits.push(bit);
     }
     // Σ 2^i·bᵢ == num
     cs.enforce(
-        recompose - num.lc.clone(),
+        recompose,
         LinearCombination::constant(Fr::one()),
         LinearCombination::zero(),
     );
@@ -171,14 +174,19 @@ pub fn to_bits<CS: ConstraintSystem<Fr>>(
 
 /// Packs little-endian bits back into a `Num` (free; pure LC manipulation).
 pub fn from_bits(bits: &[Bit]) -> Num {
-    let mut acc = Num::zero();
+    let mut lc = LinearCombination::with_capacity(bits.len());
+    let mut value = Some(Fr::zero());
     let mut weight = Fr::one();
     for b in bits {
-        acc = acc.add(&b.num.mul_constant(weight, 0).clone());
+        lc.add_scaled(&b.num.lc, weight);
+        value = value.zip(b.num.value).map(|(acc, v)| acc + v * weight);
         weight = weight.double();
     }
-    acc.bits = bits.len() as u32;
-    acc
+    Num {
+        lc,
+        value,
+        bits: bits.len() as u32,
+    }
 }
 
 #[cfg(test)]

@@ -36,6 +36,23 @@ pub fn is_lt<CS: ConstraintSystem<Fr>>(
     is_negative(&a.sub(b), cs)
 }
 
+/// Enforces `x − q·d − r == 0`, the recomposition both division gadgets
+/// end on. `x` may be a long sum (a whole inner product), so the left-hand
+/// side is assembled in one buffer of the right size, not by chaining `-`
+/// over clones.
+fn enforce_division<CS: ConstraintSystem<Fr>>(x: &Num, q: &Num, d: Fr, r: &Num, cs: &mut CS) {
+    let len = x.lc.terms().len() + q.lc.terms().len() + r.lc.terms().len();
+    let mut recompose = LinearCombination::with_capacity(len);
+    recompose += &x.lc;
+    recompose.add_scaled(&q.lc, -d);
+    recompose -= &r.lc;
+    cs.enforce(
+        recompose,
+        LinearCombination::constant(Fr::one()),
+        LinearCombination::zero(),
+    );
+}
+
 /// Floor-divides a signed value by `2^k` (fixed-point truncation).
 ///
 /// Constrains `x = q·2^k + r` with `r ∈ [0, 2^k)` and `q` range-checked to
@@ -67,12 +84,7 @@ pub fn truncate<CS: ConstraintSystem<Fr>>(
     q_shifted.bits = q_bits + 1;
     let _ = to_bits(&q_shifted, q_bits + 1, cs)?;
     // recomposition: x − q·2^k − r == 0
-    let recompose = x.lc.clone() - q.lc.clone().scale(Fr::from_u128(1u128 << k)) - r.lc.clone();
-    cs.enforce(
-        recompose,
-        LinearCombination::constant(Fr::one()),
-        LinearCombination::zero(),
-    );
+    enforce_division(x, &q, Fr::from_u128(1u128 << k), &r, cs);
     Ok(q)
 }
 
@@ -112,12 +124,7 @@ pub fn div_by_const<CS: ConstraintSystem<Fr>>(
     q_shifted.bits = q_bits + 1;
     let _ = to_bits(&q_shifted, q_bits + 1, cs)?;
     // x − q·d − r == 0
-    let recompose = x.lc.clone() - q.lc.clone().scale(Fr::from_u64(d)) - r.lc.clone();
-    cs.enforce(
-        recompose,
-        LinearCombination::constant(Fr::one()),
-        LinearCombination::zero(),
-    );
+    enforce_division(x, &q, Fr::from_u64(d), &r, cs);
     Ok(q)
 }
 
@@ -138,11 +145,7 @@ pub fn enforce_argmax<CS: ConstraintSystem<Fr>>(
         }
         let ge = is_ge(&vals[k], v, cs)?;
         // ge must be 1
-        cs.enforce(
-            ge.num.lc.clone() - LinearCombination::constant(Fr::one()),
-            LinearCombination::constant(Fr::one()),
-            LinearCombination::zero(),
-        );
+        ge.num.enforce_equal(&Num::constant(Fr::one()), cs);
     }
     Ok(())
 }
@@ -151,6 +154,7 @@ pub fn enforce_argmax<CS: ConstraintSystem<Fr>>(
 mod tests {
     use super::*;
     use crate::fixed::{floor_div, floor_div_pow2};
+    use alloc::vec::Vec;
     use zkrownn_r1cs::ProvingSynthesizer;
 
     fn num(cs: &mut ProvingSynthesizer<Fr>, v: i128, bits: u32) -> Num {

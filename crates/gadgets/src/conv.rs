@@ -68,26 +68,24 @@ pub fn conv3d<CS: ConstraintSystem<Fr>>(
     assert_eq!(input.len(), shape.in_len(), "input length mismatch");
     assert_eq!(kernels.len(), shape.kernel_len(), "kernel length mismatch");
     let (oh, ow) = (shape.out_height(), shape.out_width());
+    let k = shape.kernel;
     let mut out = Vec::with_capacity(shape.out_len());
     for oc in 0..shape.out_channels {
         let kern = &kernels[oc * shape.patch_len()..(oc + 1) * shape.patch_len()];
         for y in 0..oh {
             for x in 0..ow {
-                // gather the im2col patch (flattening, as in the paper)
-                let mut patch = Vec::with_capacity(shape.patch_len());
-                for c in 0..shape.in_channels {
-                    for ky in 0..shape.kernel {
-                        for kx in 0..shape.kernel {
-                            let iy = y * shape.stride + ky;
-                            let ix = x * shape.stride + kx;
-                            patch.push(
-                                input[c * shape.height * shape.width + iy * shape.width + ix]
-                                    .clone(),
-                            );
-                        }
-                    }
-                }
-                out.push(Num::inner_product(&patch, kern, cs)?);
+                // the im2col patch (flattening, as in the paper), as a view
+                // into `input`: element `i` of the patch is channel
+                // `i / k²`, row `i / k mod k`, column `i mod k`
+                let patch = (0..shape.patch_len()).map(|i| {
+                    let (c, iy, ix) = (
+                        i / (k * k),
+                        y * shape.stride + i / k % k,
+                        x * shape.stride + i % k,
+                    );
+                    &input[(c * shape.height + iy) * shape.width + ix]
+                });
+                out.push(Num::inner_product(patch, kern, cs)?);
             }
         }
     }
@@ -151,6 +149,7 @@ pub fn conv3d_reference(input: &[i128], kernels: &[i128], shape: &ConvShape) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alloc::vec;
     use rand::Rng;
     use rand::SeedableRng;
     use zkrownn_r1cs::{CountingSynthesizer, ProvingSynthesizer};

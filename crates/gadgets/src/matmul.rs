@@ -77,9 +77,9 @@ pub fn matmul<CS: ConstraintSystem<Fr>>(
     let mut out = Vec::with_capacity(a.rows * b.cols);
     for i in 0..a.rows {
         for j in 0..b.cols {
-            let row: Vec<Num> = (0..a.cols).map(|k| a.at(i, k).clone()).collect();
-            let col: Vec<Num> = (0..b.rows).map(|k| b.at(k, j).clone()).collect();
-            out.push(Num::inner_product(&row, &col, cs)?);
+            let row = &a.data[i * a.cols..(i + 1) * a.cols];
+            let col = (0..b.rows).map(|k| b.at(k, j));
+            out.push(Num::inner_product(row, col, cs)?);
         }
     }
     Ok(NumMatrix::new(a.rows, b.cols, out))

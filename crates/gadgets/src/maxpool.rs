@@ -22,14 +22,15 @@ pub fn max<CS: ConstraintSystem<Fr>>(a: &Num, b: &Num, cs: &mut CS) -> Result<Nu
     Ok(out)
 }
 
-/// `max` over a non-empty slice.
-pub fn max_many<CS: ConstraintSystem<Fr>>(
-    vals: &[Num],
+/// `max` over a non-empty sequence of borrowed values (a slice, or a view
+/// into a larger buffer).
+pub fn max_many<'a, CS: ConstraintSystem<Fr>>(
+    vals: impl IntoIterator<Item = &'a Num>,
     cs: &mut CS,
 ) -> Result<Num, SynthesisError> {
-    assert!(!vals.is_empty(), "max of empty slice");
-    let mut acc = vals[0].clone();
-    for v in &vals[1..] {
+    let mut vals = vals.into_iter();
+    let mut acc = vals.next().expect("max of empty slice").clone();
+    for v in vals {
         acc = max(&acc, v, cs)?;
     }
     Ok(acc)
@@ -59,15 +60,12 @@ pub fn maxpool2d<CS: ConstraintSystem<Fr>>(
     for c in 0..channels {
         for oy in 0..oh {
             for ox in 0..ow {
-                let mut window = Vec::with_capacity(size * size);
-                for ky in 0..size {
-                    for kx in 0..size {
-                        let iy = oy * stride + ky;
-                        let ix = ox * stride + kx;
-                        window.push(input[(c * height + iy) * width + ix].clone());
-                    }
-                }
-                out.push(max_many(&window, cs)?);
+                // the window, row-major, as a view into `input`
+                let window = (0..size * size).map(|i| {
+                    let (iy, ix) = (oy * stride + i / size, ox * stride + i % size);
+                    &input[(c * height + iy) * width + ix]
+                });
+                out.push(max_many(window, cs)?);
             }
         }
     }
@@ -107,6 +105,7 @@ pub fn maxpool2d_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alloc::vec;
     use zkrownn_ff::PrimeField;
     use zkrownn_r1cs::ProvingSynthesizer;
 

@@ -7,6 +7,22 @@
 //! to size their bit decompositions. Linear operations are free (pure LC
 //! manipulation); multiplication allocates one witness and one constraint.
 //!
+//! "Free" is about constraints. About memory: a `Num` owns its
+//! combination, and a combination of one term — a fresh allocation, a
+//! product, a truncation's quotient: almost every `Num` a circuit holds —
+//! lives inline, so cloning such a `Num` copies a hundred bytes and
+//! touches no heap. The methods taking `&self` and returning a `Num`
+//! ([`Num::add`], [`Num::sub`], [`Num::mul_constant`], [`Num::shl`]) clone
+//! `self`'s combination once and extend the copy in place (the other
+//! operand is only read); [`Num::mul`], [`Num::enforce_equal`] and
+//! [`Num::expose_as_output`] clone what they hand to `enforce`, which
+//! takes its combinations by value. That is one copy per call and fine for
+//! a step — but a *loop* of `acc = acc.add(&term)` re-copies the growing
+//! sum every round. Sums go through [`Num::sum`] and
+//! [`Num::inner_product`], which take borrowed operands (any iterator of
+//! `&Num`: a slice, a strided column, an im2col patch), size the result
+//! once and accumulate in place.
+//!
 //! The bound tracking is *structural*: it depends only on how a value was
 //! built, never on the assignment, which is what keeps the synthesized
 //! constraint shape identical across setup, proving and counting drivers.
@@ -121,8 +137,10 @@ impl Num {
 
     /// Addition (free).
     pub fn add(&self, other: &Self) -> Self {
+        let mut lc = self.lc.clone();
+        lc += &other.lc;
         Self {
-            lc: self.lc.clone() + other.lc.clone(),
+            lc,
             value: self.value.zip(other.value).map(|(a, b)| a + b),
             bits: (self.bits.max(other.bits) + 1).min(MAX_BITS + 1),
         }
@@ -130,8 +148,10 @@ impl Num {
 
     /// Subtraction (free).
     pub fn sub(&self, other: &Self) -> Self {
+        let mut lc = self.lc.clone();
+        lc -= &other.lc;
         Self {
-            lc: self.lc.clone() - other.lc.clone(),
+            lc,
             value: self.value.zip(other.value).map(|(a, b)| a - b),
             bits: (self.bits.max(other.bits) + 1).min(MAX_BITS + 1),
         }
@@ -180,8 +200,10 @@ impl Num {
 
     /// Enforces `self == other` (one linear constraint).
     pub fn enforce_equal<CS: ConstraintSystem<Fr>>(&self, other: &Self, cs: &mut CS) {
+        let mut diff = self.lc.clone();
+        diff -= &other.lc;
         cs.enforce(
-            self.lc.clone() - other.lc.clone(),
+            diff,
             LinearCombination::constant(Fr::one()),
             LinearCombination::zero(),
         );
@@ -205,20 +227,24 @@ impl Num {
 
     /// Sum of many values with a *tight* magnitude bound
     /// (`max(bits) + ⌈log₂ n⌉` instead of `max(bits) + n` from chained
-    /// [`Num::add`]). Free — pure linear-combination concatenation.
-    pub fn sum(terms: &[Self]) -> Self {
-        if terms.is_empty() {
-            return Self::zero();
-        }
-        let mut lc = LinearCombination::zero();
+    /// [`Num::add`]). Free — pure linear-combination concatenation, into
+    /// one buffer, over operands that are only borrowed.
+    pub fn sum<'a>(terms: impl IntoIterator<Item = &'a Self>) -> Self {
+        let terms = terms.into_iter();
+        let mut lc = LinearCombination::with_capacity(terms.size_hint().0);
         let mut value = Some(Fr::zero());
         let mut max_bits = 0u32;
+        let mut n = 0usize;
         for t in terms {
-            lc = lc + t.lc.clone();
+            lc += &t.lc;
             value = value.zip(t.value).map(|(a, b)| a + b);
             max_bits = max_bits.max(t.bits);
+            n += 1;
         }
-        let log_n = usize::BITS - (terms.len() - 1).leading_zeros();
+        if n == 0 {
+            return Self::zero();
+        }
+        let log_n = usize::BITS - (n - 1).leading_zeros();
         Self {
             lc,
             value,
@@ -226,37 +252,50 @@ impl Num {
         }
     }
 
-    /// Inner product `Σ aᵢ·bᵢ` (one constraint per term).
+    /// Inner product `Σ aᵢ·bᵢ` (one constraint per term). The operands
+    /// are borrowed — pass slices, or an index view over a larger buffer
+    /// (a matrix column, a convolution patch) rather than a gathered copy
+    /// — and the sum of products is accumulated in place.
     ///
     /// # Panics
-    /// Panics if the slices have different lengths or are empty.
-    pub fn inner_product<CS: ConstraintSystem<Fr>>(
-        a: &[Self],
-        b: &[Self],
+    /// Panics if the operands have different lengths or are empty.
+    pub fn inner_product<'a, CS: ConstraintSystem<Fr>>(
+        a: impl IntoIterator<Item = &'a Self>,
+        b: impl IntoIterator<Item = &'a Self>,
         cs: &mut CS,
     ) -> Result<Self, SynthesisError> {
-        assert_eq!(a.len(), b.len(), "inner product arity mismatch");
-        assert!(!a.is_empty(), "empty inner product");
-        let mut acc = Num::zero();
-        for (x, y) in a.iter().zip(b.iter()) {
-            acc = acc.add(&x.mul(y, cs)?);
+        let (mut a, mut b) = (a.into_iter(), b.into_iter());
+        let mut lc = LinearCombination::with_capacity(a.size_hint().0);
+        let mut value = Some(Fr::zero());
+        let mut term_bits = 0u32;
+        let mut n = 0usize;
+        loop {
+            let (x, y) = match (a.next(), b.next()) {
+                (Some(x), Some(y)) => (x, y),
+                (None, None) => break,
+                _ => panic!("inner product arity mismatch"),
+            };
+            let product = x.mul(y, cs)?;
+            lc += &product.lc;
+            value = value.zip(product.value).map(|(a, b)| a + b);
+            term_bits = term_bits.max(product.bits);
+            n += 1;
         }
-        // tighten the bound: sum of n products each < 2^(ba+bb)
-        let term_bits = a
-            .iter()
-            .zip(b.iter())
-            .map(|(x, y)| x.bits + y.bits)
-            .max()
-            .unwrap();
-        let sum_bits = term_bits + (usize::BITS - a.len().leading_zeros());
-        acc.bits = sum_bits.min(MAX_BITS + 1);
-        Ok(acc)
+        assert!(n > 0, "empty inner product");
+        // tight bound: the sum of n products, each < 2^(ba+bb)
+        let sum_bits = term_bits + (usize::BITS - n.leading_zeros());
+        Ok(Self {
+            lc,
+            value,
+            bits: sum_bits.min(MAX_BITS + 1),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alloc::vec::Vec;
     use zkrownn_r1cs::{ProvingSynthesizer, SetupSynthesizer};
 
     fn wit(cs: &mut ProvingSynthesizer<Fr>, v: i128, bits: u32) -> Num {

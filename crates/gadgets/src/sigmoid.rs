@@ -156,6 +156,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(feature = "std")]
     fn polynomial_approximates_true_sigmoid_near_origin() {
         // The Chebyshev fit is good on roughly [-4, 4]
         for i in -16..=16 {

@@ -55,6 +55,7 @@ pub fn threshold_circuit<CS: ConstraintSystem<Fr>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alloc::vec;
     use zkrownn_ff::PrimeField;
     use zkrownn_r1cs::ProvingSynthesizer;
 

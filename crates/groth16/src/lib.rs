@@ -364,6 +364,48 @@ mod tests {
         assert!(verify_proofs_batch(&pvk, &[], &mut rng).is_ok());
     }
 
+    /// The first RLC coefficient is fixed at 1: a batch of one draws
+    /// nothing and is the plain check, and a bad proof is caught wherever
+    /// it sits — in the undrawn slot as surely as in a drawn one.
+    #[test]
+    fn the_first_batch_coefficient_is_one() {
+        struct Undrawn;
+        impl rand::RngCore for Undrawn {
+            fn next_u64(&mut self) -> u64 {
+                panic!("a batch of one drew an RLC coefficient")
+            }
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(141);
+        let pk = generate_parameters(&cubic(3), &mut rng).unwrap();
+        let pvk = pk.vk.prepare();
+        let inputs = prepare_inputs(&pvk, &[Fr::from_u64(3 * 3 * 3 + 3 + 5)]).unwrap();
+        let batch: Vec<(Proof, PreparedInputs)> = (0..4)
+            .map(|_| {
+                let proof = create_proof(&pk, &cubic(3), &mut rng).unwrap();
+                (proof, inputs.clone())
+            })
+            .collect();
+        let negated = |i: usize| {
+            let mut bad = batch.clone();
+            bad[i].0.a = bad[i].0.a.neg();
+            bad
+        };
+        for single in [&batch[..1], &negated(0)[..1]] {
+            assert_eq!(
+                verify_proofs_batch_prepared(&pvk, single, &mut Undrawn),
+                verify_proof_with_prepared_inputs(&pvk, &single[0].0, &single[0].1)
+            );
+        }
+        assert!(verify_proofs_batch_prepared(&pvk, &batch[..1], &mut Undrawn).is_ok());
+        assert!(verify_proofs_batch_prepared(&pvk, &batch, &mut rng).is_ok());
+        for i in [0, 2, 3] {
+            assert!(
+                verify_proofs_batch_prepared(&pvk, &negated(i), &mut rng).is_err(),
+                "negated A at {i}"
+            );
+        }
+    }
+
     #[test]
     fn deterministic_setup_is_reproducible() {
         let toxic = ToxicWaste {

@@ -140,20 +140,27 @@ pub fn verify_proofs_batch<R: rand::Rng + ?Sized>(
 /// [`verify_proofs_batch`] over pre-folded instance commitments — claims
 /// that share a statement share the (already paid) input MSM, so the
 /// marginal cost per proof is two Miller loops and two G1 scalar muls.
+///
+/// The first coefficient is fixed at 1 and the other `n − 1` are drawn —
+/// the standard form of the test: a lone bad first proof is caught with
+/// certainty, any other set of bad proofs with probability `1 − 1/r` as
+/// before. So a batch of one draws nothing, multiplies nothing, and is
+/// the plain check of [`verify_proof_with_prepared_inputs`].
 pub fn verify_proofs_batch_prepared<R: rand::Rng + ?Sized>(
     pvk: &PreparedVerifyingKey,
     batch: &[(Proof, PreparedInputs)],
     rng: &mut R,
 ) -> Result<(), VerificationError> {
     use zkrownn_ff::{Field, PrimeField};
-    if batch.is_empty() {
+    let Some(((first, first_inputs), rest)) = batch.split_first() else {
         return Ok(());
-    }
+    };
     let mut pairs = Vec::with_capacity(batch.len() + 2);
-    let mut acc_gamma = G1Projective::identity();
-    let mut acc_delta = G1Projective::identity();
-    let mut r_sum = Fr::zero();
-    for (proof, inputs) in batch {
+    pairs.push((first.a, G2Prepared::from(first.b)));
+    let mut acc_gamma = first_inputs.acc;
+    let mut acc_delta = first.c.into_projective();
+    let mut r_sum = Fr::one();
+    for (proof, inputs) in rest {
         let r = Fr::random(rng);
         r_sum += r;
         // e(r·A, B)
