@@ -890,16 +890,7 @@ mod tests {
             // the matrices the prover lowers are the ones the keys were
             // made from, entry for entry — setup's are pinned through the
             // golden `CircuitId`s, the prover's only through this
-            let (proved, keyed) = (cs.to_matrices(), setup.to_matrices());
-            assert_eq!(
-                (proved.num_instance, proved.num_witness),
-                (keyed.num_instance, keyed.num_witness),
-                "row {name}"
-            );
-            assert!(
-                proved.a == keyed.a && proved.b == keyed.b && proved.c == keyed.c,
-                "row {name}"
-            );
+            assert!(cs.to_matrices() == setup.to_matrices(), "row {name}");
         }
     }
 

@@ -105,13 +105,11 @@ pub struct BuiltCircuit {
     pub verdict: bool,
 }
 
-/// The shared zkFeedForward body: runs `act` through `model`'s layers over
-/// pre-allocated parameter `Num`s (instance-allocated for extraction,
-/// witness-allocated for verifiable inference — the split is the only
-/// difference between the two circuits' feed-forward stages). Fixed-point
-/// semantics: bias lifted by `2^f`, truncation after every Dense/Conv, with
-/// the tracked bound clamped to `act_bits`.
-pub(crate) fn feed_forward_layers<CS: ConstraintSystem<Fr>>(
+/// The zkFeedForward body: runs `act` through `model`'s layers over
+/// pre-allocated parameter `Num`s (instance-allocated — the model is
+/// public). Fixed-point semantics: bias lifted by `2^f`, truncation after
+/// every Dense/Conv, with the tracked bound clamped to `act_bits`.
+fn feed_forward_layers<CS: ConstraintSystem<Fr>>(
     model: &QuantizedModel,
     cfg: &FixedConfig,
     weight_nums: &[Vec<Num>],

@@ -115,8 +115,7 @@
 //!   group at a time;
 //! * [`prove`] — the [`OwnershipProof`] wire object;
 //! * [`mod@reference`] — bit-identical fixed-point extraction outside the
-//!   circuit; [`benchmarks`] — the Table II model zoo; [`inference`] —
-//!   verifiable ML inference (the paper's conclusion extension).
+//!   circuit; [`benchmarks`] — the Table II model zoo.
 
 #![deny(missing_docs)]
 #![cfg_attr(not(feature = "std"), no_std)]
@@ -128,7 +127,6 @@ pub mod artifact;
 pub mod benchmarks;
 pub mod circuit;
 pub mod error;
-pub mod inference;
 pub mod model;
 pub mod prove;
 pub mod reference;

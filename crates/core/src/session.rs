@@ -32,28 +32,34 @@ use zkrownn_groth16::{
 use zkrownn_r1cs::{Circuit, SetupSynthesizer};
 use zkrownn_store::{KeyStore, KeyStoreWriter, StoreBackend, StoreMeta, StoredKey};
 
-/// The one setup path: synthesize → [`CircuitId`] → [`SetupContext`] →
-/// keygen into the sink `make_sink` builds for that circuit id.
-///
-/// One witness-free synthesis serves triple duty: the lowered matrices and
-/// twiddle-table domain become a [`SetupContext`] that drives key
-/// generation and is returned so [`Authority::setup`] can convert it into
-/// the prover's cached [`ProverContext`] (one lowering, one domain build,
-/// both roles), and the streamed trace becomes the [`CircuitId`] —
-/// setup-side circuits are synthesized exactly once.
+/// The one place a circuit becomes `(id, lowered form)`: a single
+/// witness-free synthesis whose streamed trace is the [`CircuitId`] and
+/// whose matrices move, with their twiddle-table domain, into a
+/// [`SetupContext`] — which drives key generation and converts into the
+/// prover's cached [`ProverContext`].
+fn lower<C: Circuit<Fr>>(circuit: &C) -> (CircuitId, SetupContext) {
+    let mut cs = SetupSynthesizer::with_sink(TraceHasher::new());
+    circuit
+        .synthesize(&mut cs)
+        .expect("setup-mode synthesis evaluates no value closure and cannot fail");
+    let (matrices, trace) = cs.into_parts();
+    (
+        CircuitId::from_bytes(trace.finalize()),
+        SetupContext::new(matrices),
+    )
+}
+
+/// The one setup path: [`lower`] → keygen into the sink `make_sink` builds
+/// for that circuit id. The [`SetupContext`] is returned so
+/// [`Authority::setup`] can hand it on to the prover (one synthesis, one
+/// domain build, both roles).
 fn keygen_into<C: Circuit<Fr>, S: KeySink, R: rand::Rng + ?Sized>(
     circuit: &C,
     make_sink: impl FnOnce(CircuitId) -> Result<S, S::Error>,
     budget: MemoryBudget,
     rng: &mut R,
 ) -> Result<(S, CircuitId, SetupContext), S::Error> {
-    let mut cs = SetupSynthesizer::with_sink(TraceHasher::new());
-    circuit
-        .synthesize(&mut cs)
-        .expect("setup-mode synthesis evaluates no value closure and cannot fail");
-    let matrices = cs.to_matrices();
-    let id = CircuitId::from_bytes(cs.into_sink().finalize());
-    let setup_ctx = SetupContext::new(matrices);
+    let (id, setup_ctx) = lower(circuit);
     let mut sink = make_sink(id)?;
     setup_ctx.generate_into(&ToxicWaste::sample(rng), &mut sink, budget)?;
     Ok((sink, id, setup_ctx))
@@ -132,9 +138,8 @@ impl Authority {
             key: pk,
             spec: spec.clone(),
             circuit_id: verifier.circuit_id(),
-            // keygen's lowered matrices and twiddle-table domain carry
-            // straight over into the prover's cached compute state —
-            // nothing re-lowers
+            // keygen's matrices and twiddle-table domain move straight
+            // into the prover's cached compute state
             ctx: setup_ctx.into_prover_context(),
         };
         (prover, verifier)
@@ -225,19 +230,6 @@ impl<K: KeySource> ProverKit<K>
 where
     K::Error: Into<ZkrownnError>,
 {
-    /// The shared constructor tail: lowers `spec`'s circuit once into the
-    /// kit's cached [`ProverContext`].
-    fn with_key(key: K, spec: ExtractionSpec, circuit_id: CircuitId) -> Self {
-        let ctx = ProverContext::for_circuit(&spec.shape_circuit())
-            .expect("setup-mode synthesis evaluates no value closure and cannot fail");
-        Self {
-            key,
-            spec,
-            circuit_id,
-            ctx,
-        }
-    }
-
     /// The kit's cached prover compute state.
     pub fn context(&self) -> &ProverContext {
         &self.ctx
@@ -279,10 +271,16 @@ where
 impl ProverKit {
     /// Reassembles a kit from a proving key and a spec — e.g. after
     /// receiving the key bytes from an authority in another process.
-    /// Lowers the circuit once into the kit's cached [`ProverContext`].
+    /// Synthesizes the circuit once, for its id and the kit's cached
+    /// [`ProverContext`] both.
     pub fn from_parts(pk: ProvingKey, spec: ExtractionSpec) -> Self {
-        let circuit_id = spec.circuit_id();
-        Self::with_key(pk, spec, circuit_id)
+        let (circuit_id, setup_ctx) = lower(&spec.shape_circuit());
+        Self {
+            key: pk,
+            spec,
+            circuit_id,
+            ctx: setup_ctx.into_prover_context(),
+        }
     }
 
     /// The proving key (needed to persist or ship the prover role).
@@ -318,7 +316,7 @@ impl StoredProverKit {
         backend: StoreBackend,
     ) -> Result<Self, ZkrownnError> {
         let store = KeyStore::open_with(path, backend)?;
-        let circuit_id = spec.circuit_id();
+        let (circuit_id, setup_ctx) = lower(&spec.shape_circuit());
         if let Some(meta) = store.meta()? {
             if meta.circuit_id != *circuit_id.as_bytes() {
                 return Err(ZkrownnError::CircuitMismatch {
@@ -327,11 +325,12 @@ impl StoredProverKit {
                 });
             }
         }
-        Ok(Self::with_key(
-            StoredKey { store, budget },
+        Ok(Self {
+            key: StoredKey { store, budget },
             spec,
             circuit_id,
-        ))
+            ctx: setup_ctx.into_prover_context(),
+        })
     }
 
     /// The underlying key store (e.g. for [`KeyStore::verifying_key`]).

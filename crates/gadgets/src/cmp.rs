@@ -128,28 +128,6 @@ pub fn div_by_const<CS: ConstraintSystem<Fr>>(
     Ok(q)
 }
 
-/// Enforces that `vals[k]` is a maximum of `vals` (ties allowed): adds an
-/// `is_ge` check against every other element and constrains each to hold.
-/// Used by class-only verifiable inference ("the predicted class is k"
-/// without revealing the logits). Note that `k` is part of the circuit
-/// *structure* — the claimed class is a public parameter, not a witness.
-pub fn enforce_argmax<CS: ConstraintSystem<Fr>>(
-    vals: &[Num],
-    k: usize,
-    cs: &mut CS,
-) -> Result<(), SynthesisError> {
-    assert!(k < vals.len(), "argmax index out of range");
-    for (j, v) in vals.iter().enumerate() {
-        if j == k {
-            continue;
-        }
-        let ge = is_ge(&vals[k], v, cs)?;
-        // ge must be 1
-        ge.num.enforce_equal(&Num::constant(Fr::one()), cs);
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,24 +184,6 @@ mod tests {
                 assert_eq!(q.value_i128(), floor_div(v, d as i128), "v={v}, d={d}");
                 assert!(cs.is_satisfied().is_ok(), "v={v}, d={d}");
             }
-        }
-    }
-
-    #[test]
-    fn enforce_argmax_accepts_true_max_and_rejects_others() {
-        let vals = [3i128, 9, -2, 9, 0];
-        // index 1 and 3 are both maxima (ties allowed)
-        for k in [1usize, 3] {
-            let mut cs = ProvingSynthesizer::<Fr>::new();
-            let nums: Vec<Num> = vals.iter().map(|&v| num(&mut cs, v, 6)).collect();
-            enforce_argmax(&nums, k, &mut cs).unwrap();
-            assert!(cs.is_satisfied().is_ok(), "k = {k}");
-        }
-        for k in [0usize, 2, 4] {
-            let mut cs = ProvingSynthesizer::<Fr>::new();
-            let nums: Vec<Num> = vals.iter().map(|&v| num(&mut cs, v, 6)).collect();
-            enforce_argmax(&nums, k, &mut cs).unwrap();
-            assert!(cs.is_satisfied().is_err(), "k = {k}");
         }
     }
 

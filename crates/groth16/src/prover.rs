@@ -29,8 +29,8 @@ use zkrownn_r1cs::{Circuit, ProvingSynthesizer, R1csMatrices, SynthesisError};
 /// every proof: the lowered matrices, the FFT domain with its twiddle
 /// tables, and `1/Z_H(g)` (the coset vanishing constant's inverse).
 ///
-/// Rebuilding these per proof — `to_matrices()` clones every constraint,
-/// the domain pays `O(m)` table multiplications — is pure overhead for
+/// Rebuilding these per proof — `to_matrices()` copies the matrices, the
+/// domain pays `O(m)` table multiplications — is pure overhead for
 /// batch-proving workloads; a context amortizes it to zero.
 pub struct ProverContext {
     matrices: R1csMatrices<Fr>,
@@ -60,7 +60,7 @@ impl ProverContext {
     pub fn from_lowered(matrices: R1csMatrices<Fr>, domain: Radix2Domain<Fr>) -> Self {
         debug_assert_eq!(
             domain.size,
-            (matrices.a.len() + matrices.num_instance)
+            (matrices.num_constraints() + matrices.num_instance())
                 .max(1)
                 .next_power_of_two(),
             "domain does not match the matrices' QAP domain"
@@ -76,8 +76,8 @@ impl ProverContext {
         }
     }
 
-    /// Builds a context from a proving-mode synthesis (lowers its
-    /// constraints once).
+    /// Builds a context from a proving-mode synthesis (copies its
+    /// matrices once).
     pub fn for_cs(cs: &ProvingSynthesizer<Fr>) -> Self {
         Self::new(cs.to_matrices())
     }
@@ -101,6 +101,9 @@ impl ProverContext {
 
     /// Quotient-polynomial coefficients for a full assignment (see
     /// [`qap::witness_map`]); uses the cached domain and vanishing constant.
+    ///
+    /// # Panics
+    /// Panics unless `z` has one scalar per variable of the circuit.
     pub fn witness_map(&self, z: &[Fr]) -> Vec<Fr> {
         qap::witness_map_with(&self.matrices, &self.domain, self.z_inv, z)
     }
@@ -212,8 +215,8 @@ pub fn prove<S: KeySource>(
     s: Fr,
 ) -> Result<(Proof, ProverTimings), S::Error> {
     let start = Instant::now();
-    let num_instance = ctx.matrices.num_instance;
-    let num_vars = num_instance + ctx.matrices.num_witness;
+    let num_instance = ctx.matrices.num_instance();
+    let num_vars = ctx.matrices.num_variables();
     if z.len() != num_vars {
         return Err(S::assignment_mismatch(num_vars, z.len()));
     }

@@ -8,7 +8,7 @@
 
 use zkrownn_ff::{Field, Fr};
 use zkrownn_poly::Radix2Domain;
-use zkrownn_r1cs::R1csMatrices;
+use zkrownn_r1cs::{Matrix, R1csMatrices};
 
 /// The QAP view of an R1CS: per-variable polynomial evaluations at a fixed
 /// point `τ` (used only at setup). The evaluation domain itself lives with
@@ -30,7 +30,7 @@ pub struct QapEvaluations {
 /// # Panics
 /// Panics if the circuit exceeds the field's 2-adic FFT capacity (2²⁸ rows).
 pub fn qap_domain(matrices: &R1csMatrices<Fr>) -> Radix2Domain<Fr> {
-    let rows = matrices.a.len() + matrices.num_instance;
+    let rows = matrices.num_constraints() + matrices.num_instance();
     Radix2Domain::new(rows).expect("circuit too large for the BN254 scalar field FFT")
 }
 
@@ -49,18 +49,14 @@ pub fn evaluate_qap_at_with(
     domain: &Radix2Domain<Fr>,
     tau: Fr,
 ) -> QapEvaluations {
-    debug_assert!(domain.size >= matrices.a.len() + matrices.num_instance);
+    let ncons = matrices.num_constraints();
+    let num_instance = matrices.num_instance();
+    debug_assert!(domain.size >= ncons + num_instance);
     let lagrange = domain.lagrange_coefficients_at(tau);
-    let num_vars = matrices.num_instance + matrices.num_witness;
-    let ncons = matrices.a.len();
 
-    let accumulate = |rows: &[Vec<(usize, Fr)>]| -> Vec<Fr> {
-        let mut col_evals = vec![Fr::zero(); num_vars];
-        for (j, row) in rows.iter().enumerate() {
-            for (col, coeff) in row {
-                col_evals[*col] += *coeff * lagrange[j];
-            }
-        }
+    let accumulate = |matrix: Matrix<'_, Fr>| -> Vec<Fr> {
+        let mut col_evals = vec![Fr::zero(); matrices.num_variables()];
+        matrix.accumulate_columns(&lagrange, &mut col_evals);
         col_evals
     };
 
@@ -68,15 +64,15 @@ pub fn evaluate_qap_at_with(
     let mut v = Vec::new();
     let w = std::thread::scope(|scope| {
         scope.spawn(|| {
-            let mut cols = accumulate(&matrices.a);
+            let mut cols = accumulate(matrices.a());
             // instance padding rows: A[ncons + i][i] = 1
-            for i in 0..matrices.num_instance {
+            for i in 0..num_instance {
                 cols[i] += lagrange[ncons + i];
             }
             u = cols;
         });
-        scope.spawn(|| v = accumulate(&matrices.b));
-        accumulate(&matrices.c)
+        scope.spawn(|| v = accumulate(matrices.b()));
+        accumulate(matrices.c())
     });
 
     QapEvaluations {
@@ -96,6 +92,9 @@ pub fn evaluate_qap_at_with(
 /// every call; amortizing workloads should go through
 /// [`crate::ProverContext`], which caches the domain and the vanishing
 /// constant and reduces to the same kernel.
+///
+/// # Panics
+/// Panics unless `z` has one scalar per variable of the circuit.
 pub fn witness_map(matrices: &R1csMatrices<Fr>, z: &[Fr]) -> Vec<Fr> {
     let domain = qap_domain(matrices);
     let z_inv = domain
@@ -116,16 +115,21 @@ pub(crate) fn witness_map_with(
     z: &[Fr],
 ) -> Vec<Fr> {
     let m = domain.size;
-    let ncons = matrices.a.len();
-    debug_assert_eq!(z.len(), matrices.num_instance + matrices.num_witness);
+    let ncons = matrices.num_constraints();
+    let num_instance = matrices.num_instance();
+    // both public entry points land here; the kernel below would index a
+    // short `z` out of bounds on a scoped thread and never read the tail
+    // of a long one
+    assert_eq!(
+        z.len(),
+        matrices.num_variables(),
+        "assignment length mismatch"
+    );
 
-    let eval_rows = |rows: &[Vec<(usize, Fr)>]| -> Vec<Fr> {
-        let mut evals = vec![Fr::zero(); m];
-        for (j, row) in rows.iter().enumerate() {
-            evals[j] = row
-                .iter()
-                .fold(Fr::zero(), |acc, (col, coeff)| acc + z[*col] * *coeff);
-        }
+    let eval_rows = |matrix: Matrix<'_, Fr>| -> Vec<Fr> {
+        let mut evals = Vec::with_capacity(m);
+        evals.extend(matrix.row_products(z));
+        evals.resize(m, Fr::zero());
         evals
     };
     // evaluate over H, interpolate, move to the coset gH where Z ≠ 0
@@ -136,19 +140,18 @@ pub(crate) fn witness_map_with(
     let mut c_evals = Vec::new();
     std::thread::scope(|scope| {
         scope.spawn(|| {
-            let mut evals = eval_rows(&matrices.a);
+            let mut evals = eval_rows(matrices.a());
             // instance padding rows: A[ncons + i][i] = zᵢ
-            evals[ncons..ncons + matrices.num_instance]
-                .copy_from_slice(&z[..matrices.num_instance]);
+            evals[ncons..ncons + num_instance].copy_from_slice(&z[..num_instance]);
             to_coset(&mut evals);
             a_evals = evals;
         });
         scope.spawn(|| {
-            let mut evals = eval_rows(&matrices.b);
+            let mut evals = eval_rows(matrices.b());
             to_coset(&mut evals);
             b_evals = evals;
         });
-        let mut evals = eval_rows(&matrices.c);
+        let mut evals = eval_rows(matrices.c());
         to_coset(&mut evals);
         c_evals = evals;
     });
@@ -230,7 +233,7 @@ mod tests {
         let m = cs.to_matrices();
         let mut rng = rand::rngs::StdRng::seed_from_u64(122);
         let qap = evaluate_qap_at(&m, Fr::random(&mut rng));
-        for i in 0..m.num_instance {
+        for i in 0..m.num_instance() {
             assert!(!qap.u[i].is_zero(), "instance column {i}");
         }
     }
@@ -240,6 +243,6 @@ mod tests {
         let cs = sample_system();
         let m = cs.to_matrices();
         let d = qap_domain(&m);
-        assert!(d.size >= m.a.len() + m.num_instance);
+        assert!(d.size >= m.num_constraints() + m.num_instance());
     }
 }

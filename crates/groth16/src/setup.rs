@@ -308,7 +308,7 @@ impl SetupContext {
     pub fn for_circuit<C: Circuit<Fr>>(circuit: &C) -> Result<Self, SynthesisError> {
         let mut cs = SetupSynthesizer::<Fr>::new();
         circuit.synthesize(&mut cs)?;
-        Ok(Self::new(cs.to_matrices()))
+        Ok(Self::new(cs.into_parts().0))
     }
 
     /// The lowered constraint matrices.
@@ -358,15 +358,15 @@ impl SetupContext {
         // vector (the toxic elements go out separately, as the constants)
         let start = Instant::now();
         let qap = qap::evaluate_qap_at_with(&self.matrices, &self.domain, toxic.tau);
-        let num_instance = self.matrices.num_instance;
-        let num_vars = num_instance + self.matrices.num_witness;
+        let num_instance = self.matrices.num_instance();
+        let num_vars = self.matrices.num_variables();
         debug_assert_eq!(qap.u.len(), num_vars);
         let gamma_inv = toxic.gamma.inverse().expect("gamma != 0");
         let delta_inv = toxic.delta.inverse().expect("delta != 0");
         // `gamma_abc_g1` scalars — instance columns of `(β·u + α·v + w)·γ⁻¹`
         // — and `l_query` scalars — witness columns of the same over `δ`
         let mut ic_scalars = Vec::with_capacity(num_instance);
-        let mut l_scalars = Vec::with_capacity(self.matrices.num_witness);
+        let mut l_scalars = Vec::with_capacity(self.matrices.num_witness());
         for i in 0..num_vars {
             let combined = toxic.beta * qap.u[i] + toxic.alpha * qap.v[i] + qap.w[i];
             if i < num_instance {

@@ -75,7 +75,7 @@ fn cached_context_is_byte_identical_to_uncached() {
 fn context_accessors_describe_the_circuit() {
     let cs = chain_system(10, 2);
     let ctx = ProverContext::for_cs(&cs);
-    assert_eq!(ctx.matrices().a.len(), cs.num_constraints());
+    assert_eq!(ctx.matrices().num_constraints(), cs.num_constraints());
     // domain covers constraints + instance padding rows
     assert!(ctx.domain().size >= cs.num_constraints() + cs.num_instance_variables());
 }
@@ -115,4 +115,16 @@ fn in_memory_adapters_reject_a_wrong_length_assignment() {
     let mut z = cs.full_assignment();
     z.pop();
     create_proof_with_context_and_randomness(&pk, &ctx, &z, Fr::one(), Fr::one());
+}
+
+#[test]
+#[should_panic(expected = "assignment length mismatch")]
+fn the_public_witness_map_rejects_a_wrong_length_assignment() {
+    // in release too, and for a long `z` as well as a short one: past the
+    // check a short vector is an out-of-bounds index on a scoped thread
+    // and a long one's tail is never read
+    let cs = chain_system(5, 2);
+    let mut z = cs.full_assignment();
+    z.push(Fr::one());
+    ProverContext::for_cs(&cs).witness_map(&z);
 }

@@ -14,7 +14,7 @@ use zkrownn_groth16::{
     create_proof_with_context_and_randomness, generate_parameters_from_matrices, verify_proof,
     ProvingKey, SetupContext, ToxicWaste, VerifyingKey,
 };
-use zkrownn_r1cs::{ConstraintSystem, LinearCombination, ProvingSynthesizer, R1csMatrices};
+use zkrownn_r1cs::{ConstraintSystem, LinearCombination, Matrix, ProvingSynthesizer, R1csMatrices};
 
 /// A small but FFT-non-trivial system: a chain of `n` multiplications
 /// `x_{i+1} = x_i · x_i + i`, with the last value public.
@@ -62,12 +62,39 @@ fn serial_fixed_base<C: SwCurveConfig>(
         .collect()
 }
 
+/// The QAP polynomials at `τ` from their definition, a term at a time:
+/// column `i` of a matrix interpolates to `Σⱼ M[j][i]·Lⱼ(τ)`, and `A`
+/// carries one padding row per instance variable below the constraints.
+fn reference_qap(matrices: &R1csMatrices<Fr>, tau: Fr) -> qap::QapEvaluations {
+    let domain = qap::qap_domain(matrices);
+    let lagrange = domain.lagrange_coefficients_at(tau);
+    let columns = |matrix: Matrix<'_, Fr>| {
+        let mut evals = vec![Fr::zero(); matrices.num_variables()];
+        for (row, weight) in matrix.rows().zip(&lagrange) {
+            for (col, coeff) in row.iter() {
+                evals[col] += coeff * *weight;
+            }
+        }
+        evals
+    };
+    let mut u = columns(matrices.a());
+    for (i, padded) in u[..matrices.num_instance()].iter_mut().enumerate() {
+        *padded += lagrange[matrices.num_constraints() + i];
+    }
+    qap::QapEvaluations {
+        u,
+        v: columns(matrices.b()),
+        w: columns(matrices.c()),
+        zt: domain.evaluate_vanishing_polynomial(tau),
+    }
+}
+
 /// The pre-overhaul serial keygen, reconstructed from the QAP definition.
 fn reference_keygen(matrices: &R1csMatrices<Fr>, toxic: &ToxicWaste) -> ProvingKey {
     let domain = qap::qap_domain(matrices);
-    let qap = qap::evaluate_qap_at(matrices, toxic.tau);
-    let num_vars = matrices.num_instance + matrices.num_witness;
-    let ninstance = matrices.num_instance;
+    let qap = reference_qap(matrices, toxic.tau);
+    let num_vars = matrices.num_variables();
+    let ninstance = matrices.num_instance();
     let gamma_inv = toxic.gamma.inverse().unwrap();
     let delta_inv = toxic.delta.inverse().unwrap();
 

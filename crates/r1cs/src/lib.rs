@@ -83,7 +83,7 @@
 //! // …and both agree on the structure, as does the diagnostics driver.
 //! let mut count = CountingSynthesizer::<Fr>::new();
 //! Factors { n: 35, pq: None }.synthesize(&mut count)?;
-//! assert_eq!(matrices.a.len(), count.num_constraints());
+//! assert_eq!(matrices.num_constraints(), count.num_constraints());
 //! assert_eq!(prove.num_constraints(), count.num_constraints());
 //! # Ok::<(), zkrownn_r1cs::SynthesisError>(())
 //! ```
@@ -152,7 +152,7 @@ impl Variable {
 /// whose coefficient cancels to zero), so combinations built term-by-term
 /// stay normalized. `+`, `-` and the in-place forms concatenate for
 /// speed; every driver normalizes at [`ConstraintSystem::enforce`] via
-/// [`Self::compact`], so the lowered matrices are canonical either way.
+/// [`Self::compact`], so the stored matrices are canonical either way.
 #[derive(Clone)]
 pub struct LinearCombination<F: PrimeField>(Terms<F>);
 
@@ -385,57 +385,225 @@ impl<F: PrimeField> core::ops::Neg for LinearCombination<F> {
     }
 }
 
-/// One R1CS constraint `⟨a, z⟩·⟨b, z⟩ = ⟨c, z⟩`.
-#[derive(Clone, Debug)]
-pub struct Constraint<F: PrimeField> {
-    /// Left factor.
-    pub a: LinearCombination<F>,
-    /// Right factor.
-    pub b: LinearCombination<F>,
-    /// Product.
-    pub c: LinearCombination<F>,
+/// The witness half of `z = (1, instance…, witness…)`, as a bit on a stored
+/// column. A synthesizer writes a term before it knows how many instance
+/// variables there will be (the extraction circuit allocates its verdict
+/// last), so what is stored is the variable's index within its own half of
+/// `z`; a reader that wants the column adds `num_instance` to a witness
+/// index, and the kernels take `z` as its two halves and add nothing.
+const WITNESS: usize = 1 << (usize::BITS - 1);
+
+/// One sparse matrix in compressed-row form: the terms of every row back
+/// to back, and where each row stops.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct Csr<F> {
+    /// Per term, its variable: the index within its half of `z`, with
+    /// [`WITNESS`] set for the witness half.
+    cols: Vec<usize>,
+    /// Per term, its coefficient.
+    coeffs: Vec<F>,
+    /// Per row, the index one past its last term.
+    ends: Vec<usize>,
 }
 
-/// Column-indexed sparse matrices (the QAP front-end representation).
-///
-/// Columns are indices into `z = (1, instance…, witness…)`, so column 0 is
-/// the constant, columns `1..num_instance` the public inputs, and the rest
-/// the witness.
-#[derive(Clone, Debug)]
-pub struct R1csMatrices<F: PrimeField> {
-    /// Rows of the A matrix.
-    pub a: Vec<Vec<(usize, F)>>,
-    /// Rows of the B matrix.
-    pub b: Vec<Vec<(usize, F)>>,
-    /// Rows of the C matrix.
-    pub c: Vec<Vec<(usize, F)>>,
-    /// Size of the instance block (including the leading 1).
-    pub num_instance: usize,
-    /// Number of witness variables.
-    pub num_witness: usize,
-}
-
-fn lower_constraints<F: PrimeField>(
-    constraints: &[Constraint<F>],
-    num_instance: usize,
-    num_witness: usize,
-) -> R1csMatrices<F> {
-    let column = |v: Variable| -> usize {
-        match v {
+impl<F: PrimeField> Csr<F> {
+    /// Appends a compacted combination as the next row.
+    fn push_row(&mut self, lc: &LinearCombination<F>) {
+        let terms = lc.terms();
+        self.cols.extend(terms.iter().map(|(var, _)| match *var {
             Variable::One => 0,
             Variable::Instance(i) => i,
-            Variable::Witness(i) => num_instance + i,
+            Variable::Witness(i) => WITNESS | i,
+        }));
+        self.coeffs.extend(terms.iter().map(|(_, coeff)| *coeff));
+        self.ends.push(self.cols.len());
+    }
+
+    /// Row `i`: its stored columns and its coefficients.
+    fn row(&self, i: usize) -> (&[usize], &[F]) {
+        let start = i.checked_sub(1).map_or(0, |above| self.ends[above]);
+        let terms = start..self.ends[i];
+        (&self.cols[terms.clone()], &self.coeffs[terms])
+    }
+
+    /// Every row in order, as [`Self::row`] gives them.
+    fn rows(&self) -> impl Iterator<Item = (&[usize], &[F])> + '_ {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let terms = core::mem::replace(&mut start, end)..end;
+            (&self.cols[terms.clone()], &self.coeffs[terms])
+        })
+    }
+
+    /// The row·`z` kernel: `⟨row, z⟩` for every row in order, over `z`
+    /// as its two halves.
+    fn row_products<'a>(
+        &'a self,
+        instance: &'a [F],
+        witness: &'a [F],
+    ) -> impl Iterator<Item = F> + 'a {
+        self.rows().map(move |(cols, coeffs)| {
+            cols.iter()
+                .zip(coeffs)
+                .fold(F::zero(), |acc, (&col, coeff)| {
+                    let value = if col & WITNESS == 0 {
+                        instance[col]
+                    } else {
+                        witness[col ^ WITNESS]
+                    };
+                    acc + value * *coeff
+                })
+        })
+    }
+}
+
+/// The constraint matrices `A`, `B`, `C` of a circuit — the one form a
+/// constraint system is stored in: per matrix one column array, one
+/// coefficient array and one row-offset array. [`SetupSynthesizer`] and
+/// [`ProvingSynthesizer`] append to it as they `enforce`, and nothing else
+/// can build one, so every column is a variable that was allocated and the
+/// three matrices have one height.
+///
+/// Columns are indices into `z = (1, instance…, witness…)`: column 0 is
+/// the constant, columns `1..num_instance` the public inputs, and the rest
+/// the witness.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct R1csMatrices<F> {
+    store: [Csr<F>; 3],
+    num_instance: usize,
+    num_witness: usize,
+}
+
+impl<F: PrimeField> R1csMatrices<F> {
+    /// Number of constraints — the height of each matrix.
+    pub fn num_constraints(&self) -> usize {
+        self.store[0].ends.len()
+    }
+
+    /// Size of the instance block (including the leading 1).
+    pub fn num_instance(&self) -> usize {
+        self.num_instance
+    }
+
+    /// Number of witness variables.
+    pub fn num_witness(&self) -> usize {
+        self.num_witness
+    }
+
+    /// Length of `z`: the width of each matrix.
+    pub fn num_variables(&self) -> usize {
+        self.num_instance + self.num_witness
+    }
+
+    /// The `A` matrix (left factors).
+    pub fn a(&self) -> Matrix<'_, F> {
+        self.matrix(0)
+    }
+
+    /// The `B` matrix (right factors).
+    pub fn b(&self) -> Matrix<'_, F> {
+        self.matrix(1)
+    }
+
+    /// The `C` matrix (products).
+    pub fn c(&self) -> Matrix<'_, F> {
+        self.matrix(2)
+    }
+
+    fn matrix(&self, which: usize) -> Matrix<'_, F> {
+        Matrix {
+            csr: &self.store[which],
+            num_instance: self.num_instance,
         }
-    };
-    let lower = |lc: &LinearCombination<F>| -> Vec<(usize, F)> {
-        lc.terms().iter().map(|(v, c)| (column(*v), *c)).collect()
-    };
-    R1csMatrices {
-        a: constraints.iter().map(|c| lower(&c.a)).collect(),
-        b: constraints.iter().map(|c| lower(&c.b)).collect(),
-        c: constraints.iter().map(|c| lower(&c.c)).collect(),
-        num_instance,
-        num_witness,
+    }
+}
+
+/// One of the three matrices of an [`R1csMatrices`].
+#[derive(Clone, Copy, Debug)]
+pub struct Matrix<'a, F> {
+    csr: &'a Csr<F>,
+    num_instance: usize,
+}
+
+impl<'a, F: PrimeField> Matrix<'a, F> {
+    /// Row `i`.
+    ///
+    /// # Panics
+    /// Panics if there is no such row.
+    pub fn row(&self, i: usize) -> Row<'a, F> {
+        self.view(self.csr.row(i))
+    }
+
+    /// Every row, in constraint order.
+    pub fn rows(&self) -> impl Iterator<Item = Row<'a, F>> + 'a {
+        let matrix = *self;
+        matrix.csr.rows().map(move |row| matrix.view(row))
+    }
+
+    fn view(&self, (cols, coeffs): (&'a [usize], &'a [F])) -> Row<'a, F> {
+        Row {
+            cols,
+            coeffs,
+            num_instance: self.num_instance,
+        }
+    }
+
+    /// `⟨row, z⟩` for every row in order — the matrix times the full
+    /// assignment.
+    ///
+    /// # Panics
+    /// Panics if `z` is shorter than the instance block; yielding a row
+    /// panics if `z` does not reach one of its columns.
+    pub fn row_products(&self, z: &'a [F]) -> impl Iterator<Item = F> + 'a {
+        let (instance, witness) = z.split_at(self.num_instance);
+        self.csr.row_products(instance, witness)
+    }
+
+    /// `columns[col] += coeff · row_weights[row]` over every term — the
+    /// transposed matrix times a vector of row weights, added into
+    /// `columns`.
+    ///
+    /// # Panics
+    /// Panics if `columns` does not reach every column, or `row_weights`
+    /// every row.
+    pub fn accumulate_columns(&self, row_weights: &[F], columns: &mut [F]) {
+        let (instance, witness) = columns.split_at_mut(self.num_instance);
+        let row_weights = &row_weights[..self.csr.ends.len()];
+        for ((cols, coeffs), weight) in self.csr.rows().zip(row_weights) {
+            for (&col, coeff) in cols.iter().zip(coeffs) {
+                let column = if col & WITNESS == 0 {
+                    &mut instance[col]
+                } else {
+                    &mut witness[col ^ WITNESS]
+                };
+                *column += *coeff * *weight;
+            }
+        }
+    }
+}
+
+/// One row of a [`Matrix`]: a compacted linear combination, its variables
+/// lowered to columns of `z`.
+#[derive(Clone, Copy, Debug)]
+pub struct Row<'a, F> {
+    cols: &'a [usize],
+    coeffs: &'a [F],
+    num_instance: usize,
+}
+
+impl<'a, F: PrimeField> Row<'a, F> {
+    /// The terms as `(column of z, coefficient)`, in canonical order:
+    /// ascending columns, no zero coefficient.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, F)> + 'a {
+        let num_instance = self.num_instance;
+        let column = move |col: usize| match col & WITNESS {
+            0 => col,
+            _ => num_instance + (col ^ WITNESS),
+        };
+        self.cols
+            .iter()
+            .zip(self.coeffs)
+            .map(move |(&col, coeff)| (column(col), *coeff))
     }
 }
 
@@ -722,8 +890,8 @@ const PENDING_TAGS_MAX: usize = 4096;
 
 /// The digest-only setup driver: streams the canonical shape trace into a
 /// [`ShapeSink`] and **keeps nothing** — each constraint is compacted,
-/// encoded, absorbed and dropped. It has no `constraints()` and no
-/// `to_matrices()`; the type, not a flag, says nothing was stored. This is
+/// encoded, absorbed and dropped. It has no `to_matrices()`; the type,
+/// not a flag, says nothing was stored. This is
 /// the driver to hash a circuit's shape with (a `CircuitId` is exactly
 /// that); [`SetupSynthesizer`] is the one to use when the matrices are
 /// needed too, and emits the same bytes.
@@ -857,14 +1025,15 @@ impl<F: PrimeField, S: ShapeSink> ConstraintSystem<F> for TraceSynthesizer<F, S>
 /// evaluates a value closure**, so it can run on a machine that holds no
 /// witness (and no public-input values either).
 ///
-/// It is a [`TraceSynthesizer`] that also keeps every compacted
-/// constraint, for [`Self::to_matrices`]: the shape trace it streams into
-/// its [`ShapeSink`] is byte-for-byte the digest-only driver's (one
-/// encoder, one record per `absorb`), and with the default `()` sink no
-/// trace is encoded at all.
+/// It is a [`TraceSynthesizer`] that also appends every compacted
+/// constraint to the matrices ([`Self::to_matrices`],
+/// [`Self::into_parts`]): the shape trace it streams into its
+/// [`ShapeSink`] is byte-for-byte the digest-only driver's (one encoder,
+/// one record per `absorb`), and with the default `()` sink no trace is
+/// encoded at all.
 pub struct SetupSynthesizer<F: PrimeField, S: ShapeSink = ()> {
     trace: TraceSynthesizer<F, S>,
-    constraints: Vec<Constraint<F>>,
+    store: [Csr<F>; 3],
 }
 
 impl<F: PrimeField> SetupSynthesizer<F> {
@@ -885,13 +1054,13 @@ impl<F: PrimeField, S: ShapeSink> SetupSynthesizer<F, S> {
     pub fn with_sink(sink: S) -> Self {
         Self {
             trace: TraceSynthesizer::with_sink(sink),
-            constraints: Vec::new(),
+            store: Default::default(),
         }
     }
 
     /// Number of constraints synthesized so far.
     pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
+        self.trace.num_constraints
     }
 
     /// Instance-block size (including the constant 1).
@@ -904,23 +1073,30 @@ impl<F: PrimeField, S: ShapeSink> SetupSynthesizer<F, S> {
         self.trace.num_witness
     }
 
-    /// The recorded constraints.
-    pub fn constraints(&self) -> &[Constraint<F>] {
-        &self.constraints
-    }
-
-    /// Lowers the structure to column-indexed sparse matrices.
+    /// A copy of the matrices as they stand (three arrays a matrix).
+    /// Prefer [`Self::into_parts`] once synthesis is done.
     pub fn to_matrices(&self) -> R1csMatrices<F> {
-        lower_constraints(
-            &self.constraints,
-            self.trace.num_instance,
-            self.trace.num_witness,
-        )
+        R1csMatrices {
+            store: self.store.clone(),
+            num_instance: self.trace.num_instance,
+            num_witness: self.trace.num_witness,
+        }
     }
 
     /// Consumes the driver, returning the sink with the absorbed trace.
     pub fn into_sink(self) -> S {
-        self.trace.into_sink()
+        self.into_parts().1
+    }
+
+    /// Consumes the driver, returning the matrices — moved, not copied —
+    /// and the sink with the absorbed trace.
+    pub fn into_parts(self) -> (R1csMatrices<F>, S) {
+        let matrices = R1csMatrices {
+            store: self.store,
+            num_instance: self.trace.num_instance,
+            num_witness: self.trace.num_witness,
+        };
+        (matrices, self.trace.into_sink())
     }
 }
 
@@ -945,9 +1121,11 @@ impl<F: PrimeField, S: ShapeSink> ConstraintSystem<F> for SetupSynthesizer<F, S>
         b: LinearCombination<F>,
         c: LinearCombination<F>,
     ) {
-        let (a, b, c) = (a.compact(), b.compact(), c.compact());
-        self.trace.trace_constraint(&a, &b, &c);
-        self.constraints.push(Constraint { a, b, c });
+        let abc = [a.compact(), b.compact(), c.compact()];
+        self.trace.trace_constraint(&abc[0], &abc[1], &abc[2]);
+        for (matrix, lc) in self.store.iter_mut().zip(&abc) {
+            matrix.push_row(lc);
+        }
     }
 
     fn push_namespace(&mut self, _name: &str) {}
@@ -960,7 +1138,7 @@ impl<F: PrimeField, S: ShapeSink> ConstraintSystem<F> for SetupSynthesizer<F, S>
 // ---------------------------------------------------------------------------
 
 /// The proving driver: evaluates every value closure, producing the dense
-/// assignment `z = (1, instance…, witness…)` alongside the constraints.
+/// assignment `z = (1, instance…, witness…)` alongside the matrices.
 ///
 /// Also interns the namespace path of each constraint, so an unsatisfied
 /// constraint can be reported as a human-readable path instead of a bare
@@ -969,7 +1147,7 @@ impl<F: PrimeField, S: ShapeSink> ConstraintSystem<F> for SetupSynthesizer<F, S>
 pub struct ProvingSynthesizer<F: PrimeField> {
     instance: Vec<F>,
     witness: Vec<F>,
-    constraints: Vec<Constraint<F>>,
+    store: [Csr<F>; 3],
     /// Interned namespace paths; `paths[0]` is the root `""`.
     paths: Vec<String>,
     path_ids: BTreeMap<String, u32>,
@@ -985,7 +1163,7 @@ impl<F: PrimeField> ProvingSynthesizer<F> {
         Self {
             instance: vec![F::one()],
             witness: Vec::new(),
-            constraints: Vec::new(),
+            store: Default::default(),
             paths: vec![String::new()],
             path_ids: BTreeMap::from([(String::new(), 0)]),
             stack: Vec::new(),
@@ -1013,7 +1191,7 @@ impl<F: PrimeField> ProvingSynthesizer<F> {
 
     /// Number of constraints.
     pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
+        self.constraint_paths.len()
     }
 
     /// Instance-block size (including the constant 1).
@@ -1043,11 +1221,6 @@ impl<F: PrimeField> ProvingSynthesizer<F> {
         z
     }
 
-    /// The constraints (for inspection and tests).
-    pub fn constraints(&self) -> &[Constraint<F>] {
-        &self.constraints
-    }
-
     /// The namespace path constraint `i` was enforced under (`""` = root).
     pub fn constraint_path(&self, i: usize) -> &str {
         &self.paths[self.constraint_paths[i] as usize]
@@ -1057,20 +1230,23 @@ impl<F: PrimeField> ProvingSynthesizer<F> {
     /// violated constraint (look up its scope with
     /// [`Self::constraint_path`]).
     pub fn is_satisfied(&self) -> Result<(), usize> {
-        for (i, cstr) in self.constraints.iter().enumerate() {
-            let a = self.eval_lc(&cstr.a);
-            let b = self.eval_lc(&cstr.b);
-            let c = self.eval_lc(&cstr.c);
-            if a * b != c {
-                return Err(i);
-            }
+        let [a, b, c] = self
+            .store
+            .each_ref()
+            .map(|matrix| matrix.row_products(&self.instance, &self.witness));
+        match a.zip(b).zip(c).position(|((a, b), c)| a * b != c) {
+            Some(violated) => Err(violated),
+            None => Ok(()),
         }
-        Ok(())
     }
 
-    /// Lowers the constraints to column-indexed sparse matrices.
+    /// A copy of the matrices as they stand (three arrays a matrix).
     pub fn to_matrices(&self) -> R1csMatrices<F> {
-        lower_constraints(&self.constraints, self.instance.len(), self.witness.len())
+        R1csMatrices {
+            store: self.store.clone(),
+            num_instance: self.instance.len(),
+            num_witness: self.witness.len(),
+        }
     }
 }
 
@@ -1103,11 +1279,10 @@ impl<F: PrimeField> ConstraintSystem<F> for ProvingSynthesizer<F> {
         b: LinearCombination<F>,
         c: LinearCombination<F>,
     ) {
-        self.constraints.push(Constraint {
-            a: a.compact(),
-            b: b.compact(),
-            c: c.compact(),
-        });
+        let abc = [a.compact(), b.compact(), c.compact()];
+        for (matrix, lc) in self.store.iter_mut().zip(&abc) {
+            matrix.push_row(lc);
+        }
         self.constraint_paths.push(self.current_id);
     }
 
@@ -1413,10 +1588,7 @@ mod tests {
         Cubic { y: 35, x: None }.synthesize(&mut setup).unwrap();
         let mut prove = ProvingSynthesizer::<Fr>::new();
         Cubic { y: 35, x: Some(3) }.synthesize(&mut prove).unwrap();
-        assert_eq!(
-            format!("{:?}", setup.to_matrices()),
-            format!("{:?}", prove.to_matrices())
-        );
+        assert_eq!(setup.to_matrices(), prove.to_matrices());
     }
 
     #[test]
@@ -1543,10 +1715,7 @@ mod tests {
         Messy.synthesize(&mut prove).unwrap();
         // the prover stores the combinations setup encodes, so its
         // matrices are the ones the keys were made from
-        assert_eq!(
-            format!("{:?}", prove.to_matrices()),
-            format!("{:?}", setup.to_matrices())
-        );
+        assert_eq!(prove.to_matrices(), setup.to_matrices());
         assert_eq!(
             (
                 trace.num_constraints(),
@@ -1561,20 +1730,22 @@ mod tests {
         );
         // the first constraint went out compacted: w0 + 3·w3, a
         // three-term b, and an empty c
-        let stored = &setup.constraints()[0];
+        // (three instance columns in front of the witness: 1, i and the
+        // trailing allocation)
+        let stored = setup.to_matrices();
         assert_eq!(
-            stored.a.terms(),
-            [
-                (Variable::Witness(0), Fr::one()),
-                (Variable::Witness(3), Fr::from_u64(3))
-            ]
+            stored.a().row(0).iter().collect::<Vec<_>>(),
+            [(3, Fr::one()), (3 + 3, Fr::from_u64(3))]
         );
-        assert_eq!((stored.b.terms().len(), stored.c.terms().len()), (3, 0));
+        let terms = |row: Row<'_, Fr>| row.iter().count();
+        assert_eq!((terms(stored.b().row(0)), terms(stored.c().row(0))), (3, 0));
         // the last one shrank back across the boundary: w0 · 0 = w0
-        let stored = &setup.constraints()[2];
-        assert_eq!(stored.a, lc(Variable::Witness(0)));
-        assert_eq!(stored.b, LinearCombination::zero());
-        assert_eq!(stored.c, stored.a);
+        assert_eq!(
+            stored.a().row(2).iter().collect::<Vec<_>>(),
+            [(3, Fr::one())]
+        );
+        assert_eq!(terms(stored.b().row(2)), 0);
+        assert!(stored.c().row(2).iter().eq(stored.a().row(2).iter()));
         let (setup, trace) = (setup.into_sink(), trace.into_sink());
         assert_eq!(setup.0, trace.0);
         // 5 + 1 + 2 tags, three records of 25 bytes plus 41 per term
@@ -1722,7 +1893,7 @@ mod tests {
         let mut setup = SetupSynthesizer::with_sink(Unread);
         Messy.synthesize(&mut setup).unwrap();
         assert_eq!(setup.num_constraints(), 3);
-        assert_eq!(setup.to_matrices().a.len(), 3);
+        assert_eq!(setup.to_matrices().num_constraints(), 3);
         setup.into_sink();
         assert!(().discards());
     }
@@ -1813,11 +1984,12 @@ mod tests {
         // w * 1 = inst
         cs.enforce(lc(w), LinearCombination::constant(Fr::one()), lc(inst));
         let m = cs.to_matrices();
-        assert_eq!(m.num_instance, 2);
-        assert_eq!(m.num_witness, 1);
-        assert_eq!(m.a[0], vec![(2, Fr::one())]); // witness column = 1 + 1
-        assert_eq!(m.b[0], vec![(0, Fr::one())]); // constant column
-        assert_eq!(m.c[0], vec![(1, Fr::one())]); // instance column
+        assert_eq!(m.num_instance(), 2);
+        assert_eq!(m.num_witness(), 1);
+        let terms = |row: Row<'_, Fr>| row.iter().collect::<Vec<_>>();
+        assert_eq!(terms(m.a().row(0)), [(2, Fr::one())]); // witness column = 1 + 1
+        assert_eq!(terms(m.b().row(0)), [(0, Fr::one())]); // constant column
+        assert_eq!(terms(m.c().row(0)), [(1, Fr::one())]); // instance column
     }
 
     #[test]
