@@ -4,7 +4,8 @@
 //!   matmul; the paper's "runtimes increase with constraints" claim);
 //! * `msm/*` — Pippenger multi-scalar multiplication throughput (the
 //!   prover's dominant kernel);
-//! * `fft/*` — radix-2 FFT over the scalar field (the `h`-polynomial step);
+//! * `fft/*` — FFT over the scalar field (the `h`-polynomial step), at two
+//!   radix-2 sizes and one `3·2ᵏ` size;
 //! * `pairing/*` — the verifier's unit operations;
 //! * `average/fold-vs-divide` — the fold-the-average optimization used by
 //!   the end-to-end CNN circuit;
@@ -43,7 +44,7 @@ use zkrownn_groth16::{
     generate_parameters_from_matrices, ProverContext,
 };
 use zkrownn_pairing::{multi_pairing, pairing, G2Prepared};
-use zkrownn_poly::Radix2Domain;
+use zkrownn_poly::Domain;
 use zkrownn_r1cs::{Circuit, CountingSynthesizer, ProvingSynthesizer, SetupSynthesizer};
 
 fn bench_matmul_scaling(c: &mut Criterion) {
@@ -202,10 +203,10 @@ fn bench_msm(c: &mut Criterion) {
 
 fn bench_fft(c: &mut Criterion) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-    let mut group = c.benchmark_group("fft/radix2");
-    for log_n in [10u32, 14] {
-        let n = 1usize << log_n;
-        let domain = Radix2Domain::<Fr>::new(n).unwrap();
+    let mut group = c.benchmark_group("fft");
+    // two radix-2 sizes and a 3·2¹³ one
+    for n in [1usize << 10, 1 << 14, 3 << 13] {
+        let domain = Domain::<Fr>::new(n).unwrap();
         let coeffs: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bench, _| {
             bench.iter(|| domain.fft(&coeffs))

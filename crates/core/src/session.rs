@@ -30,7 +30,9 @@ use zkrownn_groth16::{
     prove, KeyCollector, KeySink, KeySource, ProverContext, ProvingKey, SetupContext, ToxicWaste,
 };
 use zkrownn_r1cs::{Circuit, SetupSynthesizer};
-use zkrownn_store::{KeyStore, KeyStoreWriter, StoreBackend, StoreMeta, StoredKey};
+use zkrownn_store::{
+    segment_kind, KeyStore, KeyStoreWriter, StoreBackend, StoreError, StoreMeta, StoredKey,
+};
 
 /// The one place a circuit becomes `(id, lowered form)`: a single
 /// witness-free synthesis whose streamed trace is the [`CircuitId`] and
@@ -296,7 +298,10 @@ impl StoredProverKit {
     /// carries metadata — that the key was generated for `spec`'s circuit;
     /// a key for any other circuit shape fails with
     /// [`ZkrownnError::CircuitMismatch`] here rather than producing an
-    /// unverifiable proof later.
+    /// unverifiable proof later. A key for the right circuit over another
+    /// evaluation domain — an H query of other than `domain size − 1`
+    /// points, e.g. one generated over the next power of two — fails here
+    /// too, as a store [`StoreError::ShapeMismatch`].
     pub fn open(
         path: &Path,
         spec: ExtractionSpec,
@@ -324,6 +329,18 @@ impl StoredProverKit {
                     got: CircuitId::from_bytes(meta.circuit_id),
                 });
             }
+        }
+        // the H query is the one family whose length is the domain's, not
+        // the circuit's: the circuit id cannot vouch for it
+        let h_points = store.file().require(segment_kind::H_QUERY)?.count;
+        let h_expected = setup_ctx.domain().size as u64 - 1;
+        if h_points != h_expected {
+            return Err(StoreError::ShapeMismatch {
+                kind: segment_kind::H_QUERY,
+                expected: h_expected,
+                got: h_points,
+            }
+            .into());
         }
         Ok(Self {
             key: StoredKey { store, budget },

@@ -3,14 +3,16 @@
 //! the `.zkst` store (either read backend) emit byte-identical
 //! [`SignedClaim`]s. Kernel-level identity is pinned in `zkrownn-store`;
 //! this pins the layer users call, where an `(r, s)` draw-order slip or a
-//! diverging setup path would otherwise go unseen.
+//! diverging setup path would otherwise go unseen. A store whose key does
+//! not fit the kit's evaluation domain is refused at open.
 
 use rand::SeedableRng;
 use zkrownn::{
     Artifact, Authority, ExtractionSpec, MemoryBudget, QuantLayer, QuantizedModel, StoreBackend,
-    StoredProverKit,
+    StoredProverKit, ZkrownnError,
 };
 use zkrownn_gadgets::FixedConfig;
+use zkrownn_store::{segment_kind, write_proving_key, StoreError, StoreMeta};
 
 fn small_spec() -> ExtractionSpec {
     let cfg = FixedConfig::default();
@@ -79,5 +81,41 @@ fn claims_do_not_depend_on_where_the_key_lives() {
         );
         stored_verifier.verify(&claim).unwrap();
     }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_store_over_another_domain_fails_typed_at_open() {
+    // a key for the right circuit whose H query belongs to a larger domain
+    // — what a key generated over 2¹⁷ carries for the quick CNN (131 071
+    // points against 98 303) — is refused when the kit opens, not by the
+    // first proof's MSM
+    let spec = small_spec();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x006f_6c64);
+    let (prover, _) = Authority::setup(&spec, &mut rng);
+    let size = prover.context().domain().size;
+    let mut pk = prover.proving_key().clone();
+    assert_eq!(pk.h_query.len(), size - 1);
+    pk.h_query.resize(2 * size - 1, pk.h_query[0]);
+
+    let dir = std::env::temp_dir().join(format!("zkrownn-old-domain-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("old.zkst");
+    let meta = StoreMeta {
+        circuit_id: *prover.circuit_id().as_bytes(),
+        statement_digest: spec.statement().content_digest(),
+    };
+    write_proving_key(&path, &pk, Some(meta)).unwrap();
+
+    let budget = MemoryBudget::from_bytes(0);
+    let err = StoredProverKit::open_with(&path, spec, budget, StoreBackend::Buffered)
+        .err()
+        .expect("a key over another domain must not open");
+    let expected = StoreError::ShapeMismatch {
+        kind: segment_kind::H_QUERY,
+        expected: size as u64 - 1,
+        got: 2 * size as u64 - 1,
+    };
+    assert_eq!(err, ZkrownnError::Store(expected.to_string()));
     std::fs::remove_dir_all(&dir).unwrap();
 }

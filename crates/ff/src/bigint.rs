@@ -145,6 +145,20 @@ impl BigInt256 {
         Self(out)
     }
 
+    /// Division by a non-zero word, returning `(quotient, remainder)`.
+    pub const fn div_rem_u64(&self, d: u64) -> (Self, u64) {
+        let mut out = [0u64; 4];
+        let mut rem = 0u128;
+        let mut i = 4;
+        while i > 0 {
+            i -= 1;
+            let cur = (rem << 64) | self.0[i] as u128;
+            out[i] = (cur / d as u128) as u64;
+            rem = cur % d as u128;
+        }
+        (Self(out), rem as u64)
+    }
+
     /// Full 256×256 → 512-bit schoolbook multiplication.
     pub const fn mul_wide(&self, other: &Self) -> [u64; 8] {
         let mut t = [0u64; 8];

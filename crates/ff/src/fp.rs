@@ -20,6 +20,9 @@ pub trait FpParams:
     const GENERATOR: u64;
     /// Largest `s` with `2^s | MODULUS - 1`.
     const TWO_ADICITY: u32;
+    /// How many factors of three evaluation domains may use (`3^s` must
+    /// divide `MODULUS − 1`); the default 0 keeps the field radix-2 only.
+    const THREE_ADICITY: u32 = 0;
 
     /// Montgomery constant `R = 2^256 mod p` (derived — do not override).
     const R: BigInt256 = mont_r(&Self::MODULUS);
@@ -241,6 +244,7 @@ impl<P: FpParams> PrimeField for Fp<P> {
     const MODULUS: BigInt256 = P::MODULUS;
     const MODULUS_BIT_SIZE: u32 = P::MODULUS.num_bits();
     const TWO_ADICITY: u32 = P::TWO_ADICITY;
+    const THREE_ADICITY: u32 = P::THREE_ADICITY;
 
     fn from_bigint(v: BigInt256) -> Option<Self> {
         if v.const_cmp(&P::MODULUS) >= 0 {
@@ -256,13 +260,18 @@ impl<P: FpParams> PrimeField for Fp<P> {
 
     fn multiplicative_generator() -> Self {
         // Validate the hint: we need a quadratic non-residue so the derived
-        // 2^s-th root of unity is primitive. Fall back to a search if the
-        // hint is a residue (cheap, happens once per call site).
-        let half = P::MODULUS.sub_with_borrow(&BigInt256::ONE).0.shr(1);
+        // 2^s-th root of unity is primitive — and, where domains use factors
+        // of three, a cubic non-residue for the 3^t-th root. Fall back to a
+        // search if the hint is a residue (cheap, happens once per call
+        // site).
+        let p_minus_1 = P::MODULUS.sub_with_borrow(&BigInt256::ONE).0;
+        let half = p_minus_1.shr(1);
+        let third = p_minus_1.div_rem_u64(3).0;
         let mut g = P::GENERATOR;
         loop {
             let cand = Self::from_u64(g);
-            if !cand.is_zero() && !cand.pow(&half.0).is_one() {
+            let cubic_non_residue = P::THREE_ADICITY == 0 || !cand.pow(&third.0).is_one();
+            if !cand.is_zero() && !cand.pow(&half.0).is_one() && cubic_non_residue {
                 return cand;
             }
             g += 1;

@@ -2,8 +2,12 @@
 //!
 //! `r = 21888242871839275222246405745257275088548364400416034343698204186575808495617`
 //!
-//! `r − 1` has 2-adicity 28, enabling radix-2 FFTs over domains of size up to
-//! 2²⁸ — far larger than any circuit in the paper (the MNIST-MLP needs 2²¹).
+//! `r − 1 = 2²⁸·3²·13·…`: 2-adicity 28 and 3-adicity 2, so evaluation
+//! domains come in every size `3ᵇ·2ᵏ` with `b ≤ 2` and `k ≤ 28`. The factor
+//! of three lets a circuit just past a power of two run on `3·2ᵏ⁻¹` points
+//! instead of `2ᵏ⁺¹` (the quick CIFAR-CNN: 98 304 rather than 131 072). The
+//! paper's largest circuit, the 2 093 648-constraint MNIST-MLP, fits 2²¹
+//! either way.
 
 use crate::bigint::BigInt256;
 use crate::fp::{Fp, FpParams};
@@ -22,6 +26,7 @@ impl FpParams for FrParams {
     ]);
     const GENERATOR: u64 = 5;
     const TWO_ADICITY: u32 = 28;
+    const THREE_ADICITY: u32 = 2;
 }
 
 /// An element of the BN254 scalar field.
@@ -57,6 +62,50 @@ mod tests {
             s += 1;
         }
         assert_eq!(s, 28);
+    }
+
+    #[test]
+    fn three_adicity_is_2() {
+        let mut v = BigUint::from_limbs(&FrParams::MODULUS.0).sub(&BigUint::one());
+        let mut s = 0;
+        loop {
+            let (q, rem) = v.div_rem_u64(3);
+            if rem != 0 {
+                break;
+            }
+            v = q;
+            s += 1;
+        }
+        assert_eq!(s, 2);
+        assert_eq!(FrParams::THREE_ADICITY, s);
+    }
+
+    #[test]
+    fn three_adic_root_has_exact_order() {
+        let w = Fr::three_adic_root_of_unity();
+        // w^9 == 1 but w^3 != 1: exact order 3² = 3^THREE_ADICITY
+        assert!(w.pow(&[9]).is_one());
+        assert!(!w.pow(&[3]).is_one());
+        // its cube is the primitive cube root radix-3 butterflies use
+        let cube_root = w.pow(&[3]);
+        assert!(!cube_root.is_one());
+        assert!(cube_root.pow(&[3]).is_one());
+        assert_eq!(cube_root.square() + cube_root + Fr::one(), Fr::zero());
+    }
+
+    #[test]
+    fn div_rem_u64_matches_biguint() {
+        let m = FrParams::MODULUS;
+        for d in [1u64, 2, 3, 9, 0xffff_ffff_ffff_fffb] {
+            let (q, rem) = m.div_rem_u64(d);
+            let (bq, brem) = BigUint::from_limbs(&m.0).div_rem_u64(d);
+            assert_eq!(
+                BigUint::from_limbs(&q.0).to_decimal(),
+                bq.to_decimal(),
+                "d = {d}"
+            );
+            assert_eq!(rem, brem, "d = {d}");
+        }
     }
 
     #[test]

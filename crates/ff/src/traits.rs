@@ -116,6 +116,9 @@ pub trait PrimeField: Field + Ord + PartialOrd {
     const MODULUS_BIT_SIZE: u32;
     /// Largest `s` such that `2^s` divides `modulus − 1`.
     const TWO_ADICITY: u32;
+    /// How many factors of three evaluation domains may use: `3^s` divides
+    /// `modulus − 1` (0 keeps the field's domains radix-2).
+    const THREE_ADICITY: u32;
 
     /// Converts a canonical integer below the modulus into a field element.
     /// Returns `None` if `v ≥ modulus`.
@@ -133,6 +136,18 @@ pub trait PrimeField: Field + Ord + PartialOrd {
             .sub_with_borrow(&BigInt256::ONE)
             .0
             .shr(Self::TWO_ADICITY);
+        Self::multiplicative_generator().pow(&exp.0)
+    }
+
+    /// A primitive `3^THREE_ADICITY`-th root of unity (one when the
+    /// adicity is 0).
+    fn three_adic_root_of_unity() -> Self {
+        let mut exp = Self::MODULUS.sub_with_borrow(&BigInt256::ONE).0;
+        for _ in 0..Self::THREE_ADICITY {
+            let (q, rem) = exp.div_rem_u64(3);
+            debug_assert_eq!(rem, 0, "THREE_ADICITY overstates the modulus");
+            exp = q;
+        }
         Self::multiplicative_generator().pow(&exp.0)
     }
 

@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 use zkrownn_curves::msm::msm;
 use zkrownn_curves::{G1Projective, G2Projective};
 use zkrownn_ff::{Field, Fr};
-use zkrownn_poly::Radix2Domain;
+use zkrownn_poly::Domain;
 use zkrownn_r1cs::{Circuit, ProvingSynthesizer, R1csMatrices, SynthesisError};
 
 /// Everything about a circuit the prover can compute once and reuse for
@@ -34,7 +34,7 @@ use zkrownn_r1cs::{Circuit, ProvingSynthesizer, R1csMatrices, SynthesisError};
 /// batch-proving workloads; a context amortizes it to zero.
 pub struct ProverContext {
     matrices: R1csMatrices<Fr>,
-    domain: Radix2Domain<Fr>,
+    domain: Domain<Fr>,
     z_inv: Fr,
 }
 
@@ -42,7 +42,7 @@ impl ProverContext {
     /// Builds a context from pre-lowered matrices.
     ///
     /// # Panics
-    /// Panics if the circuit exceeds the field's 2-adic FFT capacity.
+    /// Panics if the circuit exceeds the field's FFT capacity.
     pub fn new(matrices: R1csMatrices<Fr>) -> Self {
         let domain = qap::qap_domain(&matrices);
         Self::from_lowered(matrices, domain)
@@ -57,12 +57,10 @@ impl ProverContext {
     /// # Panics
     /// Panics (in debug builds) if `domain` is not the domain
     /// [`qap::qap_domain`] would build for `matrices`.
-    pub fn from_lowered(matrices: R1csMatrices<Fr>, domain: Radix2Domain<Fr>) -> Self {
+    pub fn from_lowered(matrices: R1csMatrices<Fr>, domain: Domain<Fr>) -> Self {
         debug_assert_eq!(
-            domain.size,
-            (matrices.num_constraints() + matrices.num_instance())
-                .max(1)
-                .next_power_of_two(),
+            Some(domain.size),
+            Domain::<Fr>::size_for(qap::qap_rows(&matrices)),
             "domain does not match the matrices' QAP domain"
         );
         let z_inv = domain
@@ -95,7 +93,7 @@ impl ProverContext {
     }
 
     /// The cached evaluation domain (twiddle tables included).
-    pub fn domain(&self) -> &Radix2Domain<Fr> {
+    pub fn domain(&self) -> &Domain<Fr> {
         &self.domain
     }
 
@@ -176,7 +174,21 @@ impl KeySource for ProvingKey {
     }
 
     fn proof_sums(&self, z: &[Fr], witness: &[Fr], h: &[Fr]) -> Result<ProofSums, Self::Error> {
-        assert_eq!(self.a_query.len(), z.len(), "proving key shape mismatch");
+        // every family against its scalars before any MSM: a short or long
+        // family would otherwise panic inside `msm` on a scoped thread
+        let shapes = [
+            ("a_query", self.a_query.len(), z.len()),
+            ("b_g1_query", self.b_g1_query.len(), z.len()),
+            ("b_g2_query", self.b_g2_query.len(), z.len()),
+            ("l_query", self.l_query.len(), witness.len()),
+            ("h_query", self.h_query.len(), h.len()),
+        ];
+        for (family, points, scalars) in shapes {
+            assert_eq!(
+                points, scalars,
+                "proving key shape mismatch: {family} has {points} points for {scalars} scalars"
+            );
+        }
         let mut a_sum = G1Projective::identity();
         let mut b_g2_sum = G2Projective::identity();
         let mut b_g1_sum = G1Projective::identity();

@@ -1,13 +1,17 @@
 //! R1CS → QAP reduction (libsnark style).
 //!
-//! The constraint matrices are interpolated over a radix-2 domain of size
-//! `m ≥ #constraints + #instance`. The extra `#instance` rows are *padding
+//! The constraint matrices are interpolated over the smallest `3ᵇ·2ᵏ`
+//! domain (`b ≤ 2` in BN254 `Fr`; see `zkrownn_poly::Domain`) of size
+//! `m ≥ #constraints + #instance`. Every such domain is a multiplicative
+//! subgroup, so `Z(x) = xᵐ − 1`, the coset division and the H query's
+//! `τⁱ·Z(τ)/δ` are the same at every size; only `m`, and with it the
+//! padding, shrinks. The extra `#instance` rows are *padding
 //! constraints* `zᵢ · 0 = 0` placed in the A matrix, which make the instance
 //! polynomials `uᵢ` linearly independent — the standard libsnark fix that
 //! Groth16's knowledge-soundness proof requires.
 
 use zkrownn_ff::{Field, Fr};
-use zkrownn_poly::Radix2Domain;
+use zkrownn_poly::Domain;
 use zkrownn_r1cs::{Matrix, R1csMatrices};
 
 /// The QAP view of an R1CS: per-variable polynomial evaluations at a fixed
@@ -28,10 +32,15 @@ pub struct QapEvaluations {
 /// Returns the evaluation domain used for the given matrix dimensions.
 ///
 /// # Panics
-/// Panics if the circuit exceeds the field's 2-adic FFT capacity (2²⁸ rows).
-pub fn qap_domain(matrices: &R1csMatrices<Fr>) -> Radix2Domain<Fr> {
-    let rows = matrices.num_constraints() + matrices.num_instance();
-    Radix2Domain::new(rows).expect("circuit too large for the BN254 scalar field FFT")
+/// Panics if the circuit exceeds the field's FFT capacity (3²·2²⁸ rows).
+pub fn qap_domain(matrices: &R1csMatrices<Fr>) -> Domain<Fr> {
+    Domain::new(qap_rows(matrices)).expect("circuit too large for the BN254 scalar field FFT")
+}
+
+/// The QAP's row count: every constraint plus one padding row per instance
+/// variable — what [`qap_domain`] must hold.
+pub(crate) fn qap_rows(matrices: &R1csMatrices<Fr>) -> usize {
+    matrices.num_constraints() + matrices.num_instance()
 }
 
 /// Evaluates all QAP polynomials at `τ`, building a throwaway domain.
@@ -46,7 +55,7 @@ pub fn evaluate_qap_at(matrices: &R1csMatrices<Fr>, tau: Fr) -> QapEvaluations {
 /// three independent A/B/C column accumulations run on separate threads.
 pub fn evaluate_qap_at_with(
     matrices: &R1csMatrices<Fr>,
-    domain: &Radix2Domain<Fr>,
+    domain: &Domain<Fr>,
     tau: Fr,
 ) -> QapEvaluations {
     let ncons = matrices.num_constraints();
@@ -110,7 +119,7 @@ pub fn witness_map(matrices: &R1csMatrices<Fr>, z: &[Fr]) -> Vec<Fr> {
 /// separate threads.
 pub(crate) fn witness_map_with(
     matrices: &R1csMatrices<Fr>,
-    domain: &Radix2Domain<Fr>,
+    domain: &Domain<Fr>,
     z_inv: Fr,
     z: &[Fr],
 ) -> Vec<Fr> {

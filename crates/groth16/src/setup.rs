@@ -40,7 +40,7 @@ use zkrownn_curves::{
     MemoryBudget,
 };
 use zkrownn_ff::{Field, Fr};
-use zkrownn_poly::{geometric_series, Radix2Domain};
+use zkrownn_poly::{geometric_series, Domain};
 use zkrownn_r1cs::{Circuit, R1csMatrices, SetupSynthesizer, SynthesisError};
 
 /// The secret randomness ("toxic waste") behind a CRS. Exposed as a struct
@@ -290,14 +290,14 @@ impl KeySink for KeyCollector {
 /// `zkrownn` `Authority::setup` uses exactly this handoff).
 pub struct SetupContext {
     matrices: R1csMatrices<Fr>,
-    domain: Radix2Domain<Fr>,
+    domain: Domain<Fr>,
 }
 
 impl SetupContext {
     /// Builds a context from pre-lowered matrices.
     ///
     /// # Panics
-    /// Panics if the circuit exceeds the field's 2-adic FFT capacity.
+    /// Panics if the circuit exceeds the field's FFT capacity.
     pub fn new(matrices: R1csMatrices<Fr>) -> Self {
         let domain = qap::qap_domain(&matrices);
         Self { matrices, domain }
@@ -317,7 +317,7 @@ impl SetupContext {
     }
 
     /// The cached evaluation domain (twiddle tables included).
-    pub fn domain(&self) -> &Radix2Domain<Fr> {
+    pub fn domain(&self) -> &Domain<Fr> {
         &self.domain
     }
 

@@ -128,3 +128,40 @@ fn the_public_witness_map_rejects_a_wrong_length_assignment() {
     z.push(Fr::one());
     ProverContext::for_cs(&cs).witness_map(&z);
 }
+
+#[test]
+fn every_key_family_is_checked_before_any_msm() {
+    // a key whose family lengths disagree with the circuit — e.g. an H
+    // query generated over another evaluation domain — is refused by name
+    // on the calling thread, not by `msm`'s generic length panic
+    let cs = chain_system(5, 2);
+    let (pk, _) = SetupContext::new(cs.to_matrices()).generate_timed(&toxic(0x5a9e));
+    let ctx = ProverContext::for_cs(&cs);
+    let z = cs.full_assignment();
+    assert_eq!(pk.h_query.len(), ctx.domain().size - 1);
+    type Mutation = fn(&mut zkrownn_groth16::ProvingKey);
+    let mutations: [(&str, Mutation); 5] = [
+        ("a_query", |pk| pk.a_query.truncate(pk.a_query.len() - 1)),
+        ("b_g1_query", |pk| pk.b_g1_query.push(pk.b_g1_query[0])),
+        ("b_g2_query", |pk| {
+            pk.b_g2_query.truncate(pk.b_g2_query.len() - 1)
+        }),
+        ("l_query", |pk| pk.l_query.push(pk.l_query[0])),
+        ("h_query", |pk| pk.h_query.push(pk.h_query[0])),
+    ];
+    for (family, mutate) in mutations {
+        let mut bad = pk.clone();
+        mutate(&mut bad);
+        let panic = std::panic::catch_unwind(|| {
+            create_proof_with_context_and_randomness(&bad, &ctx, &z, Fr::one(), Fr::one())
+        })
+        .expect_err("a mis-shaped key must not prove");
+        let message = panic
+            .downcast_ref::<String>()
+            .expect("a formatted assertion message");
+        assert!(
+            message.contains("proving key shape mismatch") && message.contains(family),
+            "{family}: {message}"
+        );
+    }
+}

@@ -1,6 +1,6 @@
 //! Dense univariate polynomials (coefficient form).
 
-use crate::domain::Radix2Domain;
+use crate::domain::Domain;
 use zkrownn_ff::PrimeField;
 
 /// A dense polynomial `Σ coeffs[i]·xⁱ` with trailing zeros trimmed.
@@ -54,14 +54,13 @@ impl<F: PrimeField> DensePolynomial<F> {
     /// Product via FFT over a sufficiently large domain.
     ///
     /// # Panics
-    /// Panics if the product degree exceeds the field's 2-adic FFT capacity.
+    /// Panics if the product degree exceeds the field's FFT capacity.
     pub fn mul_via_fft(&self, other: &Self) -> Self {
         if self.is_zero() || other.is_zero() {
             return Self::zero();
         }
         let result_len = self.coeffs.len() + other.coeffs.len() - 1;
-        let domain =
-            Radix2Domain::<F>::new(result_len).expect("product degree exceeds FFT capacity");
+        let domain = Domain::<F>::new(result_len).expect("product degree exceeds FFT capacity");
         let mut a = self.coeffs.clone();
         let mut b = other.coeffs.clone();
         domain.fft_in_place(&mut a);

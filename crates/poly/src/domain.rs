@@ -1,10 +1,19 @@
-//! Radix-2 multiplicative evaluation domains over a 2-adic prime field.
+//! Multiplicative evaluation domains of size `3ᵇ·2ᵏ` over a prime field.
 //!
-//! A domain of size `m = 2^k` is the subgroup `H = {1, ω, ..., ω^(m−1)}`
+//! A domain of size `m` is the subgroup `H = {1, ω, ..., ω^(m−1)}`
 //! generated by a primitive `m`-th root of unity. The Groth16 reduction
 //! interpolates constraint evaluations over `H` and divides by the vanishing
 //! polynomial `Z_H(x) = x^m − 1` on a *coset* `gH`, where `Z_H` is the
 //! non-zero constant `g^m − 1`.
+//!
+//! `m` is the smallest `3ᵇ·2ᵏ` that holds the requested number of points,
+//! with `b` at most the field's [`PrimeField::THREE_ADICITY`] (2 for BN254
+//! `Fr`, 0 — radix-2 only — for every other field here) and `k ≥ 1`
+//! whenever `b ≥ 1`, so a domain of more than one point always contains
+//! `−1 = ω^(m/2)`. A circuit just past a power of two then pays for
+//! `3·2ᵏ⁻¹` points instead of `2ᵏ⁺¹`. Power-of-two sizes run the plain
+//! radix-2 kernel; each factor of three adds one radix-3 decimation stage
+//! in front of it.
 //!
 //! Domains precompute their twiddle tables (forward and inverse roots of
 //! unity, plus the coset scale vectors) once at construction, so every FFT
@@ -23,13 +32,12 @@ pub const PARALLEL_FFT_MIN: usize = 1 << 12;
 /// Minimum number of butterflies a spawned worker should own.
 const MIN_BUTTERFLIES_PER_THREAD: usize = 1 << 9;
 
-/// A radix-2 FFT evaluation domain with precomputed twiddle tables.
+/// An FFT evaluation domain of size `3ᵇ·2ᵏ` with precomputed twiddle
+/// tables.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Radix2Domain<F: PrimeField> {
-    /// Domain size (a power of two).
+pub struct Domain<F: PrimeField> {
+    /// Domain size (`3ᵇ·2ᵏ`; see the module docs).
     pub size: usize,
-    /// log₂ of the size.
-    pub log_size: u32,
     /// Primitive `size`-th root of unity.
     pub group_gen: F,
     /// Inverse of `group_gen`.
@@ -51,26 +59,33 @@ pub struct Radix2Domain<F: PrimeField> {
     ifft_coset_scale: Vec<F>,
 }
 
-impl<F: PrimeField> Radix2Domain<F> {
-    /// Builds the smallest domain of size ≥ `min_size`, including its
-    /// twiddle and coset-scale tables (`3·size/2 + size` multiplications,
-    /// parallelized for large domains — amortized over every later FFT).
+impl<F: PrimeField> Domain<F> {
+    /// Builds the smallest domain of size ≥ `min_size` (see
+    /// [`Self::size_for`]), including its twiddle and coset-scale tables
+    /// (`3·size/2 + size` multiplications, parallelized for large domains —
+    /// amortized over every later FFT).
     ///
-    /// Returns `None` if `min_size` exceeds `2^TWO_ADICITY`.
+    /// Returns `None` if `min_size` exceeds the largest domain the field
+    /// has (`3^THREE_ADICITY · 2^TWO_ADICITY`).
     pub fn new(min_size: usize) -> Option<Self> {
-        let size = min_size.max(1).next_power_of_two();
-        let log_size = size.trailing_zeros();
-        if log_size > F::TWO_ADICITY {
-            return None;
-        }
-        // ω = root^(2^(s - k)) has exact order 2^k
+        let (size, b, k) = admissible_size::<F>(min_size)?;
+        // ω₂ = root^(2^(s − k)) has exact order 2^k …
         let mut group_gen = F::two_adic_root_of_unity();
-        for _ in 0..(F::TWO_ADICITY - log_size) {
+        for _ in 0..(F::TWO_ADICITY - k) {
             group_gen = group_gen.square();
         }
+        // … and times an element of exact order 3^b, exact order 3^b·2^k
+        if b > 0 {
+            let mut three_gen = F::three_adic_root_of_unity();
+            for _ in 0..(F::THREE_ADICITY - b) {
+                three_gen = three_gen * three_gen.square();
+            }
+            group_gen *= three_gen;
+        }
         debug_assert!(group_gen.pow(&[size as u64]).is_one());
-        // The field generator is a non-residue, hence outside every proper
-        // power-of-two subgroup — a safe coset offset.
+        // The field generator is a quadratic (and, where the field has
+        // 3-adic domains, cubic) non-residue, hence outside every proper
+        // subgroup of order 3ᵇ·2ᵏ — a safe coset offset.
         let coset_offset = F::multiplicative_generator();
         debug_assert!(size == 1 || !coset_offset.pow(&[size as u64]).is_one());
         let group_gen_inv = group_gen.inverse().expect("root of unity is non-zero");
@@ -78,7 +93,6 @@ impl<F: PrimeField> Radix2Domain<F> {
         let coset_offset_inv = coset_offset.inverse().expect("offset is non-zero");
         Some(Self {
             size,
-            log_size,
             group_gen,
             group_gen_inv,
             size_inv,
@@ -90,6 +104,13 @@ impl<F: PrimeField> Radix2Domain<F> {
             coset_scale_inv: geometric_series(size_inv, coset_offset_inv, size),
             ifft_coset_scale: geometric_series(size_inv, coset_offset, size),
         })
+    }
+
+    /// The size [`Self::new`] picks for `min_size` points, without building
+    /// any table: the smallest `3ᵇ·2ᵏ ≥ min_size` with
+    /// `b ≤ THREE_ADICITY`, `k ≤ TWO_ADICITY` and `k ≥ 1` when `b ≥ 1`.
+    pub fn size_for(min_size: usize) -> Option<usize> {
+        admissible_size::<F>(min_size).map(|(size, _, _)| size)
     }
 
     /// Iterator over the domain elements `1, ω, ω², …` (no allocation).
@@ -120,13 +141,13 @@ impl<F: PrimeField> Radix2Domain<F> {
     /// In-place forward FFT: `values[i] := p(ωⁱ)` given coefficients.
     pub fn fft_in_place(&self, values: &mut Vec<F>) {
         values.resize(self.size, F::zero());
-        fft_with_tables(values, &self.twiddles);
+        mixed_radix_fft(values, &self.twiddles);
     }
 
     /// In-place inverse FFT: coefficients of the interpolating polynomial.
     pub fn ifft_in_place(&self, values: &mut Vec<F>) {
         values.resize(self.size, F::zero());
-        fft_with_tables(values, &self.inv_twiddles);
+        mixed_radix_fft(values, &self.inv_twiddles);
         let size_inv = self.size_inv;
         par_map_in_place(values, |v| *v *= size_inv);
     }
@@ -144,7 +165,7 @@ impl<F: PrimeField> Radix2Domain<F> {
             *v *= cur;
             cur *= self.coset_offset;
         }
-        fft_with_tables(values, &self.twiddles);
+        mixed_radix_fft(values, &self.twiddles);
     }
 
     /// Interpolates evaluations over `H` and re-evaluates on the coset
@@ -154,15 +175,15 @@ impl<F: PrimeField> Radix2Domain<F> {
     /// map runs this pipeline three times per proof).
     pub fn ifft_coset_fft_in_place(&self, values: &mut Vec<F>) {
         values.resize(self.size, F::zero());
-        fft_with_tables(values, &self.inv_twiddles);
+        mixed_radix_fft(values, &self.inv_twiddles);
         par_scale_in_place(values, &self.ifft_coset_scale);
-        fft_with_tables(values, &self.twiddles);
+        mixed_radix_fft(values, &self.twiddles);
     }
 
     /// Inverse FFT over the coset `gH`.
     pub fn coset_ifft_in_place(&self, values: &mut Vec<F>) {
         values.resize(self.size, F::zero());
-        fft_with_tables(values, &self.inv_twiddles);
+        mixed_radix_fft(values, &self.inv_twiddles);
         par_scale_in_place(values, &self.coset_scale_inv);
     }
 
@@ -188,8 +209,9 @@ impl<F: PrimeField> Radix2Domain<F> {
     ///
     /// The domain elements are read from the precomputed twiddle table
     /// (`ωⁱ = twiddles[i]` for `i < m/2` and `−twiddles[i − m/2]` above,
-    /// since `ω^(m/2) = −1`) instead of a serial `cur *= ω` chain, so the
-    /// whole evaluation splits across cores: each worker fills and
+    /// since `ω^(m/2) = −1` — every domain of more than one point has even
+    /// size, radix-3 ones included) instead of a serial `cur *= ω` chain,
+    /// so the whole evaluation splits across cores: each worker fills and
     /// batch-inverts its own chunk. This is the trusted setup's QAP
     /// evaluation entry point.
     pub fn lagrange_coefficients_at(&self, tau: F) -> Vec<F> {
@@ -239,7 +261,7 @@ impl<F: PrimeField> Radix2Domain<F> {
 }
 
 /// Streaming iterator over a domain's elements (see
-/// [`Radix2Domain::elements`]).
+/// [`Domain::elements`]).
 #[derive(Clone, Debug)]
 pub struct Elements<F: Field> {
     cur: F,
@@ -340,6 +362,99 @@ fn par_scale_in_place<F: Field>(values: &mut [F], table: &[F]) {
     });
 }
 
+/// The smallest admissible `(size, b, k)` with `size = 3ᵇ·2ᵏ ≥ min_size`
+/// (see [`Domain::size_for`]); `None` past the field's largest domain.
+fn admissible_size<F: PrimeField>(min_size: usize) -> Option<(usize, u32, u32)> {
+    let min = min_size.max(1) as u128;
+    (0..=F::THREE_ADICITY)
+        .filter_map(|b| {
+            let odd = 3u128.pow(b);
+            // k ≥ 1 beside a factor of three keeps ω^(m/2) = −1 in the domain
+            let mut k = u32::from(b > 0);
+            while odd << k < min {
+                k += 1;
+            }
+            let size = usize::try_from(odd << k).ok()?;
+            (k <= F::TWO_ADICITY).then_some((size, b, k))
+        })
+        .min()
+}
+
+/// The transform behind every FFT entry point, over a table of roots of
+/// unity: one radix-3 decimation-in-time stage per factor of three in
+/// `a.len()`, then the radix-2 kernel [`fft_with_tables`]. A power-of-two
+/// length goes straight to that kernel.
+///
+/// `twiddles` is `[1, ω, …, ω^(span/2 − 1)]` for a transform of some size
+/// `span` that `n = a.len()` divides — the domain's own table, read here
+/// and below at stride `span/n` — and the transform's root is `ω^(span/n)`.
+///
+/// With `n = 3·n'` and `Pᵣ` the length-`n'` transform (root `ω³`) of the
+/// stride-3 subsequence `a[r], a[r + 3], …`, output `t + j·n'` is
+/// `Σᵣ ωʳᵗ·ζʳʲ·Pᵣ[t]` for the cube root `ζ = ω^n'`. Writing `xᵣ = ωʳᵗ·Pᵣ[t]`
+/// and using `ζ² = −1 − ζ`, the three outputs are `x₀ + x₁ + x₂`,
+/// `x₀ − x₂ + ζ·(x₁ − x₂)` and `x₀ − x₁ − ζ·(x₁ − x₂)`: three
+/// multiplications a triple, split across cores in chunks of `t`.
+fn mixed_radix_fft<F: Field>(a: &mut [F], twiddles: &[F]) {
+    let n = a.len();
+    if !n.is_multiple_of(3) {
+        fft_with_tables(a, twiddles);
+        return;
+    }
+    let third = n / 3;
+    let mut parts = Vec::with_capacity(n);
+    for r in 0..3 {
+        parts.extend(a[r..].iter().step_by(3).copied());
+    }
+    for part in parts.chunks_mut(third) {
+        mixed_radix_fft(part, twiddles);
+    }
+
+    // ω^i for i < n, from the table at stride span/n and ω^(n/2) = −1
+    let stride = 2 * twiddles.len() / n;
+    let root = move |i: usize| {
+        if i < n / 2 {
+            twiddles[i * stride]
+        } else {
+            -twiddles[(i - n / 2) * stride]
+        }
+    };
+    let zeta = root(third);
+    let (p0, rest) = parts.split_at(third);
+    let (p1, p2) = rest.split_at(third);
+    let (o0, rest) = a.split_at_mut(third);
+    let (o1, o2) = rest.split_at_mut(third);
+    // the triples starting at t0, written to the three output thirds
+    let combine = move |t0: usize, [o0, o1, o2]: [&mut [F]; 3], [p0, p1, p2]: [&[F]; 3]| {
+        for j in 0..o0.len() {
+            let t = t0 + j;
+            let x0 = p0[j];
+            let x1 = p1[j] * root(t);
+            let x2 = p2[j] * root(2 * t);
+            let d = zeta * (x1 - x2);
+            o0[j] = x0 + x1 + x2;
+            o1[j] = x0 - x2 + d;
+            o2[j] = x0 - x1 - d;
+        }
+    };
+    let threads = worker_count(third, MIN_BUTTERFLIES_PER_THREAD);
+    if threads <= 1 {
+        combine(0, [o0, o1, o2], [p0, p1, p2]);
+        return;
+    }
+    let chunk = third.div_ceil(threads);
+    std::thread::scope(|scope| {
+        let outputs = o0
+            .chunks_mut(chunk)
+            .zip(o1.chunks_mut(chunk))
+            .zip(o2.chunks_mut(chunk));
+        let inputs = p0.chunks(chunk).zip(p1.chunks(chunk)).zip(p2.chunks(chunk));
+        for (c, (((o0, o1), o2), ((p0, p1), p2))) in outputs.zip(inputs).enumerate() {
+            scope.spawn(move || combine(c * chunk, [o0, o1, o2], [p0, p1, p2]));
+        }
+    });
+}
+
 /// In-place bit-reversal permutation.
 fn bit_reverse<F>(a: &mut [F]) {
     let n = a.len();
@@ -353,20 +468,23 @@ fn bit_reverse<F>(a: &mut [F]) {
 }
 
 /// Iterative in-place Cooley-Tukey FFT (decimation in time) driven by a
-/// precomputed twiddle table of `n/2` roots.
+/// precomputed twiddle table of `span/2` roots, for a power-of-two `n`
+/// dividing `span` (`span = n` for a power-of-two domain; the radix-3
+/// stage hands its thirds the domain's whole table).
 ///
 /// The table serves every layer by striding: the butterfly at offset `j` of
-/// a block with half-size `m` uses `twiddles[j · n/(2m)]`. Large transforms
-/// run in two phases: independent sub-FFTs on contiguous chunks (one worker
-/// each), then the remaining cross-chunk layers with each block's halves
-/// split across workers.
+/// a block with half-size `m` uses `twiddles[j · span/(2m)]`. Large
+/// transforms run in two phases: independent sub-FFTs on contiguous chunks
+/// (one worker each), then the remaining cross-chunk layers with each
+/// block's halves split across workers.
 fn fft_with_tables<F: Field>(a: &mut [F], twiddles: &[F]) {
     let n = a.len();
     assert!(n.is_power_of_two(), "fft size must be a power of two");
     if n == 1 {
         return;
     }
-    debug_assert_eq!(twiddles.len(), n / 2);
+    let span = 2 * twiddles.len();
+    debug_assert_eq!(span % n, 0, "twiddle table does not cover the transform");
     bit_reverse(a);
 
     let hw = std::thread::available_parallelism()
@@ -375,7 +493,7 @@ fn fft_with_tables<F: Field>(a: &mut [F], twiddles: &[F]) {
     // power-of-two worker count so chunks align with butterfly blocks
     let threads = prev_power_of_two(hw.min((n / (2 * MIN_BUTTERFLIES_PER_THREAD)).max(1)));
     if n < PARALLEL_FFT_MIN || threads <= 1 {
-        butterfly_layers(a, twiddles, n, n);
+        butterfly_layers(a, twiddles, span, n);
         return;
     }
 
@@ -383,14 +501,14 @@ fn fft_with_tables<F: Field>(a: &mut [F], twiddles: &[F]) {
     let chunk = n / threads;
     std::thread::scope(|scope| {
         for sub in a.chunks_mut(chunk) {
-            scope.spawn(move || butterfly_layers(sub, twiddles, n, chunk));
+            scope.spawn(move || butterfly_layers(sub, twiddles, span, chunk));
         }
     });
 
     // Phase 2: cross-chunk layers; split each block's halves across workers.
     let mut m = chunk;
     while m < n {
-        let stride = n / (2 * m);
+        let stride = span / (2 * m);
         let blocks = n / (2 * m);
         let per_block = (threads / blocks).max(1);
         let piece = m.div_ceil(per_block);
@@ -424,14 +542,14 @@ fn prev_power_of_two(x: usize) -> usize {
 }
 
 /// Runs the butterfly layers with block sizes `2 ..= max_block` over `sub`,
-/// reading twiddles strided relative to the full transform size `full_n`
+/// reading twiddles strided relative to the table's transform size `span`
 /// (after global bit-reversal, any aligned chunk is a valid sub-transform
 /// for block sizes up to the chunk length).
-fn butterfly_layers<F: Field>(sub: &mut [F], twiddles: &[F], full_n: usize, max_block: usize) {
+fn butterfly_layers<F: Field>(sub: &mut [F], twiddles: &[F], span: usize, max_block: usize) {
     let len = sub.len();
     let mut m = 1;
     while 2 * m <= max_block {
-        let stride = full_n / (2 * m);
+        let stride = span / (2 * m);
         let mut k = 0;
         while k < len {
             for j in 0..m {
@@ -460,7 +578,7 @@ mod tests {
     fn fft_matches_naive_evaluation() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(101);
         for size in [1usize, 2, 4, 8, 32] {
-            let domain = Radix2Domain::<Fr>::new(size).unwrap();
+            let domain = Domain::<Fr>::new(size).unwrap();
             let coeffs: Vec<Fr> = (0..size).map(|_| Fr::random(&mut rng)).collect();
             let evals = domain.fft(&coeffs);
             for (i, w) in domain.elements().enumerate() {
@@ -472,7 +590,7 @@ mod tests {
     #[test]
     fn fft_ifft_roundtrip() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(102);
-        let domain = Radix2Domain::<Fr>::new(64).unwrap();
+        let domain = Domain::<Fr>::new(64).unwrap();
         let coeffs: Vec<Fr> = (0..64).map(|_| Fr::random(&mut rng)).collect();
         assert_eq!(domain.ifft(&domain.fft(&coeffs)), coeffs);
     }
@@ -480,7 +598,7 @@ mod tests {
     #[test]
     fn coset_fft_matches_naive_evaluation() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(103);
-        let domain = Radix2Domain::<Fr>::new(16).unwrap();
+        let domain = Domain::<Fr>::new(16).unwrap();
         let coeffs: Vec<Fr> = (0..16).map(|_| Fr::random(&mut rng)).collect();
         let mut evals = coeffs.clone();
         domain.coset_fft_in_place(&mut evals);
@@ -493,7 +611,7 @@ mod tests {
     #[test]
     fn coset_roundtrip() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(104);
-        let domain = Radix2Domain::<Fr>::new(32).unwrap();
+        let domain = Domain::<Fr>::new(32).unwrap();
         let coeffs: Vec<Fr> = (0..32).map(|_| Fr::random(&mut rng)).collect();
         let mut v = coeffs.clone();
         domain.coset_fft_in_place(&mut v);
@@ -503,7 +621,7 @@ mod tests {
 
     #[test]
     fn vanishing_polynomial_zero_on_domain_constant_on_coset() {
-        let domain = Radix2Domain::<Fr>::new(8).unwrap();
+        let domain = Domain::<Fr>::new(8).unwrap();
         for w in domain.elements() {
             assert!(domain.evaluate_vanishing_polynomial(w).is_zero());
         }
@@ -521,7 +639,7 @@ mod tests {
     fn fused_ifft_coset_fft_matches_two_step() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(106);
         for size in [1usize, 4, 64] {
-            let domain = Radix2Domain::<Fr>::new(size).unwrap();
+            let domain = Domain::<Fr>::new(size).unwrap();
             let evals: Vec<Fr> = (0..size).map(|_| Fr::random(&mut rng)).collect();
             let mut two_step = evals.clone();
             domain.ifft_in_place(&mut two_step);
@@ -534,7 +652,7 @@ mod tests {
 
     #[test]
     fn elements_iterator_matches_vec_and_is_exact_size() {
-        let domain = Radix2Domain::<Fr>::new(16).unwrap();
+        let domain = Domain::<Fr>::new(16).unwrap();
         let iter = domain.elements();
         assert_eq!(iter.len(), 16);
         let collected: Vec<Fr> = iter.collect();
@@ -546,7 +664,7 @@ mod tests {
     #[test]
     fn lagrange_coefficients_interpolate() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(105);
-        let domain = Radix2Domain::<Fr>::new(8).unwrap();
+        let domain = Domain::<Fr>::new(8).unwrap();
         let evals: Vec<Fr> = (0..8).map(|_| Fr::random(&mut rng)).collect();
         let tau = Fr::random(&mut rng);
         let coeffs = domain.ifft(&evals);
@@ -561,7 +679,7 @@ mod tests {
 
     #[test]
     fn lagrange_coefficients_at_domain_point() {
-        let domain = Radix2Domain::<Fr>::new(4).unwrap();
+        let domain = Domain::<Fr>::new(4).unwrap();
         let w = domain.elements().nth(2).unwrap();
         let lag = domain.lagrange_coefficients_at(w);
         for (i, &l) in lag.iter().enumerate() {
@@ -571,7 +689,38 @@ mod tests {
 
     #[test]
     fn oversized_domain_rejected() {
-        assert!(Radix2Domain::<Fr>::new(1 << 29).is_none());
-        assert!(Radix2Domain::<Fr>::new(1 << 20).is_some());
+        // the largest BN254 Fr domain is 3²·2²⁸; past it nothing is built
+        assert_eq!(Domain::<Fr>::size_for(9 << 28), Some(9 << 28));
+        assert!(Domain::<Fr>::new((9 << 28) + 1).is_none());
+        assert!(Domain::<Fr>::new(1 << 20).is_some());
+    }
+
+    #[test]
+    fn size_is_the_smallest_three_b_two_k() {
+        for (min_size, size) in [
+            (0, 1),
+            (1, 1),
+            (2, 2),
+            (3, 4), // 3 = 3¹·2⁰ is not admissible (k ≥ 1 beside a 3)
+            (5, 6),
+            (7, 8),
+            (9, 12), // nor is 9 = 3²·2⁰
+            (13, 16),
+            (17, 18),
+            (30_659, 32_768), // the quick MLP's QAP rows
+            (88_355, 98_304), // the quick CNN's
+            (98_305, 131_072),
+            ((1 << 28) + 1, 9 << 25),
+        ] {
+            assert_eq!(
+                Domain::<Fr>::size_for(min_size),
+                Some(size),
+                "min_size {min_size}"
+            );
+        }
+        // Fq declares no 3-adicity: its domains stay radix-2 (and 2-adicity
+        // 1 caps them at two points)
+        assert_eq!(Domain::<zkrownn_ff::Fq>::size_for(2), Some(2));
+        assert_eq!(Domain::<zkrownn_ff::Fq>::size_for(3), None);
     }
 }

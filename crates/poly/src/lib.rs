@@ -1,13 +1,16 @@
 //! # zkrownn-poly — FFT domains and polynomials over BN254 Fr
 //!
-//! Radix-2 evaluation domains ([`Radix2Domain`]) with plain and coset
+//! Evaluation domains of size `3ᵇ·2ᵏ` ([`Domain`]) with plain and coset
 //! FFT/IFFT, Lagrange-coefficient evaluation (used by the Groth16 trusted
-//! setup), and dense polynomials ([`DensePolynomial`]).
+//! setup), and dense polynomials ([`DensePolynomial`]). A domain is the
+//! smallest such size that holds the points asked for — `b` only where the
+//! field has 3-adic roots of unity (BN254 `Fr`: `b ≤ 2`).
 //!
 //! ```
-//! use zkrownn_poly::Radix2Domain;
+//! use zkrownn_poly::Domain;
 //! use zkrownn_ff::{Field, Fr};
-//! let domain = Radix2Domain::<Fr>::new(4).unwrap();
+//! let domain = Domain::<Fr>::new(5).unwrap();
+//! assert_eq!(domain.size, 6); // 3·2, not 8
 //! let coeffs = vec![Fr::from_u64(3), Fr::one()]; // p(x) = 3 + x
 //! let evals = domain.fft(&coeffs);
 //! assert_eq!(evals[0], Fr::from_u64(4)); // p(1)
@@ -20,4 +23,4 @@ pub mod dense;
 pub mod domain;
 
 pub use dense::DensePolynomial;
-pub use domain::{geometric_series, Elements, Radix2Domain, PARALLEL_FFT_MIN};
+pub use domain::{geometric_series, Domain, Elements, PARALLEL_FFT_MIN};

@@ -436,7 +436,8 @@ impl<F: PrimeField> Csr<F> {
     }
 
     /// The row·`z` kernel: `⟨row, z⟩` for every row in order, over `z`
-    /// as its two halves.
+    /// as its two halves. A coefficient of one — four in five of them — is
+    /// an addition, not a multiplication.
     fn row_products<'a>(
         &'a self,
         instance: &'a [F],
@@ -451,7 +452,11 @@ impl<F: PrimeField> Csr<F> {
                     } else {
                         witness[col ^ WITNESS]
                     };
-                    acc + value * *coeff
+                    if coeff.is_one() {
+                        acc + value
+                    } else {
+                        acc + value * *coeff
+                    }
                 })
         })
     }
@@ -561,7 +566,7 @@ impl<'a, F: PrimeField> Matrix<'a, F> {
 
     /// `columns[col] += coeff · row_weights[row]` over every term — the
     /// transposed matrix times a vector of row weights, added into
-    /// `columns`.
+    /// `columns`. A coefficient of one adds the weight unmultiplied.
     ///
     /// # Panics
     /// Panics if `columns` does not reach every column, or `row_weights`
@@ -576,7 +581,11 @@ impl<'a, F: PrimeField> Matrix<'a, F> {
                 } else {
                     &mut witness[col ^ WITNESS]
                 };
-                *column += *coeff * *weight;
+                if coeff.is_one() {
+                    *column += *weight;
+                } else {
+                    *column += *coeff * *weight;
+                }
             }
         }
     }
