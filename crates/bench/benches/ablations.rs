@@ -22,8 +22,8 @@
 //!   the loop-structured schoolbook reference vs. the unrolled no-carry
 //!   CIOS kernel (the one `Fp` compiles against);
 //! * `prover-hot-path/*` — the prover-spine ablation over the quick
-//!   MNIST-MLP extraction circuit: a cold `create_proof_from_cs` (matrices
-//!   re-lowered, twiddle tables rebuilt per proof) vs. the cached
+//!   MNIST-MLP extraction circuit: a cold `create_proof` (both syntheses,
+//!   matrices re-lowered, twiddle tables rebuilt per proof) vs. the cached
 //!   `ProverContext` path, plus the isolated witness-map and MSM phases;
 //! * `setup-hot-path/*` — the trusted-setup spine ablation over the quick
 //!   MNIST-MLP A-query scalar vector: per-scalar serial fixed-base
@@ -40,26 +40,38 @@ use zkrownn_curves::{msm::msm, G1Affine, G1Projective};
 use zkrownn_ff::{Field, Fr};
 use zkrownn_gadgets::matmul::{matmul, NumMatrix};
 use zkrownn_groth16::{
-    create_proof_from_cs, create_proof_with_context_and_randomness,
-    generate_parameters_from_matrices, ProverContext,
+    create_proof, create_proof_with_context_and_randomness, generate_parameters, ProverContext,
 };
 use zkrownn_pairing::{multi_pairing, pairing, G2Prepared};
 use zkrownn_poly::Domain;
-use zkrownn_r1cs::{Circuit, CountingSynthesizer, ProvingSynthesizer, SetupSynthesizer};
+use zkrownn_r1cs::{
+    Circuit, ConstraintSystem, CountingSynthesizer, ProvingSynthesizer, SetupSynthesizer,
+    SynthesisError,
+};
+
+/// `A · A` for a `d × d` private matrix `A`.
+struct Square(usize);
+
+impl Circuit<Fr> for Square {
+    type Output = ();
+    fn synthesize<CS: ConstraintSystem<Fr>>(&self, cs: &mut CS) -> Result<(), SynthesisError> {
+        let d = self.0;
+        let entries: Vec<i128> = (0..(d * d) as i128).map(|i| i % 17 - 8).collect();
+        let a = NumMatrix::alloc_witness(cs, d, d, &entries, 8)?;
+        let b = NumMatrix::alloc_witness(cs, d, d, &entries, 8)?;
+        matmul(&a, &b, cs)?;
+        Ok(())
+    }
+}
 
 fn bench_matmul_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("scaling/matmul-prove");
     group.sample_size(10);
     for d in [4usize, 8, 16] {
-        let mut cs = ProvingSynthesizer::<Fr>::new();
-        let entries: Vec<i128> = (0..(d * d) as i128).map(|i| i % 17 - 8).collect();
-        let a = NumMatrix::alloc_witness(&mut cs, d, d, &entries, 8).unwrap();
-        let b = NumMatrix::alloc_witness(&mut cs, d, d, &entries, 8).unwrap();
-        let _ = matmul(&a, &b, &mut cs).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let pk = generate_parameters_from_matrices(&cs.to_matrices(), &mut rng);
+        let pk = generate_parameters(&Square(d), &mut rng).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(d), &d, |bench, _| {
-            bench.iter(|| create_proof_from_cs(&pk, &cs, &mut rng))
+            bench.iter(|| create_proof(&pk, &Square(d), &mut rng).unwrap())
         });
     }
     group.finish();
@@ -106,15 +118,16 @@ fn bench_prover_hot_path(c: &mut Criterion) {
     let mut cs = ProvingSynthesizer::<Fr>::new();
     spec.circuit().synthesize(&mut cs).unwrap();
     let mut rng = rand::rngs::StdRng::seed_from_u64(10);
-    let pk = generate_parameters_from_matrices(&cs.to_matrices(), &mut rng);
-    let ctx = ProverContext::for_cs(&cs);
+    let pk = generate_parameters(&spec.shape_circuit(), &mut rng).unwrap();
+    let ctx = ProverContext::for_circuit(&spec.shape_circuit()).unwrap();
     let z = cs.full_assignment();
 
     let mut group = c.benchmark_group("prover-hot-path");
     group.sample_size(10);
     group.bench_function("cold-context", |b| {
-        // rebuilds matrices, domain and twiddle tables on every proof
-        b.iter(|| create_proof_from_cs(&pk, &cs, &mut rng))
+        // synthesizes twice and rebuilds matrices, domain and twiddle
+        // tables on every proof
+        b.iter(|| create_proof(&pk, &spec.circuit(), &mut rng).unwrap())
     });
     group.bench_function("cached-context", |b| {
         let r = Fr::random(&mut rng);
@@ -123,7 +136,12 @@ fn bench_prover_hot_path(c: &mut Criterion) {
     });
     group.bench_function("witness-map-only", |b| b.iter(|| ctx.witness_map(&z)));
     group.bench_function("context-build-only", |b| {
-        b.iter(|| ProverContext::for_cs(&cs).domain().size)
+        b.iter(|| {
+            ProverContext::for_circuit(&spec.shape_circuit())
+                .unwrap()
+                .domain()
+                .size
+        })
     });
     group.finish();
 }
@@ -137,9 +155,7 @@ fn bench_setup_hot_path(c: &mut Criterion) {
     use zkrownn_groth16::{qap, SetupContext, ToxicWaste};
 
     let spec = zkrownn_bench::quick_mlp_spec();
-    let mut cs = ProvingSynthesizer::<Fr>::new();
-    spec.circuit().synthesize(&mut cs).unwrap();
-    let matrices = cs.to_matrices();
+    let setup_ctx = SetupContext::for_circuit(&spec.shape_circuit()).unwrap();
     let toxic = ToxicWaste {
         alpha: Fr::from_u64(11),
         beta: Fr::from_u64(12),
@@ -148,7 +164,7 @@ fn bench_setup_hot_path(c: &mut Criterion) {
         tau: Fr::from_u64(15),
     };
     // the A-query scalar vector — one of the six key families
-    let scalars = qap::evaluate_qap_at(&matrices, toxic.tau).u;
+    let scalars = qap::evaluate_qap_at(setup_ctx.matrices(), toxic.tau).u;
     let window = FixedBaseTable::<G1Config>::suggested_window(scalars.len());
     let table = FixedBaseTable::new(G1Projective::generator(), window);
 
@@ -177,7 +193,6 @@ fn bench_setup_hot_path(c: &mut Criterion) {
             fresh.mul_many(&scalars)
         })
     });
-    let setup_ctx = SetupContext::new(matrices);
     group.bench_function("full-keygen", |b| {
         b.iter(|| setup_ctx.generate_timed(&toxic).0.serialized_size())
     });
@@ -236,6 +251,44 @@ fn bench_pairing(c: &mut Criterion) {
     });
 }
 
+/// Three rows of 64 private entries summed column by column, each sum
+/// then divided by three — or, folded, left as the sum.
+struct ColumnMeans {
+    fold: bool,
+}
+
+impl Circuit<Fr> for ColumnMeans {
+    type Output = ();
+    fn synthesize<CS: ConstraintSystem<Fr>>(&self, cs: &mut CS) -> Result<(), SynthesisError> {
+        use zkrownn_ff::PrimeField;
+        use zkrownn_gadgets::cmp::div_by_const;
+        use zkrownn_gadgets::Num;
+        let rows: Vec<Vec<Num>> = (0..3)
+            .map(|r| {
+                (0..64)
+                    .map(|i| Num::alloc_witness(cs, || Ok(Fr::from_i128((i + r) as i128)), 20))
+                    .collect()
+            })
+            .collect::<Result<_, _>>()?;
+        for j in 0..64 {
+            let mut s = Num::zero();
+            for row in &rows {
+                s = s.add(&row[j]);
+            }
+            if !self.fold {
+                div_by_const(&s, 3, cs)?;
+            }
+        }
+        // folding leaves only linear sums: anchor the circuit with one
+        // constraint
+        if self.fold {
+            let one = Num::alloc_witness(cs, || Ok(Fr::one()), 1)?;
+            one.mul(&one, cs)?;
+        }
+        Ok(())
+    }
+}
+
 fn bench_average_fold(c: &mut Criterion) {
     // constraint-count comparison surfaces in the timing: folded averaging
     // removes every division gadget from the µ computation
@@ -243,38 +296,11 @@ fn bench_average_fold(c: &mut Criterion) {
     group.sample_size(10);
     for fold in [false, true] {
         let label = if fold { "folded" } else { "divide" };
-        let mut cs = ProvingSynthesizer::<Fr>::new();
-        use zkrownn_ff::PrimeField;
-        use zkrownn_gadgets::cmp::div_by_const;
-        use zkrownn_gadgets::Num;
-        let rows: Vec<Vec<Num>> = (0..3)
-            .map(|r| {
-                (0..64)
-                    .map(|i| {
-                        Num::alloc_witness(&mut cs, || Ok(Fr::from_i128((i + r) as i128)), 20)
-                            .unwrap()
-                    })
-                    .collect()
-            })
-            .collect();
-        for j in 0..64 {
-            let mut s = Num::zero();
-            for row in &rows {
-                s = s.add(&row[j]);
-            }
-            if !fold {
-                let _ = div_by_const(&s, 3, &mut cs).unwrap();
-            }
-        }
+        let circuit = ColumnMeans { fold };
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        // anchor the circuit with one constraint if folding removed them all
-        if cs.num_constraints() == 0 {
-            let one = Num::alloc_witness(&mut cs, || Ok(Fr::one()), 1).unwrap();
-            let _ = one.mul(&one, &mut cs).unwrap();
-        }
-        let pk = generate_parameters_from_matrices(&cs.to_matrices(), &mut rng);
+        let pk = generate_parameters(&circuit, &mut rng).unwrap();
         group.bench_function(label, |b| {
-            b.iter(|| create_proof_from_cs(&pk, &cs, &mut rng))
+            b.iter(|| create_proof(&pk, &circuit, &mut rng).unwrap())
         });
     }
     group.finish();

@@ -5,29 +5,37 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
-use zkrownn_bench::{build_row, Scale};
+use zkrownn_bench::{row_circuit, Scale};
 use zkrownn_ff::Fr;
-use zkrownn_groth16::{
-    create_proof_from_cs, generate_parameters_from_matrices, verify_proof_prepared,
-};
+use zkrownn_groth16::{create_proof, generate_parameters, verify_proof_prepared};
+use zkrownn_r1cs::{Circuit, ProvingSynthesizer};
+
+/// A row's public inputs, from its proving synthesis.
+fn publics(circuit: &impl Circuit<Fr>) -> Vec<Fr> {
+    let mut cs = ProvingSynthesizer::new();
+    circuit
+        .synthesize(&mut cs)
+        .expect("rows carry their witness");
+    cs.instance_assignment()[1..].to_vec()
+}
 
 fn bench_rows(c: &mut Criterion) {
     // BER / ReLU / HardThresholding / Sigmoid are the cheap rows; the heavy
     // rows (matmult, conv3d, average2d, end-to-end) are still seconds-scale
     // even at quick size, so we bench their verifier only.
     for row in ["ber", "relu", "hardthreshold", "sigmoid"] {
-        let cs = build_row(row, Scale::Quick);
-        let matrices = cs.to_matrices();
+        let circuit = row_circuit(row, Scale::Quick);
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let pk = generate_parameters_from_matrices(&matrices, &mut rng);
+        let pk = generate_parameters(&circuit, &mut rng).unwrap();
 
         let mut group = c.benchmark_group(format!("table1/{row}"));
         group.sample_size(10);
+        // cold: both syntheses, the context build and the proof
         group.bench_function("prove", |b| {
-            b.iter(|| create_proof_from_cs(&pk, &cs, &mut rng))
+            b.iter(|| create_proof(&pk, &circuit, &mut rng).unwrap())
         });
-        let proof = create_proof_from_cs(&pk, &cs, &mut rng);
-        let publics: Vec<Fr> = cs.instance_assignment()[1..].to_vec();
+        let proof = create_proof(&pk, &circuit, &mut rng).unwrap();
+        let publics = publics(&circuit);
         let pvk = pk.vk.prepare();
         group.bench_function("verify", |b| {
             b.iter(|| verify_proof_prepared(&pvk, &proof, &publics).unwrap())
@@ -36,12 +44,11 @@ fn bench_rows(c: &mut Criterion) {
     }
 
     for row in ["matmult", "conv3d", "average2d", "mnist-mlp", "cifar-cnn"] {
-        let cs = build_row(row, Scale::Quick);
-        let matrices = cs.to_matrices();
+        let circuit = row_circuit(row, Scale::Quick);
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        let pk = generate_parameters_from_matrices(&matrices, &mut rng);
-        let proof = create_proof_from_cs(&pk, &cs, &mut rng);
-        let publics: Vec<Fr> = cs.instance_assignment()[1..].to_vec();
+        let pk = generate_parameters(&circuit, &mut rng).unwrap();
+        let proof = create_proof(&pk, &circuit, &mut rng).unwrap();
+        let publics = publics(&circuit);
         let pvk = pk.vk.prepare();
         let mut group = c.benchmark_group(format!("table1/{row}"));
         group.sample_size(10);

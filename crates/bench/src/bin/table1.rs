@@ -17,7 +17,7 @@
 //! ```
 
 use zkrownn_bench::{
-    build_row, format_table, measure, prover_json, MemoryBudget, RowMetrics, Scale, ROW_NAMES,
+    format_table, measure, prover_json, row_circuit, MemoryBudget, RowMetrics, Scale, ROW_NAMES,
 };
 
 /// Default streaming budget for `--scale full` when `--mem-budget` is not
@@ -146,8 +146,9 @@ fn run_fixed_point_ablation() {
 
 fn report_row(m: &RowMetrics) {
     eprintln!(
-        "[{}] setup {:.1?} (qap {:.1?}, commit {:.1?}), prove {:.1?} (witness_map {:.1?}, msm {:.1?}), verify {:.2?}",
+        "[{}] {} constraints: setup {:.1?} (qap {:.1?}, commit {:.1?}), prove {:.1?} (witness_map {:.1?}, msm {:.1?}), verify {:.2?}",
         m.name,
+        m.constraints,
         m.setup_time, m.setup_qap_time, m.setup_commit_time,
         m.prove_time, m.witness_map_time, m.msm_time, m.verify_time
     );
@@ -283,12 +284,9 @@ fn main() {
     let mut measured: Vec<RowMetrics> = Vec::new();
     for canonical in rows {
         eprintln!("[{canonical}] building circuit …");
-        let cs = build_row(canonical, scale);
-        eprintln!(
-            "[{canonical}] {} constraints; running setup/prove/verify …",
-            cs.num_constraints()
-        );
-        let m = measure(canonical, &cs, store_budget);
+        let circuit = row_circuit(canonical, scale);
+        eprintln!("[{canonical}] running synthesis/setup/prove/verify …");
+        let m = measure(canonical, &circuit, store_budget);
         report_row(&m);
         measured.push(m);
     }
@@ -300,12 +298,13 @@ fn main() {
     if smoke && store_budget.is_none() {
         let canonical = "cifar-cnn";
         eprintln!("[{canonical}] building circuit (streamed @ {SMOKE_BUDGET_MB} MB) …");
-        let cs = build_row(canonical, scale);
-        eprintln!(
-            "[{canonical}] {} constraints; running streaming setup/prove/verify …",
-            cs.num_constraints()
+        let circuit = row_circuit(canonical, scale);
+        eprintln!("[{canonical}] running synthesis/streaming setup/prove/verify …");
+        let m = measure(
+            canonical,
+            &circuit,
+            Some(MemoryBudget::from_mb(SMOKE_BUDGET_MB)),
         );
-        let m = measure(canonical, &cs, Some(MemoryBudget::from_mb(SMOKE_BUDGET_MB)));
         report_row(&m);
         measured.push(m);
     }

@@ -68,9 +68,10 @@ pub struct RowMetrics {
     pub setup_commit_time: Duration,
     /// Proving-key size in bytes.
     pub pk_bytes: usize,
-    /// One-time context build (matrix lowering + twiddle tables) — shared
-    /// by key generation and the prover via `SetupContext` →
-    /// `ProverContext`, amortized across proofs in batch workloads.
+    /// One-time context build (setup synthesis into the matrices +
+    /// twiddle tables) — shared by key generation and the prover via
+    /// `SetupContext` → `ProverContext`, amortized across proofs in batch
+    /// workloads.
     pub context_time: Duration,
     /// Prover wall time (witness map + MSMs + assembly, cached context).
     pub prove_time: Duration,
@@ -208,7 +209,7 @@ pub const PAPER_TABLE1: [PaperRow; 9] = [
     },
 ];
 
-/// All Table I row names, in paper order (keys for [`build_row`]).
+/// All Table I row names, in paper order (keys for [`row_circuit`]).
 pub const ROW_NAMES: [&str; 9] = [
     "matmult",
     "conv3d",
@@ -512,20 +513,6 @@ pub fn row_circuit(name: &str, scale: Scale) -> Table1Circuit {
     }
 }
 
-/// Builds a Table I row circuit by name and synthesizes it in proving mode
-/// (the form the measurement harness and benches consume).
-///
-/// # Panics
-/// Panics on an unknown row name.
-pub fn build_row(name: &str, scale: Scale) -> ProvingSynthesizer<Fr> {
-    let circuit = row_circuit(name, scale);
-    let mut cs = ProvingSynthesizer::new();
-    circuit
-        .synthesize(&mut cs)
-        .expect("benchmark circuits carry their witness");
-    cs
-}
-
 /// The paper's reference metrics for a row name, if recorded.
 pub fn paper_reference(name: &str) -> Option<&'static PaperRow> {
     let canonical = match name.to_lowercase().as_str() {
@@ -554,10 +541,12 @@ struct MeasuredKey<K> {
     segments: usize,
 }
 
-/// Runs setup → prove → verify over a synthesized circuit and measures all
-/// seven Table I metrics plus the setup phase breakdown (QAP scalars /
-/// group commitments), the prover phase breakdown (context build / witness
-/// map / MSMs) and the row's own peak RSS.
+/// Runs setup → prove → verify over a circuit and measures all seven
+/// Table I metrics plus the setup phase breakdown (QAP scalars / group
+/// commitments), the prover phase breakdown (context build / witness map /
+/// MSMs) and the row's own peak RSS. The circuit is synthesized twice, as
+/// the two roles do: in proving mode for the assignment (before any
+/// clock starts), and in setup mode for the matrices (the context build).
 ///
 /// `store_budget` says where the key goes. `None` keeps it in memory.
 /// `Some(budget)` runs the *streaming* pipeline end to end — keygen
@@ -573,14 +562,14 @@ struct MeasuredKey<K> {
 /// # Panics
 /// Panics on an unsatisfied circuit, on store I/O failures, or if the
 /// proof fails to verify.
-pub fn measure(
+pub fn measure<C: Circuit<Fr>>(
     name: &'static str,
-    cs: &ProvingSynthesizer<Fr>,
+    circuit: &C,
     store_budget: Option<MemoryBudget>,
 ) -> RowMetrics {
     let Some(budget) = store_budget else {
         let unbounded = MemoryBudget::from_bytes(usize::MAX);
-        return measure_through(name, cs, KeyCollector::default(), unbounded, |sink| {
+        return measure_through(name, circuit, KeyCollector::default(), unbounded, |sink| {
             let pk = sink.into_key();
             Ok(MeasuredKey {
                 vk: pk.vk.clone(),
@@ -594,7 +583,7 @@ pub fn measure(
         std::env::temp_dir().join(format!("zkrownn-bench-{}-{name}.zkst", std::process::id()));
     let sink = KeyStoreWriter::create(&store_path, None)
         .unwrap_or_else(|e| panic!("{name}: creating key store: {e}"));
-    let metrics = measure_through(name, cs, sink, budget, |sink| {
+    let metrics = measure_through(name, circuit, sink, budget, |sink| {
         sink.finish()?;
         let store = KeyStore::open_with(&store_path, StoreBackend::Buffered)?;
         Ok(MeasuredKey {
@@ -610,9 +599,9 @@ pub fn measure(
 
 /// The one measurement body: keygen into `sink` at `budget`, `finish` the
 /// sink into the key the prover reads, prove from it, verify.
-fn measure_through<S: KeySink, K: KeySource>(
+fn measure_through<C: Circuit<Fr>, S: KeySink, K: KeySource>(
     name: &'static str,
-    cs: &ProvingSynthesizer<Fr>,
+    circuit: &C,
     mut sink: S,
     budget: MemoryBudget,
     finish: impl FnOnce(S) -> Result<MeasuredKey<K>, Box<dyn std::error::Error>>,
@@ -622,14 +611,20 @@ where
     K::Error: std::fmt::Display,
 {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xbe9c);
+    let mut cs = ProvingSynthesizer::new();
+    circuit
+        .synthesize(&mut cs)
+        .unwrap_or_else(|e| panic!("{name}: proving synthesis: {e}"));
     assert!(cs.is_satisfied().is_ok(), "{name}: unsatisfied circuit");
     reset_peak_rss();
 
-    // the one-time cost both roles share: matrix lowering + domain
-    // construction with its twiddle/coset tables (`SetupContext` hands the
-    // same lowering to the prover below, mirroring `Authority::setup`)
+    // the one-time cost both roles share: setup synthesis into the
+    // matrices + domain construction with its twiddle/coset tables
+    // (`SetupContext` hands the same lowering to the prover below,
+    // mirroring `Authority::setup`)
     let t = Instant::now();
-    let setup_ctx = SetupContext::new(cs.to_matrices());
+    let setup_ctx = SetupContext::for_circuit(circuit)
+        .unwrap_or_else(|e| panic!("{name}: setup synthesis: {e}"));
     let context_time = t.elapsed();
 
     let toxic = ToxicWaste::sample(&mut rng);
@@ -872,7 +867,8 @@ mod tests {
     #[test]
     fn quick_rows_all_build_and_satisfy() {
         for name in ROW_NAMES {
-            let cs = build_row(name, Scale::Quick);
+            let mut cs = ProvingSynthesizer::<Fr>::new();
+            row_circuit(name, Scale::Quick).synthesize(&mut cs).unwrap();
             assert!(cs.is_satisfied().is_ok(), "row {name}");
             assert!(cs.num_constraints() > 0, "row {name}");
         }
@@ -885,19 +881,27 @@ mod tests {
             let circuit = row_circuit(name, Scale::Quick);
             let mut setup = SetupSynthesizer::<Fr>::new();
             circuit.synthesize(&mut setup).unwrap();
+            let (m, ()) = setup.into_parts();
             let mut cs = ProvingSynthesizer::<Fr>::new();
             circuit.synthesize(&mut cs).unwrap();
-            // the matrices the prover lowers are the ones the keys were
-            // made from, entry for entry — setup's are pinned through the
-            // golden `CircuitId`s, the prover's only through this
-            assert!(cs.to_matrices() == setup.to_matrices(), "row {name}");
+            // the prover's assignment satisfies the matrices the keys were
+            // made from (pinned through the golden `CircuitId`s), and its
+            // own row-by-row check agrees
+            let z = cs.full_assignment();
+            assert_eq!(z.len(), m.num_variables(), "row {name}");
+            let ab = m.a().row_products(&z).zip(m.b().row_products(&z));
+            let violated = ab
+                .zip(m.c().row_products(&z))
+                .position(|((a, b), c)| a * b != c);
+            assert_eq!(violated, None, "row {name}");
+            assert_eq!(cs.is_satisfied(), Ok(()), "row {name}");
+            assert_eq!(cs.num_constraints(), m.num_constraints(), "row {name}");
         }
     }
 
     #[test]
     fn quick_relu_row_measures_end_to_end() {
-        let cs = build_row("relu", Scale::Quick);
-        let m = measure("ReLU", &cs, None);
+        let m = measure("ReLU", &row_circuit("relu", Scale::Quick), None);
         assert_eq!(m.proof_bytes, 128);
         assert!(m.verify_time.as_secs_f64() < 1.0);
         assert_eq!(m.key_segments, 0);
@@ -905,9 +909,9 @@ mod tests {
 
     #[test]
     fn store_backed_measure_matches_in_memory_row() {
-        let cs = build_row("ber", Scale::Quick);
-        let in_memory = measure("ber", &cs, None);
-        let streamed = measure("ber", &cs, Some(MemoryBudget::from_mb(4)));
+        let ber = row_circuit("ber", Scale::Quick);
+        let in_memory = measure("ber", &ber, None);
+        let streamed = measure("ber", &ber, Some(MemoryBudget::from_mb(4)));
         assert_eq!(streamed.proof_bytes, 128);
         assert_eq!(streamed.constraints, in_memory.constraints);
         assert_eq!(streamed.vk_bytes, in_memory.vk_bytes);
@@ -949,8 +953,7 @@ mod tests {
 
     #[test]
     fn format_table_contains_paper_rows() {
-        let cs = build_row("ber", Scale::Quick);
-        let m = measure("BER", &cs, None);
+        let m = measure("BER", &row_circuit("ber", Scale::Quick), None);
         let table = format_table(&[m]);
         assert!(table.contains("BER (ours)"));
         assert!(table.contains("BER (paper)"));
@@ -958,8 +961,7 @@ mod tests {
 
     #[test]
     fn prover_json_is_well_formed() {
-        let cs = build_row("ber", Scale::Quick);
-        let m = measure("ber", &cs, None);
+        let m = measure("ber", &row_circuit("ber", Scale::Quick), None);
         assert!(m.witness_map_time + m.msm_time <= m.prove_time);
         assert!(m.setup_qap_time + m.setup_commit_time <= m.setup_time);
         // 3ᵇ·2ᵏ with b ≤ 2 (Fr's 3-adicity), holding every constraint

@@ -1,7 +1,8 @@
 //! An allocation gate on `OwnershipStatement::circuit_id()`, the call that
-//! decides what a served or cold claim costs, and on the setup-mode
-//! synthesis that *keeps* the matrices, which is what key generation and
-//! every reassembled prover kit start from.
+//! decides what a served or cold claim costs, on the setup-mode synthesis
+//! that *keeps* the matrices, which is what key generation and every
+//! reassembled prover kit start from, and on the proving synthesis every
+//! proof starts from (`ExtractionSpec::build`).
 //!
 //! Constraint synthesis is meant to be allocation-free in the common case
 //! (a combination of one term lives inline, gadgets accumulate in place),
@@ -12,9 +13,12 @@
 //! order of magnitude below what one allocation per combination costs —
 //! and a count, unlike a timing, repeats exactly on any box. The storing
 //! synthesis is held to the same limit with `to_matrices()` included: the
-//! drivers append to three flat matrices as they go, so keeping a
+//! driver appends to three flat matrices as it goes, so keeping a
 //! constraint costs no allocation of its own (a `Vec` per row of each
 //! matrix was 3 per constraint — 84 417 / 273 088 on the two circuits).
+//! The proving synthesis is held to it too, and to a byte budget below
+//! what it cost while it kept a second copy of the matrices (74.1 / 20.5
+//! MB): it keeps the assignment and checks each row as it is enforced.
 //!
 //! The counting `#[global_allocator]` is why this is a test binary of its
 //! own with a single `#[test]`: it sees every thread of the process, and
@@ -84,10 +88,15 @@ fn assert_budget<T>(name: &str, call: impl Fn() -> T, max_calls: u64, max_mb: u6
     );
 }
 
-/// Both gates on one circuit: the digest-only synthesis behind
-/// `circuit_id()`, then setup-mode synthesis into the matrices plus the
-/// copy `to_matrices()` hands out.
-fn assert_budgets(name: &str, spec: ExtractionSpec, max_calls: u64, id_mb: u64, store_mb: u64) {
+/// The three gates on one circuit: the digest-only synthesis behind
+/// `circuit_id()`, setup-mode synthesis into the matrices plus the copy
+/// `to_matrices()` hands out, and the proving synthesis of `build()`.
+fn assert_budgets(
+    name: &str,
+    spec: ExtractionSpec,
+    max_calls: u64,
+    [id_mb, store_mb, build_mb]: [u64; 3],
+) {
     let statement = spec.statement();
     assert_budget(
         &format!("{name}, circuit_id()"),
@@ -107,13 +116,21 @@ fn assert_budgets(name: &str, spec: ExtractionSpec, max_calls: u64, id_mb: u64, 
         max_calls,
         store_mb,
     );
+    assert_budget(
+        &format!("{name}, build()"),
+        || spec.build().expect("the quick specs carry their witness"),
+        max_calls,
+        build_mb,
+    );
 }
 
 #[test]
 fn synthesis_allocates_less_than_once_per_two_constraints() {
     // budgets: constraints / 2 (88 129 and 27 553, pinned in
-    // `golden_counts.rs`); ≈ 3× the trace `circuit_id()` emits, and ≈ 3×
-    // the matrices the storing synthesis grows (doubling) and then copies
-    assert_budgets("quick cnn", quick_cnn_spec(), 44_064, 50, 100);
-    assert_budgets("quick mlp", quick_mlp_spec(), 13_776, 16, 40);
+    // `golden_counts.rs`); ≈ 3× the trace `circuit_id()` emits, ≈ 3× the
+    // matrices the storing synthesis grows (doubling) and then copies, and
+    // for `build()` between what it takes (≈ 26 / 8.5 MB) and what it took
+    // with the matrix copy
+    assert_budgets("quick cnn", quick_cnn_spec(), 44_064, [50, 100, 40]);
+    assert_budgets("quick mlp", quick_mlp_spec(), 13_776, [16, 40, 13]);
 }

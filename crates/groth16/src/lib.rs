@@ -8,9 +8,10 @@
 //!
 //! Both [`generate_parameters`] and [`create_proof`] take an
 //! `impl Circuit<Fr>`: setup drives it through the witness-free
-//! `SetupSynthesizer` (no value closure is ever evaluated), proving through
-//! the `ProvingSynthesizer` (dense assignment) — one circuit definition,
-//! two modes, structurally identical by construction.
+//! `SetupSynthesizer` (no value closure is ever evaluated; the one writer
+//! of the matrices), proving through the `ProvingSynthesizer` too (the
+//! dense assignment, checked row by row) — one circuit definition, two
+//! modes, structurally identical by construction.
 //!
 //! ```
 //! use zkrownn_groth16::{generate_parameters, create_proof, verify_proof};
@@ -62,9 +63,8 @@ pub mod verifier;
 pub use keys::{DecodeError, PreparedVerifyingKey, Proof, ProvingKey, VerifyingKey};
 #[cfg(feature = "std")]
 pub use prover::{
-    assemble_proof, create_proof, create_proof_from_cs, create_proof_timed,
-    create_proof_with_context_and_randomness, prove, KeySource, ProofSums, ProverContext,
-    ProverTimings,
+    assemble_proof, create_proof, create_proof_timed, create_proof_with_context_and_randomness,
+    prove, KeySource, ProofSums, ProverContext, ProverTimings,
 };
 #[cfg(feature = "std")]
 pub use setup::{
@@ -81,10 +81,7 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use zkrownn_ff::{Field, Fr};
-    use zkrownn_r1cs::{
-        assignment, Circuit, ConstraintSystem, LinearCombination, ProvingSynthesizer,
-        SynthesisError, Variable,
-    };
+    use zkrownn_r1cs::{assignment, Circuit, ConstraintSystem, LinearCombination, SynthesisError};
 
     /// A toy circuit: prove knowledge of x with x³ + x + 5 = y (y public).
     /// (The classic "cubic" example from the Pinocchio/Groth16 literature.)
@@ -167,6 +164,17 @@ mod tests {
         assert_eq!(
             create_proof(&pk, &shape, &mut rng),
             Err(SynthesisError::AssignmentMissing)
+        );
+    }
+
+    #[test]
+    fn an_unsatisfied_circuit_is_refused_not_proved() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(146);
+        let pk = generate_parameters(&Cubic { y: 35, x: None }, &mut rng).unwrap();
+        // 3³ + 3 + 5 = 35: the last row, (x³ + x + 5) · 1 = y, fails
+        assert_eq!(
+            create_proof(&pk, &Cubic { y: 36, x: Some(3) }, &mut rng),
+            Err(SynthesisError::Unsatisfied(2))
         );
     }
 
@@ -515,16 +523,21 @@ mod tests {
     #[test]
     fn proof_with_instance_only_circuit() {
         // A circuit with no witness at all: 1 * y = y (tautology on input)
+        struct Echo;
+        impl Circuit<Fr> for Echo {
+            type Output = ();
+            fn synthesize<CS: ConstraintSystem<Fr>>(
+                &self,
+                cs: &mut CS,
+            ) -> Result<(), SynthesisError> {
+                let y = cs.alloc_instance(|| Ok(Fr::from_u64(9)))?;
+                cs.enforce(LinearCombination::constant(Fr::one()), y.into(), y.into());
+                Ok(())
+            }
+        }
         let mut rng = rand::rngs::StdRng::seed_from_u64(139);
-        let mut cs = ProvingSynthesizer::<Fr>::new();
-        let y = cs.alloc_instance(|| Ok(Fr::from_u64(9))).unwrap();
-        cs.enforce(
-            LinearCombination::constant(Fr::one()),
-            LinearCombination::from(y),
-            Variable::Instance(1).into(),
-        );
-        let pk = generate_parameters_from_matrices(&cs.to_matrices(), &mut rng);
-        let proof = create_proof_from_cs(&pk, &cs, &mut rng);
+        let pk = generate_parameters(&Echo, &mut rng).unwrap();
+        let proof = create_proof(&pk, &Echo, &mut rng).unwrap();
         assert!(verify_proof(&pk.vk, &proof, &[Fr::from_u64(9)]).is_ok());
     }
 }

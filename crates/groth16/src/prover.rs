@@ -2,12 +2,12 @@
 //!
 //! There is **one** proof kernel, [`prove`], over two things it is handed:
 //!
-//! * a [`ProverContext`] — the lowered constraint matrices, the FFT domain
-//!   (with its twiddle tables) and the inverse of the coset vanishing
-//!   constant, built once and reused across proofs. [`create_proof_from_cs`]
-//!   still works standalone — it builds a throwaway context — but anything
-//!   proving more than once against the same circuit should hold a context
-//!   (the `zkrownn-core` `ProverKit` does);
+//! * a [`ProverContext`] — the matrices setup synthesis lowered, the FFT
+//!   domain (with its twiddle tables) and the inverse of the coset
+//!   vanishing constant, built once and reused across proofs.
+//!   [`create_proof`] still works standalone — it lowers into a throwaway
+//!   context — but anything proving more than once against the same
+//!   circuit should hold a context (the `zkrownn-core` `ProverKit` does);
 //! * a [`KeySource`] — wherever the proving key lives. The kernel owns the
 //!   shape check, the witness map, the phase timings and the `(r, s)`
 //!   assembly; the source owns only how the five proof MSMs are scheduled.
@@ -29,8 +29,8 @@ use zkrownn_r1cs::{Circuit, ProvingSynthesizer, R1csMatrices, SynthesisError};
 /// every proof: the lowered matrices, the FFT domain with its twiddle
 /// tables, and `1/Z_H(g)` (the coset vanishing constant's inverse).
 ///
-/// Rebuilding these per proof — `to_matrices()` copies the matrices, the
-/// domain pays `O(m)` table multiplications — is pure overhead for
+/// Rebuilding these per proof — lowering synthesizes the circuit again,
+/// the domain pays `O(m)` table multiplications — is pure overhead for
 /// batch-proving workloads; a context amortizes it to zero.
 pub struct ProverContext {
     matrices: R1csMatrices<Fr>,
@@ -74,12 +74,6 @@ impl ProverContext {
         }
     }
 
-    /// Builds a context from a proving-mode synthesis (copies its
-    /// matrices once).
-    pub fn for_cs(cs: &ProvingSynthesizer<Fr>) -> Self {
-        Self::new(cs.to_matrices())
-    }
-
     /// Builds a context by synthesizing `circuit` in (witness-free) setup
     /// mode — the right entry point when only the circuit shape is at hand,
     /// e.g. reconstructing a prover role from a shipped proving key.
@@ -97,8 +91,10 @@ impl ProverContext {
         &self.domain
     }
 
-    /// Quotient-polynomial coefficients for a full assignment (see
-    /// [`qap::witness_map`]); uses the cached domain and vanishing constant.
+    /// The prover's "witness map": the `m − 1` coefficients of the
+    /// quotient `h(x) = (A(x)B(x) − C(x))/Z(x)` for a full assignment
+    /// (`deg h = m − 2` for a satisfied system), over the cached domain and
+    /// vanishing constant.
     ///
     /// # Panics
     /// Panics unless `z` has one scalar per variable of the circuit.
@@ -252,15 +248,17 @@ pub fn prove<S: KeySource>(
 }
 
 /// Synthesizes `circuit` in proving mode (evaluating every value closure
-/// into the dense assignment) and creates a proof for it.
+/// into the dense assignment) and creates a proof for it, over a
+/// throwaway [`ProverContext`] — callers proving repeatedly against one
+/// circuit should build the context once and call [`prove`].
 ///
 /// Fresh zero-knowledge randomness `(r, s)` is drawn from `rng`. Returns
 /// [`SynthesisError::AssignmentMissing`] if the circuit was constructed
-/// without its witness.
+/// without its witness, and [`SynthesisError::Unsatisfied`] (no proof) if
+/// the witness violates a constraint.
 ///
 /// # Panics
-/// Panics (in debug builds) if the synthesized system is unsatisfied or its
-/// shape disagrees with the proving key.
+/// Panics if the circuit's shape disagrees with the proving key.
 pub fn create_proof<C: Circuit<Fr>, R: rand::Rng + ?Sized>(
     pk: &ProvingKey,
     circuit: &C,
@@ -268,27 +266,10 @@ pub fn create_proof<C: Circuit<Fr>, R: rand::Rng + ?Sized>(
 ) -> Result<Proof, SynthesisError> {
     let mut cs = ProvingSynthesizer::<Fr>::new();
     circuit.synthesize(&mut cs)?;
-    Ok(create_proof_from_cs(pk, &cs, rng))
-}
-
-/// Creates a proof from an already-synthesized proving-mode system, with
-/// fresh `(r, s)` from `rng`.
-///
-/// Builds a throwaway [`ProverContext`] — callers proving repeatedly
-/// against one circuit should build the context once and call [`prove`].
-///
-/// # Panics
-/// Panics (in debug builds) if the constraint system is unsatisfied, and
-/// always if its shape disagrees with the proving key.
-pub fn create_proof_from_cs<R: rand::Rng + ?Sized>(
-    pk: &ProvingKey,
-    cs: &ProvingSynthesizer<Fr>,
-    rng: &mut R,
-) -> Proof {
-    debug_assert_eq!(cs.is_satisfied(), Ok(()), "unsatisfied constraint system");
-    let ctx = ProverContext::for_cs(cs);
+    cs.is_satisfied().map_err(SynthesisError::Unsatisfied)?;
+    let ctx = ProverContext::for_circuit(circuit)?;
     let (r, s) = (Fr::random(rng), Fr::random(rng));
-    create_proof_timed(pk, &ctx, &cs.full_assignment(), r, s).0
+    Ok(create_proof_timed(pk, &ctx, &cs.full_assignment(), r, s).0)
 }
 
 /// Deterministic-randomness proof from an in-memory key over a cached

@@ -92,27 +92,6 @@ pub fn evaluate_qap_at_with(
     }
 }
 
-/// Computes the coefficients of the quotient `h(x) = (A(x)B(x) − C(x))/Z(x)`
-/// for a full assignment `z` (the prover's "witness map").
-///
-/// Returns `m − 1` coefficients (`deg h = m − 2` for a satisfied system).
-///
-/// Builds the evaluation domain (twiddle tables included) from scratch on
-/// every call; amortizing workloads should go through
-/// [`crate::ProverContext`], which caches the domain and the vanishing
-/// constant and reduces to the same kernel.
-///
-/// # Panics
-/// Panics unless `z` has one scalar per variable of the circuit.
-pub fn witness_map(matrices: &R1csMatrices<Fr>, z: &[Fr]) -> Vec<Fr> {
-    let domain = qap_domain(matrices);
-    let z_inv = domain
-        .vanishing_polynomial_on_coset()
-        .inverse()
-        .expect("coset avoids the domain");
-    witness_map_with(matrices, &domain, z_inv, z)
-}
-
 /// The witness-map kernel over a prebuilt domain: the three interpolation
 /// pipelines (evaluate rows over `H`, interpolate, re-evaluate on the coset
 /// `gH`) are independent until the pointwise combine, so A/B/C run on
@@ -181,13 +160,13 @@ pub(crate) fn witness_map_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ProverContext;
     use rand::SeedableRng;
     use zkrownn_ff::Field;
-    use zkrownn_r1cs::{ConstraintSystem, ProvingSynthesizer};
+    use zkrownn_r1cs::{ConstraintSystem, ProvingSynthesizer, SetupSynthesizer};
 
     /// x·y = p, y·y = s (two constraints, one instance for each output)
-    fn sample_system() -> ProvingSynthesizer<Fr> {
-        let mut cs = ProvingSynthesizer::new();
+    fn sample_system<CS: ConstraintSystem<Fr>>(mut cs: CS) -> CS {
         let p = cs.alloc_instance(|| Ok(Fr::from_u64(21))).unwrap();
         let s = cs.alloc_instance(|| Ok(Fr::from_u64(49))).unwrap();
         let x = cs.alloc_witness(|| Ok(Fr::from_u64(3))).unwrap();
@@ -197,17 +176,25 @@ mod tests {
         cs
     }
 
+    fn sample_matrices() -> R1csMatrices<Fr> {
+        sample_system(SetupSynthesizer::new()).into_parts().0
+    }
+
+    fn sample_assignment() -> Vec<Fr> {
+        let cs = sample_system(ProvingSynthesizer::new());
+        assert!(cs.is_satisfied().is_ok());
+        cs.full_assignment()
+    }
+
     #[test]
     fn witness_map_gives_exact_division() {
-        let cs = sample_system();
-        assert!(cs.is_satisfied().is_ok());
-        let m = cs.to_matrices();
-        let h = witness_map(&m, &cs.full_assignment());
+        let m = sample_matrices();
+        let z = sample_assignment();
+        let h = ProverContext::new(m.clone()).witness_map(&z);
         // verify A(τ)B(τ) − C(τ) = h(τ)Z(τ) at a random τ via QAP evals
         let mut rng = rand::rngs::StdRng::seed_from_u64(121);
         let tau = Fr::random(&mut rng);
         let qap = evaluate_qap_at(&m, tau);
-        let z = cs.full_assignment();
         let at = z
             .iter()
             .zip(&qap.u)
@@ -228,18 +215,16 @@ mod tests {
     #[should_panic(expected = "AB - C not divisible")]
     #[cfg(debug_assertions)]
     fn witness_map_panics_on_bad_witness() {
-        let cs = sample_system();
-        let m = cs.to_matrices();
-        let mut z = cs.full_assignment();
+        let m = sample_matrices();
+        let mut z = sample_assignment();
         z[3] = Fr::from_u64(999); // corrupt a witness value
-        let _ = witness_map(&m, &z);
+        let _ = ProverContext::new(m).witness_map(&z);
     }
 
     #[test]
     fn instance_polynomials_are_nonzero() {
         // the padding rows guarantee every instance column has u_i ≠ 0
-        let cs = sample_system();
-        let m = cs.to_matrices();
+        let m = sample_matrices();
         let mut rng = rand::rngs::StdRng::seed_from_u64(122);
         let qap = evaluate_qap_at(&m, Fr::random(&mut rng));
         for i in 0..m.num_instance() {
@@ -249,8 +234,7 @@ mod tests {
 
     #[test]
     fn domain_covers_constraints_plus_instance() {
-        let cs = sample_system();
-        let m = cs.to_matrices();
+        let m = sample_matrices();
         let d = qap_domain(&m);
         assert!(d.size >= m.num_constraints() + m.num_instance());
     }

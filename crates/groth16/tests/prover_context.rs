@@ -8,31 +8,52 @@ use zkrownn_ff::{Field, Fr};
 use zkrownn_groth16::{
     create_proof_with_context_and_randomness, verify_proof, ProverContext, SetupContext, ToxicWaste,
 };
-use zkrownn_r1cs::{ConstraintSystem, ProvingSynthesizer};
+use zkrownn_r1cs::{
+    Circuit, ConstraintSystem, LinearCombination, ProvingSynthesizer, SynthesisError,
+};
 
 /// A small but FFT-non-trivial system: a chain of `n` multiplications
 /// `x_{i+1} = x_i · x_i + i`, with the last value public.
-fn chain_system(n: usize, x0: u64) -> ProvingSynthesizer<Fr> {
-    let mut cs = ProvingSynthesizer::<Fr>::new();
-    let mut cur_val = Fr::from_u64(x0);
-    let mut cur = cs.alloc_witness(|| Ok(cur_val)).unwrap();
-    for i in 0..n {
-        let next_val = cur_val * cur_val + Fr::from_u64(i as u64);
-        let next = cs.alloc_witness(|| Ok(next_val)).unwrap();
-        use zkrownn_r1cs::LinearCombination;
-        let rhs =
-            LinearCombination::from(next) + LinearCombination::constant(-Fr::from_u64(i as u64));
-        cs.enforce(cur.into(), cur.into(), rhs);
-        cur = next;
-        cur_val = next_val;
+struct Chain {
+    n: usize,
+    x0: u64,
+}
+
+impl Circuit<Fr> for Chain {
+    type Output = ();
+    fn synthesize<CS: ConstraintSystem<Fr>>(&self, cs: &mut CS) -> Result<(), SynthesisError> {
+        let mut cur_val = Fr::from_u64(self.x0);
+        let mut cur = cs.alloc_witness(|| Ok(cur_val))?;
+        for i in 0..self.n {
+            let next_val = cur_val * cur_val + Fr::from_u64(i as u64);
+            let next = cs.alloc_witness(|| Ok(next_val))?;
+            let rhs = LinearCombination::from(next)
+                + LinearCombination::constant(-Fr::from_u64(i as u64));
+            cs.enforce(cur.into(), cur.into(), rhs);
+            cur = next;
+            cur_val = next_val;
+        }
+        let out = cs.alloc_instance(|| Ok(cur_val))?;
+        cs.enforce(
+            cur.into(),
+            LinearCombination::constant(Fr::one()),
+            out.into(),
+        );
+        Ok(())
     }
-    let out = cs.alloc_instance(|| Ok(cur_val)).unwrap();
-    cs.enforce(
-        cur.into(),
-        zkrownn_r1cs::LinearCombination::constant(Fr::one()),
-        out.into(),
-    );
+}
+
+/// The chain's proving synthesis: its assignment, checked row by row.
+fn witnessed(chain: &Chain) -> ProvingSynthesizer<Fr> {
+    let mut cs = ProvingSynthesizer::new();
+    chain.synthesize(&mut cs).unwrap();
+    assert!(cs.is_satisfied().is_ok());
     cs
+}
+
+/// The chain's prover context, lowered through setup synthesis.
+fn context(chain: &Chain) -> ProverContext {
+    ProverContext::for_circuit(chain).unwrap()
 }
 
 fn toxic(seed: u64) -> ToxicWaste {
@@ -47,12 +68,12 @@ fn toxic(seed: u64) -> ToxicWaste {
 
 #[test]
 fn cached_context_is_byte_identical_to_uncached() {
-    let cs = chain_system(37, 3);
-    assert!(cs.is_satisfied().is_ok());
-    let matrices = cs.to_matrices();
+    let chain = Chain { n: 37, x0: 3 };
+    let cs = witnessed(&chain);
+    let ctx = context(&chain);
+    let matrices = ctx.matrices().clone();
     let (pk, _) = SetupContext::new(matrices.clone()).generate_timed(&toxic(0xc0ffee));
     let z = cs.full_assignment();
-    let ctx = ProverContext::for_cs(&cs);
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(77);
     for round in 0..5 {
@@ -73,8 +94,9 @@ fn cached_context_is_byte_identical_to_uncached() {
 
 #[test]
 fn context_accessors_describe_the_circuit() {
-    let cs = chain_system(10, 2);
-    let ctx = ProverContext::for_cs(&cs);
+    let chain = Chain { n: 10, x0: 2 };
+    let cs = witnessed(&chain);
+    let ctx = context(&chain);
     assert_eq!(ctx.matrices().num_constraints(), cs.num_constraints());
     // domain covers constraints + instance padding rows
     assert!(ctx.domain().size >= cs.num_constraints() + cs.num_instance_variables());
@@ -89,12 +111,11 @@ proptest! {
         x0 in 1u64..1000,
         seed in any::<u64>(),
     ) {
-        let cs = chain_system(n, x0);
-        prop_assert!(cs.is_satisfied().is_ok());
-        let matrices = cs.to_matrices();
+        let chain = Chain { n, x0 };
+        let z = witnessed(&chain).full_assignment();
+        let ctx = context(&chain);
+        let matrices = ctx.matrices().clone();
         let (pk, _) = SetupContext::new(matrices.clone()).generate_timed(&toxic(seed | 1));
-        let z = cs.full_assignment();
-        let ctx = ProverContext::for_cs(&cs);
         let r = Fr::from_u64(seed ^ 0xaaaa) + Fr::one();
         let s = Fr::from_u64(seed ^ 0x5555) + Fr::one();
         let throwaway = ProverContext::new(matrices.clone());
@@ -109,10 +130,10 @@ proptest! {
 fn in_memory_adapters_reject_a_wrong_length_assignment() {
     // the one kernel's shape check, as the infallible adapters surface it:
     // a panic before the witness map or any MSM sees the short vector
-    let cs = chain_system(5, 2);
-    let (pk, _) = SetupContext::new(cs.to_matrices()).generate_timed(&toxic(0xbad));
-    let ctx = ProverContext::for_cs(&cs);
-    let mut z = cs.full_assignment();
+    let chain = Chain { n: 5, x0: 2 };
+    let ctx = context(&chain);
+    let (pk, _) = SetupContext::new(ctx.matrices().clone()).generate_timed(&toxic(0xbad));
+    let mut z = witnessed(&chain).full_assignment();
     z.pop();
     create_proof_with_context_and_randomness(&pk, &ctx, &z, Fr::one(), Fr::one());
 }
@@ -123,10 +144,10 @@ fn the_public_witness_map_rejects_a_wrong_length_assignment() {
     // in release too, and for a long `z` as well as a short one: past the
     // check a short vector is an out-of-bounds index on a scoped thread
     // and a long one's tail is never read
-    let cs = chain_system(5, 2);
-    let mut z = cs.full_assignment();
+    let chain = Chain { n: 5, x0: 2 };
+    let mut z = witnessed(&chain).full_assignment();
     z.push(Fr::one());
-    ProverContext::for_cs(&cs).witness_map(&z);
+    context(&chain).witness_map(&z);
 }
 
 #[test]
@@ -134,10 +155,10 @@ fn every_key_family_is_checked_before_any_msm() {
     // a key whose family lengths disagree with the circuit — e.g. an H
     // query generated over another evaluation domain — is refused by name
     // on the calling thread, not by `msm`'s generic length panic
-    let cs = chain_system(5, 2);
-    let (pk, _) = SetupContext::new(cs.to_matrices()).generate_timed(&toxic(0x5a9e));
-    let ctx = ProverContext::for_cs(&cs);
-    let z = cs.full_assignment();
+    let chain = Chain { n: 5, x0: 2 };
+    let ctx = context(&chain);
+    let (pk, _) = SetupContext::new(ctx.matrices().clone()).generate_timed(&toxic(0x5a9e));
+    let z = witnessed(&chain).full_assignment();
     assert_eq!(pk.h_query.len(), ctx.domain().size - 1);
     type Mutation = fn(&mut zkrownn_groth16::ProvingKey);
     let mutations: [(&str, Mutation); 5] = [

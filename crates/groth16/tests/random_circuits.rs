@@ -5,37 +5,58 @@
 use proptest::prelude::*;
 use rand::SeedableRng;
 use zkrownn_ff::{Field, Fr};
-use zkrownn_groth16::{create_proof_from_cs, generate_parameters_from_matrices, verify_proof};
-use zkrownn_r1cs::{ConstraintSystem, LinearCombination, ProvingSynthesizer, Variable};
+use zkrownn_groth16::{create_proof, generate_parameters, verify_proof};
+use zkrownn_r1cs::{
+    Circuit, ConstraintSystem, LinearCombination, ProvingSynthesizer, SynthesisError, Variable,
+};
 
-/// Builds a random satisfiable circuit: a chain of multiply/add gates over
-/// a mix of instance and witness variables.
-fn random_circuit(seed: u64, gates: usize, publics: usize) -> ProvingSynthesizer<Fr> {
-    use rand::Rng;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut cs = ProvingSynthesizer::<Fr>::new();
-    let mut pool: Vec<Variable> = Vec::new();
-    for _ in 0..publics {
-        let v = Fr::from_u64(rng.gen_range(0..1000));
-        pool.push(cs.alloc_instance(|| Ok(v)).unwrap());
+/// A random satisfiable circuit: a chain of multiply/add gates over a mix
+/// of instance and witness variables. Each draw from the seeded generator
+/// is the same in every driver, so setup and proving synthesize one
+/// circuit; the values ride beside the variables.
+struct RandomCircuit {
+    seed: u64,
+    gates: usize,
+    publics: usize,
+}
+
+impl RandomCircuit {
+    /// The public inputs, from a proving synthesis.
+    fn publics(&self) -> Vec<Fr> {
+        let mut cs = ProvingSynthesizer::new();
+        self.synthesize(&mut cs).unwrap();
+        cs.instance_assignment()[1..].to_vec()
     }
-    for _ in 0..3 {
-        let v = Fr::from_u64(rng.gen_range(0..1000));
-        pool.push(cs.alloc_witness(|| Ok(v)).unwrap());
+}
+
+impl Circuit<Fr> for RandomCircuit {
+    type Output = ();
+    fn synthesize<CS: ConstraintSystem<Fr>>(&self, cs: &mut CS) -> Result<(), SynthesisError> {
+        use rand::Rng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(self.seed);
+        let mut pool: Vec<(Variable, Fr)> = Vec::new();
+        for _ in 0..self.publics {
+            let v = Fr::from_u64(rng.gen_range(0..1000));
+            pool.push((cs.alloc_instance(|| Ok(v))?, v));
+        }
+        for _ in 0..3 {
+            let v = Fr::from_u64(rng.gen_range(0..1000));
+            pool.push((cs.alloc_witness(|| Ok(v))?, v));
+        }
+        for _ in 0..self.gates {
+            let (a, a_val) = pool[rng.gen_range(0..pool.len())];
+            let (b, b_val) = pool[rng.gen_range(0..pool.len())];
+            let coeff = Fr::from_u64(rng.gen_range(1..50));
+            let offset = Fr::from_u64(rng.gen_range(0..10));
+            let a_lc =
+                LinearCombination::from(a).scale(coeff) + LinearCombination::constant(offset);
+            let product = (a_val * coeff + offset) * b_val;
+            let out = cs.alloc_witness(|| Ok(product))?;
+            cs.enforce(a_lc, b.into(), out.into());
+            pool.push((out, product));
+        }
+        Ok(())
     }
-    for _ in 0..gates {
-        let a = pool[rng.gen_range(0..pool.len())];
-        let b = pool[rng.gen_range(0..pool.len())];
-        let coeff = Fr::from_u64(rng.gen_range(1..50));
-        let a_lc = LinearCombination::from(a).scale(coeff)
-            + LinearCombination::constant(Fr::from_u64(rng.gen_range(0..10)));
-        let b_lc: LinearCombination<Fr> = b.into();
-        let product = cs.eval_lc(&a_lc) * cs.eval_lc(&b_lc);
-        let out = cs.alloc_witness(|| Ok(product)).unwrap();
-        cs.enforce(a_lc, b_lc, out.into());
-        pool.push(out);
-    }
-    cs
 }
 
 proptest! {
@@ -47,22 +68,21 @@ proptest! {
         gates in 1usize..12,
         publics in 0usize..4,
     ) {
-        let cs = random_circuit(seed, gates, publics);
-        prop_assert!(cs.is_satisfied().is_ok());
+        let circuit = RandomCircuit { seed, gates, publics };
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xabcd);
-        let pk = generate_parameters_from_matrices(&cs.to_matrices(), &mut rng);
-        let proof = create_proof_from_cs(&pk, &cs, &mut rng);
-        let publics_vec: Vec<Fr> = cs.instance_assignment()[1..].to_vec();
-        prop_assert!(verify_proof(&pk.vk, &proof, &publics_vec).is_ok());
+        let pk = generate_parameters(&circuit, &mut rng).unwrap();
+        // refused with the row if any gate were unsatisfied
+        let proof = create_proof(&pk, &circuit, &mut rng).unwrap();
+        prop_assert!(verify_proof(&pk.vk, &proof, &circuit.publics()).is_ok());
     }
 
     #[test]
     fn perturbed_public_inputs_are_rejected(seed in 0u64..1000) {
-        let cs = random_circuit(seed, 4, 2);
+        let circuit = RandomCircuit { seed, gates: 4, publics: 2 };
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x1234);
-        let pk = generate_parameters_from_matrices(&cs.to_matrices(), &mut rng);
-        let proof = create_proof_from_cs(&pk, &cs, &mut rng);
-        let mut publics: Vec<Fr> = cs.instance_assignment()[1..].to_vec();
+        let pk = generate_parameters(&circuit, &mut rng).unwrap();
+        let proof = create_proof(&pk, &circuit, &mut rng).unwrap();
+        let mut publics = circuit.publics();
         publics[0] += Fr::one();
         prop_assert!(verify_proof(&pk.vk, &proof, &publics).is_err());
     }
@@ -70,13 +90,12 @@ proptest! {
     #[test]
     fn proofs_do_not_transfer_between_circuits(seed in 0u64..500) {
         // a proof for circuit A must not verify under circuit B's key
-        let cs_a = random_circuit(seed, 3, 1);
-        let cs_b = random_circuit(seed + 1, 3, 1);
+        let circuit_a = RandomCircuit { seed, gates: 3, publics: 1 };
+        let circuit_b = RandomCircuit { seed: seed + 1, gates: 3, publics: 1 };
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x77);
-        let pk_a = generate_parameters_from_matrices(&cs_a.to_matrices(), &mut rng);
-        let pk_b = generate_parameters_from_matrices(&cs_b.to_matrices(), &mut rng);
-        let proof_a = create_proof_from_cs(&pk_a, &cs_a, &mut rng);
-        let publics_b: Vec<Fr> = cs_b.instance_assignment()[1..].to_vec();
-        prop_assert!(verify_proof(&pk_b.vk, &proof_a, &publics_b).is_err());
+        let pk_a = generate_parameters(&circuit_a, &mut rng).unwrap();
+        let pk_b = generate_parameters(&circuit_b, &mut rng).unwrap();
+        let proof_a = create_proof(&pk_a, &circuit_a, &mut rng).unwrap();
+        prop_assert!(verify_proof(&pk_b.vk, &proof_a, &circuit_b.publics()).is_err());
     }
 }

@@ -14,29 +14,54 @@ use zkrownn_groth16::{
     create_proof_with_context_and_randomness, generate_parameters_from_matrices, verify_proof,
     ProvingKey, SetupContext, ToxicWaste, VerifyingKey,
 };
-use zkrownn_r1cs::{ConstraintSystem, LinearCombination, Matrix, ProvingSynthesizer, R1csMatrices};
+use zkrownn_r1cs::{
+    Circuit, ConstraintSystem, LinearCombination, Matrix, ProvingSynthesizer, R1csMatrices,
+    SetupSynthesizer, SynthesisError,
+};
 
 /// A small but FFT-non-trivial system: a chain of `n` multiplications
 /// `x_{i+1} = x_i · x_i + i`, with the last value public.
-fn chain_system(n: usize, x0: u64) -> ProvingSynthesizer<Fr> {
-    let mut cs = ProvingSynthesizer::<Fr>::new();
-    let mut cur_val = Fr::from_u64(x0);
-    let mut cur = cs.alloc_witness(|| Ok(cur_val)).unwrap();
-    for i in 0..n {
-        let next_val = cur_val * cur_val + Fr::from_u64(i as u64);
-        let next = cs.alloc_witness(|| Ok(next_val)).unwrap();
-        let rhs =
-            LinearCombination::from(next) + LinearCombination::constant(-Fr::from_u64(i as u64));
-        cs.enforce(cur.into(), cur.into(), rhs);
-        cur = next;
-        cur_val = next_val;
+struct Chain {
+    n: usize,
+    x0: u64,
+}
+
+impl Circuit<Fr> for Chain {
+    type Output = ();
+    fn synthesize<CS: ConstraintSystem<Fr>>(&self, cs: &mut CS) -> Result<(), SynthesisError> {
+        let mut cur_val = Fr::from_u64(self.x0);
+        let mut cur = cs.alloc_witness(|| Ok(cur_val))?;
+        for i in 0..self.n {
+            let next_val = cur_val * cur_val + Fr::from_u64(i as u64);
+            let next = cs.alloc_witness(|| Ok(next_val))?;
+            let rhs = LinearCombination::from(next)
+                + LinearCombination::constant(-Fr::from_u64(i as u64));
+            cs.enforce(cur.into(), cur.into(), rhs);
+            cur = next;
+            cur_val = next_val;
+        }
+        let out = cs.alloc_instance(|| Ok(cur_val))?;
+        cs.enforce(
+            cur.into(),
+            LinearCombination::constant(Fr::one()),
+            out.into(),
+        );
+        Ok(())
     }
-    let out = cs.alloc_instance(|| Ok(cur_val)).unwrap();
-    cs.enforce(
-        cur.into(),
-        LinearCombination::constant(Fr::one()),
-        out.into(),
-    );
+}
+
+/// The chain's matrices, as setup synthesis lowers them.
+fn matrices(chain: &Chain) -> R1csMatrices<Fr> {
+    let mut cs = SetupSynthesizer::new();
+    chain.synthesize(&mut cs).unwrap();
+    cs.into_parts().0
+}
+
+/// The chain's proving synthesis: its assignment, checked row by row.
+fn witnessed(chain: &Chain) -> ProvingSynthesizer<Fr> {
+    let mut cs = ProvingSynthesizer::new();
+    chain.synthesize(&mut cs).unwrap();
+    assert!(cs.is_satisfied().is_ok());
     cs
 }
 
@@ -140,9 +165,7 @@ fn reference_keygen(matrices: &R1csMatrices<Fr>, toxic: &ToxicWaste) -> ProvingK
 
 #[test]
 fn batch_affine_keygen_is_byte_identical_to_serial() {
-    let cs = chain_system(37, 3);
-    assert!(cs.is_satisfied().is_ok());
-    let matrices = cs.to_matrices();
+    let matrices = matrices(&Chain { n: 37, x0: 3 });
     let reference = reference_keygen(&matrices, &toxic(0xdecade));
     let ctx = SetupContext::new(matrices);
     let (fast, _) = ctx.generate_timed(&toxic(0xdecade));
@@ -158,8 +181,9 @@ fn setup_context_feeds_both_keygen_and_prover() {
     // the shared-lowering handoff: one SetupContext generates the key and
     // then becomes the ProverContext, and a proof through that context
     // verifies under the key it generated alongside
-    let cs = chain_system(25, 4);
-    let sctx = SetupContext::new(cs.to_matrices());
+    let chain = Chain { n: 25, x0: 4 };
+    let cs = witnessed(&chain);
+    let sctx = SetupContext::for_circuit(&chain).unwrap();
     let (pk, _) = sctx.generate_timed(&toxic(0xfeed));
     let ctx = sctx.into_prover_context();
     let mut rng = rand::rngs::StdRng::seed_from_u64(99);
@@ -171,8 +195,7 @@ fn setup_context_feeds_both_keygen_and_prover() {
 
 #[test]
 fn matrix_level_wrapper_matches_context_path() {
-    let cs = chain_system(16, 7);
-    let matrices = cs.to_matrices();
+    let matrices = matrices(&Chain { n: 16, x0: 7 });
     // the same seed on both sides samples the same toxic waste
     let rng = || rand::rngs::StdRng::seed_from_u64(0xabba);
     let via_wrapper = generate_parameters_from_matrices(&matrices, &mut rng());
@@ -189,9 +212,7 @@ proptest! {
         x0 in 1u64..1000,
         seed in any::<u64>(),
     ) {
-        let cs = chain_system(n, x0);
-        prop_assert!(cs.is_satisfied().is_ok());
-        let matrices = cs.to_matrices();
+        let matrices = matrices(&Chain { n, x0 });
         let tox = toxic(seed | 1);
         let reference = reference_keygen(&matrices, &tox);
         let (fast, _) = SetupContext::new(matrices).generate_timed(&tox);

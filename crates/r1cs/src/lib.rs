@@ -19,7 +19,7 @@
 //! |---|---|---|
 //! | [`SetupSynthesizer`] | **never** | constraint matrices + optional shape trace ([`ShapeSink`]) |
 //! | [`TraceSynthesizer`] | **never** | the shape trace only — nothing is stored (what a shape digest runs on) |
-//! | [`ProvingSynthesizer`] | always | matrices + the dense assignment `z` |
+//! | [`ProvingSynthesizer`] | always | the dense assignment `z` and its first unsatisfied row |
 //! | [`CountingSynthesizer`] | never | constraint/variable counts, per-namespace density |
 //!
 //! Because the setup driver never calls a witness closure, "setup sees no
@@ -75,7 +75,8 @@
 //! Factors { n: 35, pq: None }.synthesize(&mut setup)?;
 //! let matrices = setup.to_matrices();
 //!
-//! // …the prover synthesizes the same circuit with the dense assignment…
+//! // …the prover synthesizes the same circuit with the dense assignment,
+//! // checking each row as it is enforced…
 //! let mut prove = ProvingSynthesizer::<Fr>::new();
 //! Factors { n: 35, pq: Some((5, 7)) }.synthesize(&mut prove)?;
 //! assert!(prove.is_satisfied().is_ok());
@@ -151,8 +152,9 @@ impl Variable {
 /// [`Self::add_term`] merges duplicate variables eagerly (and drops terms
 /// whose coefficient cancels to zero), so combinations built term-by-term
 /// stay normalized. `+`, `-` and the in-place forms concatenate for
-/// speed; every driver normalizes at [`ConstraintSystem::enforce`] via
-/// [`Self::compact`], so the stored matrices are canonical either way.
+/// speed; the drivers that store or trace a constraint normalize at
+/// [`ConstraintSystem::enforce`] via [`Self::compact`], so the stored
+/// matrices are canonical either way.
 #[derive(Clone)]
 pub struct LinearCombination<F: PrimeField>(Terms<F>);
 
@@ -394,7 +396,7 @@ impl<F: PrimeField> core::ops::Neg for LinearCombination<F> {
 const WITNESS: usize = 1 << (usize::BITS - 1);
 
 /// One sparse matrix in compressed-row form: the terms of every row back
-/// to back, and where each row stops.
+/// to back, and where each row stops. Only [`SetupSynthesizer`] appends.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 struct Csr<F> {
     /// Per term, its variable: the index within its half of `z`, with
@@ -434,40 +436,14 @@ impl<F: PrimeField> Csr<F> {
             (&self.cols[terms.clone()], &self.coeffs[terms])
         })
     }
-
-    /// The row·`z` kernel: `⟨row, z⟩` for every row in order, over `z`
-    /// as its two halves. A coefficient of one — four in five of them — is
-    /// an addition, not a multiplication.
-    fn row_products<'a>(
-        &'a self,
-        instance: &'a [F],
-        witness: &'a [F],
-    ) -> impl Iterator<Item = F> + 'a {
-        self.rows().map(move |(cols, coeffs)| {
-            cols.iter()
-                .zip(coeffs)
-                .fold(F::zero(), |acc, (&col, coeff)| {
-                    let value = if col & WITNESS == 0 {
-                        instance[col]
-                    } else {
-                        witness[col ^ WITNESS]
-                    };
-                    if coeff.is_one() {
-                        acc + value
-                    } else {
-                        acc + value * *coeff
-                    }
-                })
-        })
-    }
 }
 
 /// The constraint matrices `A`, `B`, `C` of a circuit — the one form a
 /// constraint system is stored in: per matrix one column array, one
-/// coefficient array and one row-offset array. [`SetupSynthesizer`] and
-/// [`ProvingSynthesizer`] append to it as they `enforce`, and nothing else
-/// can build one, so every column is a variable that was allocated and the
-/// three matrices have one height.
+/// coefficient array and one row-offset array. Only [`SetupSynthesizer`]
+/// appends to it, as it `enforce`s, and nothing else can build one, so
+/// every column is a variable that was allocated and the three matrices
+/// have one height.
 ///
 /// Columns are indices into `z = (1, instance…, witness…)`: column 0 is
 /// the constant, columns `1..num_instance` the public inputs, and the rest
@@ -554,14 +530,30 @@ impl<'a, F: PrimeField> Matrix<'a, F> {
     }
 
     /// `⟨row, z⟩` for every row in order — the matrix times the full
-    /// assignment.
+    /// assignment. A coefficient of one — four in five of them — is an
+    /// addition, not a multiplication.
     ///
     /// # Panics
     /// Panics if `z` is shorter than the instance block; yielding a row
     /// panics if `z` does not reach one of its columns.
     pub fn row_products(&self, z: &'a [F]) -> impl Iterator<Item = F> + 'a {
         let (instance, witness) = z.split_at(self.num_instance);
-        self.csr.row_products(instance, witness)
+        self.csr.rows().map(move |(cols, coeffs)| {
+            cols.iter()
+                .zip(coeffs)
+                .fold(F::zero(), |acc, (&col, coeff)| {
+                    let value = if col & WITNESS == 0 {
+                        instance[col]
+                    } else {
+                        witness[col ^ WITNESS]
+                    };
+                    if coeff.is_one() {
+                        acc + value
+                    } else {
+                        acc + value * *coeff
+                    }
+                })
+        })
     }
 
     /// `columns[col] += coeff · row_weights[row]` over every term — the
@@ -627,6 +619,9 @@ pub enum SynthesisError {
     /// assignment it needs is not available — e.g. a proving synthesis was
     /// attempted over a circuit constructed without its witness.
     AssignmentMissing,
+    /// The assignment violates a constraint: the row of the first one it
+    /// violates (see [`ProvingSynthesizer::is_satisfied`]).
+    Unsatisfied(usize),
 }
 
 impl core::fmt::Display for SynthesisError {
@@ -638,6 +633,7 @@ impl core::fmt::Display for SynthesisError {
                     "witness assignment missing during a witnessing synthesis"
                 )
             }
+            Self::Unsatisfied(row) => write!(f, "the assignment violates constraint {row}"),
         }
     }
 }
@@ -1146,8 +1142,56 @@ impl<F: PrimeField, S: ShapeSink> ConstraintSystem<F> for SetupSynthesizer<F, S>
 // Proving driver
 // ---------------------------------------------------------------------------
 
-/// The proving driver: evaluates every value closure, producing the dense
-/// assignment `z = (1, instance…, witness…)` alongside the matrices.
+/// Interned namespace paths, so a driver attributes each event to a path
+/// *id*: an array index, not a clone. `paths[0]` is the root `""`.
+#[derive(Clone, Debug)]
+struct Scopes {
+    paths: Vec<String>,
+    path_ids: BTreeMap<String, u32>,
+    stack: Vec<usize>, // the length of `current` before each push
+    current: String,
+    current_id: u32,
+}
+
+impl Scopes {
+    fn new() -> Self {
+        Self {
+            paths: vec![String::new()],
+            path_ids: BTreeMap::from([(String::new(), 0)]),
+            stack: Vec::new(),
+            current: String::new(),
+            current_id: 0,
+        }
+    }
+
+    /// Enters `name`; says whether the path it makes is new.
+    fn push(&mut self, name: &str) -> bool {
+        self.stack.push(self.current.len());
+        if !self.current.is_empty() {
+            self.current.push('/');
+        }
+        self.current.push_str(name);
+        if let Some(&id) = self.path_ids.get(&self.current) {
+            self.current_id = id;
+            return false;
+        }
+        self.current_id = self.paths.len() as u32;
+        self.path_ids.insert(self.current.clone(), self.current_id);
+        self.paths.push(self.current.clone());
+        true
+    }
+
+    fn pop(&mut self) {
+        let len = self.stack.pop().expect("pop_namespace without a push");
+        self.current.truncate(len);
+        self.current_id = self.path_ids[&self.current];
+    }
+}
+
+/// The proving driver: evaluates every value closure into the dense
+/// assignment `z = (1, instance…, witness…)` and stores no constraint —
+/// each is checked as it is enforced, when every variable it mentions
+/// already has its value, and the first that fails is kept.
 ///
 /// Also interns the namespace path of each constraint, so an unsatisfied
 /// constraint can be reported as a human-readable path instead of a bare
@@ -1156,14 +1200,10 @@ impl<F: PrimeField, S: ShapeSink> ConstraintSystem<F> for SetupSynthesizer<F, S>
 pub struct ProvingSynthesizer<F: PrimeField> {
     instance: Vec<F>,
     witness: Vec<F>,
-    store: [Csr<F>; 3],
-    /// Interned namespace paths; `paths[0]` is the root `""`.
-    paths: Vec<String>,
-    path_ids: BTreeMap<String, u32>,
-    stack: Vec<usize>, // segment lengths, to truncate `current` on pop
-    current: String,
-    current_id: u32,
+    scopes: Scopes,
     constraint_paths: Vec<u32>,
+    /// The first row with `⟨a,z⟩·⟨b,z⟩ ≠ ⟨c,z⟩`.
+    violated: Option<usize>,
 }
 
 impl<F: PrimeField> ProvingSynthesizer<F> {
@@ -1172,13 +1212,9 @@ impl<F: PrimeField> ProvingSynthesizer<F> {
         Self {
             instance: vec![F::one()],
             witness: Vec::new(),
-            store: Default::default(),
-            paths: vec![String::new()],
-            path_ids: BTreeMap::from([(String::new(), 0)]),
-            stack: Vec::new(),
-            current: String::new(),
-            current_id: 0,
+            scopes: Scopes::new(),
             constraint_paths: Vec::new(),
+            violated: None,
         }
     }
 
@@ -1191,11 +1227,16 @@ impl<F: PrimeField> ProvingSynthesizer<F> {
         }
     }
 
-    /// Value of a linear combination under the assignment.
+    /// Value of a linear combination under the assignment. A coefficient
+    /// of one is an addition, not a multiplication.
     pub fn eval_lc(&self, lc: &LinearCombination<F>) -> F {
-        lc.terms()
-            .iter()
-            .fold(F::zero(), |acc, (v, c)| acc + self.value(*v) * *c)
+        lc.terms().iter().fold(F::zero(), |acc, (v, coeff)| {
+            if coeff.is_one() {
+                acc + self.value(*v)
+            } else {
+                acc + self.value(*v) * *coeff
+            }
+        })
     }
 
     /// Number of constraints.
@@ -1232,30 +1273,14 @@ impl<F: PrimeField> ProvingSynthesizer<F> {
 
     /// The namespace path constraint `i` was enforced under (`""` = root).
     pub fn constraint_path(&self, i: usize) -> &str {
-        &self.paths[self.constraint_paths[i] as usize]
+        &self.scopes.paths[self.constraint_paths[i] as usize]
     }
 
-    /// Checks satisfaction; on failure returns the index of the first
-    /// violated constraint (look up its scope with
+    /// Whether every constraint held when it was enforced; on failure, the
+    /// index of the first violated one (look up its scope with
     /// [`Self::constraint_path`]).
     pub fn is_satisfied(&self) -> Result<(), usize> {
-        let [a, b, c] = self
-            .store
-            .each_ref()
-            .map(|matrix| matrix.row_products(&self.instance, &self.witness));
-        match a.zip(b).zip(c).position(|((a, b), c)| a * b != c) {
-            Some(violated) => Err(violated),
-            None => Ok(()),
-        }
-    }
-
-    /// A copy of the matrices as they stand (three arrays a matrix).
-    pub fn to_matrices(&self) -> R1csMatrices<F> {
-        R1csMatrices {
-            store: self.store.clone(),
-            num_instance: self.instance.len(),
-            num_witness: self.witness.len(),
-        }
+        self.violated.map_or(Ok(()), Err)
     }
 }
 
@@ -1282,41 +1307,26 @@ impl<F: PrimeField> ConstraintSystem<F> for ProvingSynthesizer<F> {
         Ok(Variable::Witness(self.witness.len() - 1))
     }
 
+    /// Checks the row on the combinations as they come: evaluation is
+    /// linear, so compacting would not change it.
     fn enforce(
         &mut self,
         a: LinearCombination<F>,
         b: LinearCombination<F>,
         c: LinearCombination<F>,
     ) {
-        let abc = [a.compact(), b.compact(), c.compact()];
-        for (matrix, lc) in self.store.iter_mut().zip(&abc) {
-            matrix.push_row(lc);
+        if self.violated.is_none() && self.eval_lc(&a) * self.eval_lc(&b) != self.eval_lc(&c) {
+            self.violated = Some(self.constraint_paths.len());
         }
-        self.constraint_paths.push(self.current_id);
+        self.constraint_paths.push(self.scopes.current_id);
     }
 
     fn push_namespace(&mut self, name: &str) {
-        let seg_len = name.len() + usize::from(!self.current.is_empty());
-        if !self.current.is_empty() {
-            self.current.push('/');
-        }
-        self.current.push_str(name);
-        self.stack.push(seg_len);
-        self.current_id = match self.path_ids.get(&self.current) {
-            Some(&id) => id,
-            None => {
-                let id = self.paths.len() as u32;
-                self.paths.push(self.current.clone());
-                self.path_ids.insert(self.current.clone(), id);
-                id
-            }
-        };
+        self.scopes.push(name);
     }
 
     fn pop_namespace(&mut self) {
-        let seg_len = self.stack.pop().expect("pop_namespace without a push");
-        self.current.truncate(self.current.len() - seg_len);
-        self.current_id = self.path_ids[&self.current];
+        self.scopes.pop();
     }
 }
 
@@ -1343,14 +1353,9 @@ pub struct CountingSynthesizer<F: PrimeField> {
     num_instance: usize,
     num_witness: usize,
     num_constraints: usize,
-    /// Interned namespace paths; `paths[0]` is the root `""`. Counting is
-    /// by path *id*, so per-event cost is an array index, not a clone.
-    paths: Vec<String>,
-    path_ids: BTreeMap<String, u32>,
+    scopes: Scopes,
+    /// Per path id, so per-event cost is an array index, not a clone.
     counts: Vec<NamespaceCount>,
-    stack: Vec<usize>, // segment lengths, to truncate `current` on pop
-    current: String,
-    current_id: u32,
     _marker: core::marker::PhantomData<F>,
 }
 
@@ -1361,12 +1366,8 @@ impl<F: PrimeField> CountingSynthesizer<F> {
             num_instance: 1,
             num_witness: 0,
             num_constraints: 0,
-            paths: vec![String::new()],
-            path_ids: BTreeMap::from([(String::new(), 0)]),
+            scopes: Scopes::new(),
             counts: vec![NamespaceCount::default()],
-            stack: Vec::new(),
-            current: String::new(),
-            current_id: 0,
             _marker: core::marker::PhantomData,
         }
     }
@@ -1389,7 +1390,8 @@ impl<F: PrimeField> CountingSynthesizer<F> {
     /// Per-namespace tallies, keyed by `/`-joined path (`""` = root).
     /// Only paths that saw at least one event appear.
     pub fn by_namespace(&self) -> BTreeMap<String, NamespaceCount> {
-        self.paths
+        self.scopes
+            .paths
             .iter()
             .zip(&self.counts)
             .filter(|(_, c)| **c != NamespaceCount::default())
@@ -1401,6 +1403,7 @@ impl<F: PrimeField> CountingSynthesizer<F> {
     /// first, with each scope's share of the total constraint count.
     pub fn report(&self) -> String {
         let mut rows: Vec<(&str, &NamespaceCount)> = self
+            .scopes
             .paths
             .iter()
             .zip(&self.counts)
@@ -1427,7 +1430,7 @@ impl<F: PrimeField> CountingSynthesizer<F> {
     }
 
     fn bucket(&mut self) -> &mut NamespaceCount {
-        &mut self.counts[self.current_id as usize]
+        &mut self.counts[self.scopes.current_id as usize]
     }
 }
 
@@ -1469,28 +1472,13 @@ impl<F: PrimeField> ConstraintSystem<F> for CountingSynthesizer<F> {
     }
 
     fn push_namespace(&mut self, name: &str) {
-        let seg_len = name.len() + usize::from(!self.current.is_empty());
-        if !self.current.is_empty() {
-            self.current.push('/');
+        if self.scopes.push(name) {
+            self.counts.push(NamespaceCount::default());
         }
-        self.current.push_str(name);
-        self.stack.push(seg_len);
-        self.current_id = match self.path_ids.get(&self.current) {
-            Some(&id) => id,
-            None => {
-                let id = self.paths.len() as u32;
-                self.paths.push(self.current.clone());
-                self.path_ids.insert(self.current.clone(), id);
-                self.counts.push(NamespaceCount::default());
-                id
-            }
-        };
     }
 
     fn pop_namespace(&mut self) {
-        let seg_len = self.stack.pop().expect("pop_namespace without a push");
-        self.current.truncate(self.current.len() - seg_len);
-        self.current_id = self.path_ids[&self.current];
+        self.scopes.pop();
     }
 }
 
@@ -1591,13 +1579,28 @@ mod tests {
         assert_eq!(count.num_constraints(), 1);
     }
 
+    /// The first row of `m` that `z` violates: the relation a proof over
+    /// setup's matrices is made for.
+    fn first_violated(m: &R1csMatrices<Fr>, z: &[Fr]) -> Result<(), usize> {
+        let [a, b, c] = [m.a(), m.b(), m.c()].map(|matrix| matrix.row_products(z));
+        match a.zip(b).zip(c).position(|((a, b), c)| a * b != c) {
+            Some(row) => Err(row),
+            None => Ok(()),
+        }
+    }
+
+    /// The prover's own check answers for the rows setup stored.
     #[test]
     fn setup_and_proving_agree_on_structure() {
         let mut setup = SetupSynthesizer::<Fr>::new();
         Cubic { y: 35, x: None }.synthesize(&mut setup).unwrap();
-        let mut prove = ProvingSynthesizer::<Fr>::new();
-        Cubic { y: 35, x: Some(3) }.synthesize(&mut prove).unwrap();
-        assert_eq!(setup.to_matrices(), prove.to_matrices());
+        for (y, verdict) in [(35, Ok(())), (36, Err(2))] {
+            let mut prove = ProvingSynthesizer::<Fr>::new();
+            Cubic { y, x: Some(3) }.synthesize(&mut prove).unwrap();
+            let z = prove.full_assignment();
+            assert_eq!(first_violated(&setup.to_matrices(), &z), verdict);
+            assert_eq!(prove.is_satisfied(), verdict);
+        }
     }
 
     #[test]
@@ -1722,9 +1725,11 @@ mod tests {
         Messy.synthesize(&mut trace).unwrap();
         let mut prove = ProvingSynthesizer::<Fr>::new();
         Messy.synthesize(&mut prove).unwrap();
-        // the prover stores the combinations setup encodes, so its
-        // matrices are the ones the keys were made from
-        assert_eq!(prove.to_matrices(), setup.to_matrices());
+        // the prover checks the raw combinations setup stores compacted:
+        // the same first violation (all ones: 4 · 1 ≠ 0 on row 0)
+        let z = prove.full_assignment();
+        assert_eq!(first_violated(&setup.to_matrices(), &z), Err(0));
+        assert_eq!(prove.is_satisfied(), Err(0));
         assert_eq!(
             (
                 trace.num_constraints(),
@@ -1987,18 +1992,24 @@ mod tests {
 
     #[test]
     fn matrices_use_z_column_order() {
-        let mut cs = ProvingSynthesizer::<Fr>::new();
-        let inst = cs.alloc_instance(|| Ok(Fr::from_u64(6))).unwrap();
-        let w = cs.alloc_witness(|| Ok(Fr::from_u64(6))).unwrap();
-        // w * 1 = inst
-        cs.enforce(lc(w), LinearCombination::constant(Fr::one()), lc(inst));
-        let m = cs.to_matrices();
+        fn program<CS: ConstraintSystem<Fr>>(mut cs: CS) -> CS {
+            let inst = cs.alloc_instance(|| Ok(Fr::from_u64(6))).unwrap();
+            let w = cs.alloc_witness(|| Ok(Fr::from_u64(6))).unwrap();
+            // w * 1 = inst
+            cs.enforce(lc(w), LinearCombination::constant(Fr::one()), lc(inst));
+            cs
+        }
+        let (m, ()) = program(SetupSynthesizer::new()).into_parts();
         assert_eq!(m.num_instance(), 2);
         assert_eq!(m.num_witness(), 1);
         let terms = |row: Row<'_, Fr>| row.iter().collect::<Vec<_>>();
         assert_eq!(terms(m.a().row(0)), [(2, Fr::one())]); // witness column = 1 + 1
         assert_eq!(terms(m.b().row(0)), [(0, Fr::one())]); // constant column
         assert_eq!(terms(m.c().row(0)), [(1, Fr::one())]); // instance column
+                                                           // and the prover's z is laid out in the same column order
+        let z = program(ProvingSynthesizer::new()).full_assignment();
+        assert_eq!(z, [Fr::one(), Fr::from_u64(6), Fr::from_u64(6)]);
+        assert_eq!(first_violated(&m, &z), Ok(()));
     }
 
     #[test]

@@ -8,8 +8,11 @@
 //! already mention (the extraction circuit's verdict is). The old pass is
 //! kept here as the [`Oracle`]: random programs that interleave
 //! allocations and constraints must read back from [`SetupSynthesizer`]
-//! and [`ProvingSynthesizer`] as the rows it lowers, and the two kernels
-//! that read the store without going through rows must agree with them.
+//! as the rows it lowers, and the two kernels that read the store without
+//! going through rows must agree with them. The same programs run through
+//! [`ProvingSynthesizer`], which stores nothing and checks each row as it
+//! is enforced: its first violated row must be the one the oracle's rows
+//! give under its assignment.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -70,6 +73,8 @@ struct Seen {
     single: usize,
     many: usize,
     instance_after_witness: usize,
+    /// Programs whose first violated row comes after one that held.
+    late_violation: usize,
 }
 
 /// A combination over `vars`, as a circuit would hand it to `enforce`:
@@ -147,12 +152,11 @@ fn run(seed: u64, seen: &mut Seen) {
         }
     }
 
-    let (keyed, proved) = (setup.to_matrices(), prove.to_matrices());
-    assert_eq!(keyed, proved, "seed {seed}");
+    let keyed = setup.to_matrices();
     assert_eq!(keyed, setup.into_parts().0, "seed {seed}: moved ≠ copied");
     let z = prove.full_assignment();
     let mut products = Vec::new();
-    for (which, matrix) in [proved.a(), proved.b(), proved.c()].into_iter().enumerate() {
+    for (which, matrix) in [keyed.a(), keyed.b(), keyed.c()].into_iter().enumerate() {
         let expected = oracle.rows(which);
         let rows = read_back(matrix, oracle.constraints.len());
         assert_eq!(rows, expected, "seed {seed}, matrix {which}");
@@ -162,17 +166,21 @@ fn run(seed: u64, seen: &mut Seen) {
     }
     let counts = |m: &R1csMatrices<Fr>| (m.num_constraints(), m.num_instance(), m.num_witness());
     assert_eq!(
-        counts(&proved),
+        counts(&keyed),
         (
             oracle.constraints.len(),
             oracle.num_instance,
             oracle.num_witness
         )
     );
-    // the driver's own check reads the store before any count is final
+    assert_eq!(prove.num_constraints(), oracle.constraints.len());
+    // the prover checks each row as it is enforced, before any count is
+    // final, on the combinations as they came: the first row it rejects
+    // is the first the stored matrices violate under its `z`
     let violated =
         (0..oracle.constraints.len()).find(|&i| products[0][i] * products[1][i] != products[2][i]);
     assert_eq!(prove.is_satisfied(), violated.map_or(Ok(()), Err));
+    seen.late_violation += usize::from(violated.is_some_and(|row| row > 0));
 }
 
 #[test]
@@ -187,6 +195,7 @@ fn the_store_reads_back_as_the_lowering_it_replaced() {
         single,
         many,
         instance_after_witness,
+        late_violation,
     } = seen;
     assert!(
         [empty, cancelled, single, many, instance_after_witness]
@@ -194,4 +203,6 @@ fn the_store_reads_back_as_the_lowering_it_replaced() {
             .all(|&n| n > 100),
         "{empty} / {cancelled} / {single} / {many} / {instance_after_witness}"
     );
+    // the check passed rows and then caught one, not only ever row 0
+    assert!(late_violation > 20, "{late_violation}");
 }

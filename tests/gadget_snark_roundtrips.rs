@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use rand::SeedableRng;
-use zkrownn_ff::{Fr, PrimeField};
+use zkrownn_ff::{Field, Fr, PrimeField};
 use zkrownn_gadgets::average::{average2d_circuit, average_reference};
 use zkrownn_gadgets::ber::ber_circuit;
 use zkrownn_gadgets::conv::{conv3d_circuit, conv3d_reference, ConvShape};
@@ -13,14 +13,23 @@ use zkrownn_gadgets::relu::relu_circuit;
 use zkrownn_gadgets::sigmoid::{sigmoid, sigmoid_fixed_reference};
 use zkrownn_gadgets::threshold::threshold_circuit;
 use zkrownn_gadgets::{FixedConfig, Num};
-use zkrownn_groth16::{create_proof_from_cs, generate_parameters_from_matrices, verify_proof};
-use zkrownn_r1cs::ProvingSynthesizer;
+use zkrownn_groth16::{create_proof_with_context_and_randomness, verify_proof, SetupContext};
+use zkrownn_r1cs::{ConstraintSystem, ProvingSynthesizer, SetupSynthesizer};
 
-fn prove_and_verify(cs: &ProvingSynthesizer<Fr>, seed: u64) {
+/// One gadget circuit synthesized into both drivers: `setup` lowers it
+/// into the matrices the key is made from, `cs` carries the assignment.
+fn drivers() -> (SetupSynthesizer<Fr>, ProvingSynthesizer<Fr>) {
+    (SetupSynthesizer::new(), ProvingSynthesizer::new())
+}
+
+fn prove_and_verify(setup: SetupSynthesizer<Fr>, cs: &ProvingSynthesizer<Fr>, seed: u64) {
     assert!(cs.is_satisfied().is_ok());
+    let setup = SetupContext::new(setup.into_parts().0);
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let pk = generate_parameters_from_matrices(&cs.to_matrices(), &mut rng);
-    let proof = create_proof_from_cs(&pk, cs, &mut rng);
+    let pk = setup.generate(&mut rng);
+    let (r, s) = (Fr::random(&mut rng), Fr::random(&mut rng));
+    let ctx = setup.into_prover_context();
+    let proof = create_proof_with_context_and_randomness(&pk, &ctx, &cs.full_assignment(), r, s);
     let inputs: Vec<Fr> = cs.instance_assignment()[1..].to_vec();
     verify_proof(&pk.vk, &proof, &inputs).expect("valid gadget proof");
     assert_eq!(proof.to_bytes().len(), 128);
@@ -28,12 +37,13 @@ fn prove_and_verify(cs: &ProvingSynthesizer<Fr>, seed: u64) {
 
 #[test]
 fn matmult_snark_roundtrip() {
-    let mut cs = ProvingSynthesizer::<Fr>::new();
+    let (mut setup, mut cs) = drivers();
     let a: Vec<i128> = (0..16).map(|i| i - 8).collect();
     let b: Vec<i128> = (0..16).map(|i| 2 * i - 16).collect();
+    matmul_circuit(&a, &b, 4, 4, 4, 8, &mut setup).unwrap();
     let got = matmul_circuit(&a, &b, 4, 4, 4, 8, &mut cs).unwrap();
     assert_eq!(got, matmul_reference(&a, &b, 4, 4, 4));
-    prove_and_verify(&cs, 331);
+    prove_and_verify(setup, &cs, 331);
 }
 
 #[test]
@@ -46,61 +56,80 @@ fn conv3d_snark_roundtrip() {
         kernel: 3,
         stride: 2,
     };
-    let mut cs = ProvingSynthesizer::<Fr>::new();
+    let (mut setup, mut cs) = drivers();
     let input: Vec<i128> = (0..shape.in_len() as i128).map(|i| i % 11 - 5).collect();
     let kernels: Vec<i128> = (0..shape.kernel_len() as i128).map(|i| i % 7 - 3).collect();
+    conv3d_circuit(&input, &kernels, &shape, 8, &mut setup).unwrap();
     let got = conv3d_circuit(&input, &kernels, &shape, 8, &mut cs).unwrap();
     assert_eq!(got, conv3d_reference(&input, &kernels, &shape));
-    prove_and_verify(&cs, 332);
+    prove_and_verify(setup, &cs, 332);
 }
 
 #[test]
 fn relu_snark_roundtrip() {
-    let mut cs = ProvingSynthesizer::<Fr>::new();
+    let (mut setup, mut cs) = drivers();
     let inputs: Vec<i128> = (-8..8).collect();
+    relu_circuit(&inputs, 16, &mut setup).unwrap();
     relu_circuit(&inputs, 16, &mut cs).unwrap();
-    prove_and_verify(&cs, 333);
+    prove_and_verify(setup, &cs, 333);
 }
 
 #[test]
 fn average_snark_roundtrip() {
-    let mut cs = ProvingSynthesizer::<Fr>::new();
+    let (mut setup, mut cs) = drivers();
     let entries: Vec<i128> = (0..24).map(|i| i * 3 - 30).collect();
+    average2d_circuit(&entries, 6, 4, 10, &mut setup).unwrap();
     let got = average2d_circuit(&entries, 6, 4, 10, &mut cs).unwrap();
     assert_eq!(got, average_reference(&entries, 6, 4));
-    prove_and_verify(&cs, 334);
+    prove_and_verify(setup, &cs, 334);
+}
+
+/// Sigmoid over each fixed-point input, every output exposed.
+fn sigmoid_outputs<CS: ConstraintSystem<Fr>>(
+    xs: &[i128],
+    cfg: &FixedConfig,
+    cs: &mut CS,
+) -> Vec<Num> {
+    xs.iter()
+        .map(|&xi| {
+            let num = Num::alloc_witness(cs, || Ok(Fr::from_i128(xi)), cfg.value_bits()).unwrap();
+            let out = sigmoid(&num, cfg, cs).unwrap();
+            out.expose_as_output(cs).unwrap();
+            out
+        })
+        .collect()
 }
 
 #[test]
 fn sigmoid_snark_roundtrip() {
     let cfg = FixedConfig::default();
-    let mut cs = ProvingSynthesizer::<Fr>::new();
-    for x in [-2.0f64, 0.0, 1.5] {
-        let xi = cfg.encode(x);
-        let num = Num::alloc_witness(&mut cs, || Ok(Fr::from_i128(xi)), cfg.value_bits()).unwrap();
-        let out = sigmoid(&num, &cfg, &mut cs).unwrap();
+    let xs = [-2.0f64, 0.0, 1.5].map(|x| cfg.encode(x));
+    let (mut setup, mut cs) = drivers();
+    sigmoid_outputs(&xs, &cfg, &mut setup);
+    for (out, xi) in sigmoid_outputs(&xs, &cfg, &mut cs).iter().zip(xs) {
         assert_eq!(out.value_i128(), sigmoid_fixed_reference(xi, &cfg));
-        out.expose_as_output(&mut cs).unwrap();
     }
-    prove_and_verify(&cs, 335);
+    prove_and_verify(setup, &cs, 335);
 }
 
 #[test]
 fn threshold_snark_roundtrip() {
-    let mut cs = ProvingSynthesizer::<Fr>::new();
+    let (mut setup, mut cs) = drivers();
     let inputs: Vec<i128> = (0..16).map(|i| i * 5 - 40).collect();
+    threshold_circuit(&inputs, 0, 10, &mut setup).unwrap();
     threshold_circuit(&inputs, 0, 10, &mut cs).unwrap();
-    prove_and_verify(&cs, 336);
+    prove_and_verify(setup, &cs, 336);
 }
 
 #[test]
 fn ber_snark_roundtrip() {
-    let mut cs = ProvingSynthesizer::<Fr>::new();
+    let (mut setup, mut cs) = drivers();
     let wm: Vec<bool> = (0..32).map(|i| i % 3 == 0).collect();
     let mut ex = wm.clone();
     ex[5] = !ex[5];
+    ber_circuit(&wm, &ex, 1, &mut setup).unwrap();
     assert!(ber_circuit(&wm, &ex, 1, &mut cs).unwrap());
-    prove_and_verify(&cs, 337);
+    prove_and_verify(setup, &cs, 337);
 }
 
 proptest! {
