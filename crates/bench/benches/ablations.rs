@@ -31,7 +31,7 @@
 //!   pre-overhaul shape) vs. the signed-digit batch-affine `mul_many`
 //!   kernel at one thread and at full parallelism (the parallel entry
 //!   doubles as table-reuse-*on*; `table-reuse-off` re-pays the table
-//!   build per run), plus the end-to-end `SetupContext::generate_timed`
+//!   build per run), plus the end-to-end `ProverContext::generate_timed`
 //!   keygen.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -152,10 +152,10 @@ fn bench_setup_hot_path(c: &mut Criterion) {
     // per-scalar windowed path even before parallelism — while the shared
     // table amortizes across every key family.
     use zkrownn_curves::{FixedBaseTable, G1Config};
-    use zkrownn_groth16::{qap, SetupContext, ToxicWaste};
+    use zkrownn_groth16::{qap, ToxicWaste};
 
     let spec = zkrownn_bench::quick_mlp_spec();
-    let setup_ctx = SetupContext::for_circuit(&spec.shape_circuit()).unwrap();
+    let ctx = ProverContext::for_circuit(&spec.shape_circuit()).unwrap();
     let toxic = ToxicWaste {
         alpha: Fr::from_u64(11),
         beta: Fr::from_u64(12),
@@ -164,7 +164,7 @@ fn bench_setup_hot_path(c: &mut Criterion) {
         tau: Fr::from_u64(15),
     };
     // the A-query scalar vector — one of the six key families
-    let scalars = qap::evaluate_qap_at(setup_ctx.matrices(), toxic.tau).u;
+    let scalars = qap::evaluate_qap_at_with(ctx.matrices(), ctx.domain(), toxic.tau).u;
     let window = FixedBaseTable::<G1Config>::suggested_window(scalars.len());
     let table = FixedBaseTable::new(G1Projective::generator(), window);
 
@@ -194,7 +194,7 @@ fn bench_setup_hot_path(c: &mut Criterion) {
         })
     });
     group.bench_function("full-keygen", |b| {
-        b.iter(|| setup_ctx.generate_timed(&toxic).0.serialized_size())
+        b.iter(|| ctx.generate_timed(&toxic).0.serialized_size())
     });
     group.finish();
 }

@@ -30,7 +30,7 @@ use zkrownn_gadgets::sigmoid::sigmoid_vec;
 use zkrownn_gadgets::threshold::hard_threshold_vec;
 use zkrownn_gadgets::{ber::ber_circuit, FixedConfig, Num};
 use zkrownn_groth16::{
-    prove, verify_proof_prepared, KeyCollector, KeySink, KeySource, SetupContext, ToxicWaste,
+    prove, verify_proof_prepared, KeyCollector, KeySink, KeySource, ProverContext, ToxicWaste,
     VerifyingKey,
 };
 use zkrownn_nn::{generate_gmm, Dense, GmmConfig, Layer, Network};
@@ -69,9 +69,9 @@ pub struct RowMetrics {
     /// Proving-key size in bytes.
     pub pk_bytes: usize,
     /// One-time context build (setup synthesis into the matrices +
-    /// twiddle tables) — shared by key generation and the prover via
-    /// `SetupContext` → `ProverContext`, amortized across proofs in batch
-    /// workloads.
+    /// twiddle tables + vanishing constant) — the one `ProverContext` that
+    /// key generation and the prover both read, amortized across proofs in
+    /// batch workloads.
     pub context_time: Duration,
     /// Prover wall time (witness map + MSMs + assembly, cached context).
     pub prove_time: Duration,
@@ -619,22 +619,21 @@ where
     reset_peak_rss();
 
     // the one-time cost both roles share: setup synthesis into the
-    // matrices + domain construction with its twiddle/coset tables
-    // (`SetupContext` hands the same lowering to the prover below,
-    // mirroring `Authority::setup`)
+    // matrices + domain construction with its twiddle/coset tables (the
+    // same context generates the key and proves below, mirroring
+    // `Authority::setup`)
     let t = Instant::now();
-    let setup_ctx = SetupContext::for_circuit(circuit)
+    let ctx = ProverContext::for_circuit(circuit)
         .unwrap_or_else(|e| panic!("{name}: setup synthesis: {e}"));
     let context_time = t.elapsed();
 
     let toxic = ToxicWaste::sample(&mut rng);
     let t = Instant::now();
-    let setup_timings = setup_ctx
+    let setup_timings = ctx
         .generate_into(&toxic, &mut sink, budget)
         .unwrap_or_else(|e| panic!("{name}: keygen: {e}"));
     let key = finish(sink).unwrap_or_else(|e| panic!("{name}: finishing the key: {e}"));
     let setup_time = t.elapsed();
-    let ctx = setup_ctx.into_prover_context();
 
     let z = cs.full_assignment();
     let r = Fr::random(&mut rng);

@@ -571,8 +571,12 @@ mod tests {
     use crate::model::QuantizedModel;
     use crate::reference::extract_fixed;
     use rand::SeedableRng;
+    use std::collections::BTreeMap;
+    use zkrownn_ff::Field;
     use zkrownn_nn::{Dense, Layer, Network};
-    use zkrownn_r1cs::{CountingSynthesizer, SetupSynthesizer};
+    use zkrownn_r1cs::{
+        CountingSynthesizer, LinearCombination, R1csMatrices, SetupSynthesizer, Variable,
+    };
 
     fn tiny_spec(seed: u64, fold: bool) -> ExtractionSpec {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -800,6 +804,147 @@ mod tests {
             );
         }
         assert!(count.report().contains("sigmoid"));
+    }
+
+    /// The proving driver with one witness cell off by one: the
+    /// `target`-th `alloc_witness` gets its value plus one. Every gadget
+    /// keeps computing its auxiliary cells from the values it meant to
+    /// allocate, so the perturbed assignment is an honest one with exactly
+    /// one cell changed. With `cells` set, also records the namespace path
+    /// of every witness cell, in allocation order.
+    struct PerturbOne {
+        cs: ProvingSynthesizer<Fr>,
+        target: usize,
+        allocated: usize,
+        path: Vec<String>,
+        cells: Option<Vec<String>>,
+    }
+
+    impl PerturbOne {
+        fn new(target: usize, record_cells: bool) -> Self {
+            Self {
+                cs: ProvingSynthesizer::new(),
+                target,
+                allocated: 0,
+                path: Vec::new(),
+                cells: record_cells.then(Vec::new),
+            }
+        }
+    }
+
+    impl ConstraintSystem<Fr> for PerturbOne {
+        fn alloc_instance<V>(&mut self, value: V) -> Result<Variable, SynthesisError>
+        where
+            V: FnOnce() -> Result<Fr, SynthesisError>,
+        {
+            self.cs.alloc_instance(value)
+        }
+
+        fn alloc_witness<V>(&mut self, value: V) -> Result<Variable, SynthesisError>
+        where
+            V: FnOnce() -> Result<Fr, SynthesisError>,
+        {
+            if let Some(cells) = &mut self.cells {
+                cells.push(self.path.join("/"));
+            }
+            let off = if self.allocated == self.target {
+                Fr::one()
+            } else {
+                Fr::zero()
+            };
+            self.allocated += 1;
+            self.cs.alloc_witness(|| Ok(value()? + off))
+        }
+
+        fn enforce(
+            &mut self,
+            a: LinearCombination<Fr>,
+            b: LinearCombination<Fr>,
+            c: LinearCombination<Fr>,
+        ) {
+            self.cs.enforce(a, b, c)
+        }
+
+        fn push_namespace(&mut self, name: &str) {
+            self.cs.push_namespace(name);
+            self.path.push(name.into());
+        }
+
+        fn pop_namespace(&mut self) {
+            self.cs.pop_namespace();
+            self.path.pop();
+        }
+    }
+
+    /// The first row of `m` that `z` violates: the relation a proof over
+    /// setup's matrices is made for.
+    fn first_violated(m: &R1csMatrices<Fr>, z: &[Fr]) -> Result<(), usize> {
+        let [a, b, c] = [m.a(), m.b(), m.c()].map(|matrix| matrix.row_products(z));
+        match a.zip(b).zip(c).position(|((a, b), c)| a * b != c) {
+            Some(row) => Err(row),
+            None => Ok(()),
+        }
+    }
+
+    /// Every witness cell of the end-to-end circuit, one at a time, off by
+    /// one: (a) the prover's row-by-row check names the same first row that
+    /// setup's matrices reject, and (b) a perturbation the system accepts
+    /// sits in a private input — a trigger entry, a projection entry or a
+    /// signature bit, whose value the owner chooses — never in a gadget's
+    /// auxiliary cell. An auxiliary cell that stays satisfied is an
+    /// under-constrained gadget.
+    #[test]
+    fn every_witness_cell_perturbation_is_caught_or_a_private_input() {
+        let sweep = |fold: bool| {
+            let spec = tiny_spec(283, fold);
+            let (m, n) = (spec.model.output_len(), spec.signature.len());
+            let mut setup = SetupSynthesizer::<Fr>::new();
+            spec.shape_circuit().synthesize(&mut setup).unwrap();
+            let matrices = setup.into_parts().0;
+
+            let mut unperturbed = PerturbOne::new(usize::MAX, true);
+            spec.circuit().synthesize(&mut unperturbed).unwrap();
+            assert!(unperturbed.cs.is_satisfied().is_ok(), "fold = {fold}");
+            let paths = unperturbed.cells.expect("recorded");
+            assert_eq!(paths.len(), matrices.num_witness(), "fold = {fold}");
+            // the private inputs: every `triggers` cell, the first m·n
+            // `projection` cells (the inner products' cells follow) and
+            // the first n `ber` cells (the signature bits)
+            let mut per_path = BTreeMap::<&str, usize>::new();
+            let private: Vec<bool> = paths
+                .iter()
+                .map(|path| {
+                    let ordinal = per_path.entry(path).or_default();
+                    *ordinal += 1;
+                    match path.as_str() {
+                        "triggers" => true,
+                        "projection" => *ordinal <= m * n,
+                        "ber" => *ordinal <= n,
+                        _ => false,
+                    }
+                })
+                .collect();
+
+            for (k, path) in paths.iter().enumerate() {
+                let mut cs = PerturbOne::new(k, false);
+                spec.circuit().synthesize(&mut cs).unwrap();
+                let verdict = cs.cs.is_satisfied();
+                let z = cs.cs.full_assignment();
+                assert_eq!(
+                    verdict,
+                    first_violated(&matrices, &z),
+                    "fold = {fold}, cell {k} under {path:?}"
+                );
+                assert!(
+                    verdict.is_err() || private[k],
+                    "fold = {fold}: auxiliary cell {k} under {path:?} is unconstrained"
+                );
+            }
+        };
+        std::thread::scope(|scope| {
+            scope.spawn(|| sweep(true));
+            sweep(false);
+        });
     }
 
     #[test]

@@ -27,7 +27,7 @@ use zkrownn_curves::MemoryBudget;
 use zkrownn_ff::Field;
 use zkrownn_ff::Fr;
 use zkrownn_groth16::{
-    prove, KeyCollector, KeySink, KeySource, ProverContext, ProvingKey, SetupContext, ToxicWaste,
+    prove, KeyCollector, KeySink, KeySource, ProverContext, ProvingKey, ToxicWaste,
 };
 use zkrownn_r1cs::{Circuit, SetupSynthesizer};
 use zkrownn_store::{
@@ -37,9 +37,8 @@ use zkrownn_store::{
 /// The one place a circuit becomes `(id, lowered form)`: a single
 /// witness-free synthesis whose streamed trace is the [`CircuitId`] and
 /// whose matrices move, with their twiddle-table domain, into a
-/// [`SetupContext`] — which drives key generation and converts into the
-/// prover's cached [`ProverContext`].
-fn lower<C: Circuit<Fr>>(circuit: &C) -> (CircuitId, SetupContext) {
+/// [`ProverContext`] — the one value key generation and every proof read.
+fn lower<C: Circuit<Fr>>(circuit: &C) -> (CircuitId, ProverContext) {
     let mut cs = SetupSynthesizer::with_sink(TraceHasher::new());
     circuit
         .synthesize(&mut cs)
@@ -47,12 +46,12 @@ fn lower<C: Circuit<Fr>>(circuit: &C) -> (CircuitId, SetupContext) {
     let (matrices, trace) = cs.into_parts();
     (
         CircuitId::from_bytes(trace.finalize()),
-        SetupContext::new(matrices),
+        ProverContext::new(matrices),
     )
 }
 
 /// The one setup path: [`lower`] → keygen into the sink `make_sink` builds
-/// for that circuit id. The [`SetupContext`] is returned so
+/// for that circuit id. The [`ProverContext`] is returned so
 /// [`Authority::setup`] can hand it on to the prover (one synthesis, one
 /// domain build, both roles).
 fn keygen_into<C: Circuit<Fr>, S: KeySink, R: rand::Rng + ?Sized>(
@@ -60,11 +59,11 @@ fn keygen_into<C: Circuit<Fr>, S: KeySink, R: rand::Rng + ?Sized>(
     make_sink: impl FnOnce(CircuitId) -> Result<S, S::Error>,
     budget: MemoryBudget,
     rng: &mut R,
-) -> Result<(S, CircuitId, SetupContext), S::Error> {
-    let (id, setup_ctx) = lower(circuit);
+) -> Result<(S, CircuitId, ProverContext), S::Error> {
+    let (id, ctx) = lower(circuit);
     let mut sink = make_sink(id)?;
-    setup_ctx.generate_into(&ToxicWaste::sample(rng), &mut sink, budget)?;
-    Ok((sink, id, setup_ctx))
+    ctx.generate_into(&ToxicWaste::sample(rng), &mut sink, budget)?;
+    Ok((sink, id, ctx))
 }
 
 /// [`keygen_into`] a [`KeyCollector`] at the unbounded budget — the key in
@@ -75,13 +74,12 @@ fn keygen_in_memory<C: Circuit<Fr>, R: rand::Rng + ?Sized>(
     circuit: &C,
     statement_digest: [u8; 32],
     rng: &mut R,
-) -> (ProvingKey, VerifierKit, SetupContext) {
+) -> (ProvingKey, VerifierKit, ProverContext) {
     let unbounded = MemoryBudget::from_bytes(usize::MAX);
-    let Ok((sink, id, setup_ctx)) =
-        keygen_into(circuit, |_| Ok(KeyCollector::default()), unbounded, rng);
+    let Ok((sink, id, ctx)) = keygen_into(circuit, |_| Ok(KeyCollector::default()), unbounded, rng);
     let pk = sink.into_key();
     let verifier = VerifierKit::from_parts(pk.vk.clone(), id).bind_statement(statement_digest);
-    (pk, verifier, setup_ctx)
+    (pk, verifier, ctx)
 }
 
 /// The trusted-setup authority (the paper's trusted third party `T`).
@@ -135,14 +133,13 @@ impl Authority {
         rng: &mut R,
     ) -> (ProverKit, VerifierKit) {
         let digest = spec.statement().content_digest();
-        let (pk, verifier, setup_ctx) = keygen_in_memory(&spec.shape_circuit(), digest, rng);
+        let (pk, verifier, ctx) = keygen_in_memory(&spec.shape_circuit(), digest, rng);
+        // the context keygen read is the prover's cached compute state
         let prover = ProverKit {
             key: pk,
             spec: spec.clone(),
             circuit_id: verifier.circuit_id(),
-            // keygen's matrices and twiddle-table domain move straight
-            // into the prover's cached compute state
-            ctx: setup_ctx.into_prover_context(),
+            ctx,
         };
         (prover, verifier)
     }
@@ -158,9 +155,8 @@ impl Authority {
         rng: &mut R,
     ) -> (ProvingKey, VerifierKit) {
         let circuit = ExtractionCircuit::from_statement(statement);
-        // verifier-only issuance: the setup context is not needed past keygen
-        let (pk, verifier, _setup_ctx) =
-            keygen_in_memory(&circuit, statement.content_digest(), rng);
+        // verifier-only issuance: the context is not needed past keygen
+        let (pk, verifier, _ctx) = keygen_in_memory(&circuit, statement.content_digest(), rng);
         (pk, verifier)
     }
 
@@ -190,7 +186,7 @@ impl Authority {
             KeyStoreWriter::create(path, Some(meta))
         };
         let circuit_id = keygen_into(&circuit, make_sink, budget, rng)
-            .and_then(|(sink, id, _setup_ctx)| sink.finish().map(|()| id))
+            .and_then(|(sink, id, _ctx)| sink.finish().map(|()| id))
             .map_err(|e| ZkrownnError::Store(e.to_string()))?;
         let vk = KeyStore::open(path)?.verifying_key()?;
         Ok(VerifierKit::from_parts(vk, circuit_id).bind_statement(statement.content_digest()))
@@ -276,12 +272,12 @@ impl ProverKit {
     /// Synthesizes the circuit once, for its id and the kit's cached
     /// [`ProverContext`] both.
     pub fn from_parts(pk: ProvingKey, spec: ExtractionSpec) -> Self {
-        let (circuit_id, setup_ctx) = lower(&spec.shape_circuit());
+        let (circuit_id, ctx) = lower(&spec.shape_circuit());
         Self {
             key: pk,
             spec,
             circuit_id,
-            ctx: setup_ctx.into_prover_context(),
+            ctx,
         }
     }
 
@@ -321,7 +317,7 @@ impl StoredProverKit {
         backend: StoreBackend,
     ) -> Result<Self, ZkrownnError> {
         let store = KeyStore::open_with(path, backend)?;
-        let (circuit_id, setup_ctx) = lower(&spec.shape_circuit());
+        let (circuit_id, ctx) = lower(&spec.shape_circuit());
         if let Some(meta) = store.meta()? {
             if meta.circuit_id != *circuit_id.as_bytes() {
                 return Err(ZkrownnError::CircuitMismatch {
@@ -333,7 +329,7 @@ impl StoredProverKit {
         // the H query is the one family whose length is the domain's, not
         // the circuit's: the circuit id cannot vouch for it
         let h_points = store.file().require(segment_kind::H_QUERY)?.count;
-        let h_expected = setup_ctx.domain().size as u64 - 1;
+        let h_expected = ctx.domain().size as u64 - 1;
         if h_points != h_expected {
             return Err(StoreError::ShapeMismatch {
                 kind: segment_kind::H_QUERY,
@@ -346,7 +342,7 @@ impl StoredProverKit {
             key: StoredKey { store, budget },
             spec,
             circuit_id,
-            ctx: setup_ctx.into_prover_context(),
+            ctx,
         })
     }
 

@@ -13,6 +13,14 @@
 //! dense assignment, checked row by row) — one circuit definition, two
 //! modes, structurally identical by construction.
 //!
+//! Between them sits one value, the [`ProverContext`]: the lowered
+//! circuit — what setup synthesis produces, and what keygen and every
+//! proof read (the matrices, the evaluation domain with its twiddle tables,
+//! the coset vanishing constant). An authority builds it once, generates
+//! the key from it ([`ProverContext::generate_timed`]), and proves against
+//! that key from the same value; the two wrappers above each build a
+//! throwaway one.
+//!
 //! ```
 //! use zkrownn_groth16::{generate_parameters, create_proof, verify_proof};
 //! use zkrownn_r1cs::{assignment, Circuit, ConstraintSystem, SynthesisError};
@@ -68,12 +76,12 @@ pub use prover::{
 };
 #[cfg(feature = "std")]
 pub use setup::{
-    generate_parameters, generate_parameters_from_matrices, KeyCollector, KeyConstants, KeyFamily,
-    KeySink, SetupContext, SetupTimings, ToxicWaste,
+    generate_parameters, KeyCollector, KeyConstants, KeyFamily, KeySink, SetupContext,
+    SetupTimings, ToxicWaste,
 };
 pub use verifier::{
     prepare_inputs, verify_proof, verify_proof_prepared, verify_proof_with_prepared_inputs,
-    verify_proofs_batch, verify_proofs_batch_prepared, PreparedInputs, VerificationError,
+    verify_proofs_batch_prepared, PreparedInputs, VerificationError,
 };
 
 #[cfg(test)]
@@ -355,21 +363,22 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(140);
         let pk = generate_parameters(&cubic(3), &mut rng).unwrap();
         let pvk = pk.vk.prepare();
-        let y = Fr::from_u64(3 * 3 * 3 + 3 + 5);
-        let batch: Vec<(Proof, Vec<Fr>)> = (0..4)
-            .map(|_| (create_proof(&pk, &cubic(3), &mut rng).unwrap(), vec![y]))
+        let inputs = |y: u64| prepare_inputs(&pvk, &[Fr::from_u64(y)]).unwrap();
+        let y = inputs(3 * 3 * 3 + 3 + 5);
+        let batch: Vec<(Proof, PreparedInputs)> = (0..4)
+            .map(|_| (create_proof(&pk, &cubic(3), &mut rng).unwrap(), y.clone()))
             .collect();
-        assert!(verify_proofs_batch(&pvk, &batch, &mut rng).is_ok());
+        assert!(verify_proofs_batch_prepared(&pvk, &batch, &mut rng).is_ok());
         // one corrupted proof poisons the batch
         let mut bad = batch.clone();
         bad[2].0.a = bad[0].0.c; // valid point, wrong proof element
-        assert!(verify_proofs_batch(&pvk, &bad, &mut rng).is_err());
+        assert!(verify_proofs_batch_prepared(&pvk, &bad, &mut rng).is_err());
         // and a wrong public input does too
         let mut bad2 = batch.clone();
-        bad2[1].1 = vec![Fr::from_u64(999)];
-        assert!(verify_proofs_batch(&pvk, &bad2, &mut rng).is_err());
+        bad2[1].1 = inputs(999);
+        assert!(verify_proofs_batch_prepared(&pvk, &bad2, &mut rng).is_err());
         // empty batch is trivially fine
-        assert!(verify_proofs_batch(&pvk, &[], &mut rng).is_ok());
+        assert!(verify_proofs_batch_prepared(&pvk, &[], &mut rng).is_ok());
     }
 
     /// The first RLC coefficient is fixed at 1: a batch of one draws
@@ -424,7 +433,7 @@ mod tests {
             tau: Fr::from_u64(15),
         };
         // witness-free and witnessed shapes must yield identical keys
-        let setup = |circuit: &Cubic| SetupContext::for_circuit(circuit).unwrap();
+        let setup = |circuit: &Cubic| ProverContext::for_circuit(circuit).unwrap();
         let (pk1, _) = setup(&Cubic { y: 35, x: None }).generate_timed(&toxic);
         let (pk2, _) = setup(&cubic(3)).generate_timed(&toxic);
         assert_eq!(pk1, pk2);
@@ -489,7 +498,7 @@ mod tests {
             delta: Fr::from_u64(24),
             tau: Fr::from_u64(25),
         };
-        let ctx = SetupContext::for_circuit(&Cubic { y: 35, x: None }).unwrap();
+        let ctx = ProverContext::for_circuit(&Cubic { y: 35, x: None }).unwrap();
         let (pk, _) = ctx.generate_timed(&toxic);
         // a tiny budget forces many chunks (MIN_CHUNK floor: still ≥ 2
         // chunks for any family longer than 256)

@@ -2,8 +2,9 @@
 //!
 //! There is **one** proof kernel, [`prove`], over two things it is handed:
 //!
-//! * a [`ProverContext`] — the matrices setup synthesis lowered, the FFT
-//!   domain (with its twiddle tables) and the inverse of the coset
+//! * a [`ProverContext`] — the lowered circuit: what setup synthesis
+//!   produces, and what keygen and every proof read. It holds the matrices,
+//!   the FFT domain (with its twiddle tables) and the inverse of the coset
 //!   vanishing constant, built once and reused across proofs.
 //!   [`create_proof`] still works standalone — it lowers into a throwaway
 //!   context — but anything proving more than once against the same
@@ -17,21 +18,23 @@
 
 use crate::keys::{Proof, ProvingKey};
 use crate::qap;
-use crate::setup::{KeyConstants, SetupContext};
+use crate::setup::KeyConstants;
 use std::time::{Duration, Instant};
 use zkrownn_curves::msm::msm;
 use zkrownn_curves::{G1Projective, G2Projective};
 use zkrownn_ff::{Field, Fr};
 use zkrownn_poly::Domain;
-use zkrownn_r1cs::{Circuit, ProvingSynthesizer, R1csMatrices, SynthesisError};
+use zkrownn_r1cs::{Circuit, ProvingSynthesizer, R1csMatrices, SetupSynthesizer, SynthesisError};
 
-/// Everything about a circuit the prover can compute once and reuse for
-/// every proof: the lowered matrices, the FFT domain with its twiddle
-/// tables, and `1/Z_H(g)` (the coset vanishing constant's inverse).
+/// The lowered circuit: what setup synthesis produces, and what keygen
+/// (`generate*`, in [`crate::setup`]) and every proof read — the
+/// constraint matrices, the FFT domain with its twiddle tables, and
+/// `1/Z_H(g)` (the coset vanishing constant's inverse).
 ///
 /// Rebuilding these per proof — lowering synthesizes the circuit again,
 /// the domain pays `O(m)` table multiplications — is pure overhead for
-/// batch-proving workloads; a context amortizes it to zero.
+/// batch-proving workloads; a context amortizes it to zero. An authority
+/// builds one, generates the key from it, and hands it on to the prover.
 pub struct ProverContext {
     matrices: R1csMatrices<Fr>,
     domain: Domain<Fr>,
@@ -39,30 +42,12 @@ pub struct ProverContext {
 }
 
 impl ProverContext {
-    /// Builds a context from pre-lowered matrices.
+    /// Builds a context from lowered matrices.
     ///
     /// # Panics
     /// Panics if the circuit exceeds the field's FFT capacity.
     pub fn new(matrices: R1csMatrices<Fr>) -> Self {
         let domain = qap::qap_domain(&matrices);
-        Self::from_lowered(matrices, domain)
-    }
-
-    /// Builds a context from already-lowered matrices *and* their matching
-    /// evaluation domain — the handoff from [`crate::SetupContext`], so an
-    /// authority pays one lowering and one twiddle-table build for both key
-    /// generation and the prover's cached state. The only fresh work here
-    /// is a single field inversion for the coset vanishing constant.
-    ///
-    /// # Panics
-    /// Panics (in debug builds) if `domain` is not the domain
-    /// [`qap::qap_domain`] would build for `matrices`.
-    pub fn from_lowered(matrices: R1csMatrices<Fr>, domain: Domain<Fr>) -> Self {
-        debug_assert_eq!(
-            Some(domain.size),
-            Domain::<Fr>::size_for(qap::qap_rows(&matrices)),
-            "domain does not match the matrices' QAP domain"
-        );
         let z_inv = domain
             .vanishing_polynomial_on_coset()
             .inverse()
@@ -76,9 +61,12 @@ impl ProverContext {
 
     /// Builds a context by synthesizing `circuit` in (witness-free) setup
     /// mode — the right entry point when only the circuit shape is at hand,
-    /// e.g. reconstructing a prover role from a shipped proving key.
+    /// e.g. running setup or reconstructing a prover role from a shipped
+    /// proving key.
     pub fn for_circuit<C: Circuit<Fr>>(circuit: &C) -> Result<Self, SynthesisError> {
-        Ok(SetupContext::for_circuit(circuit)?.into_prover_context())
+        let mut cs = SetupSynthesizer::<Fr>::new();
+        circuit.synthesize(&mut cs)?;
+        Ok(Self::new(cs.into_parts().0))
     }
 
     /// The lowered constraint matrices.

@@ -16,8 +16,9 @@ use zkrownn_r1cs::{Matrix, R1csMatrices};
 
 /// The QAP view of an R1CS: per-variable polynomial evaluations at a fixed
 /// point `τ` (used only at setup). The evaluation domain itself lives with
-/// the caller (a [`crate::SetupContext`] caches it alongside the lowered
-/// matrices).
+/// the caller: the lowered circuit — what setup synthesis produces, and
+/// what keygen and every proof read — is a [`crate::ProverContext`], which
+/// caches it alongside the matrices.
 pub struct QapEvaluations {
     /// `uᵢ(τ)` per column of `z`.
     pub u: Vec<Fr>,
@@ -29,30 +30,22 @@ pub struct QapEvaluations {
     pub zt: Fr,
 }
 
-/// Returns the evaluation domain used for the given matrix dimensions.
+/// Returns the evaluation domain used for the given matrix dimensions:
+/// the smallest that holds every constraint plus one padding row per
+/// instance variable.
 ///
 /// # Panics
 /// Panics if the circuit exceeds the field's FFT capacity (3²·2²⁸ rows).
 pub fn qap_domain(matrices: &R1csMatrices<Fr>) -> Domain<Fr> {
-    Domain::new(qap_rows(matrices)).expect("circuit too large for the BN254 scalar field FFT")
+    let rows = matrices.num_constraints() + matrices.num_instance();
+    Domain::new(rows).expect("circuit too large for the BN254 scalar field FFT")
 }
 
-/// The QAP's row count: every constraint plus one padding row per instance
-/// variable — what [`qap_domain`] must hold.
-pub(crate) fn qap_rows(matrices: &R1csMatrices<Fr>) -> usize {
-    matrices.num_constraints() + matrices.num_instance()
-}
-
-/// Evaluates all QAP polynomials at `τ`, building a throwaway domain.
-/// Setup-side callers holding a [`crate::SetupContext`] go through
-/// [`evaluate_qap_at_with`] and reuse its cached twiddle-table domain.
-pub fn evaluate_qap_at(matrices: &R1csMatrices<Fr>, tau: Fr) -> QapEvaluations {
-    evaluate_qap_at_with(matrices, &qap_domain(matrices), tau)
-}
-
-/// Evaluates all QAP polynomials at `τ` over a prebuilt domain. The
-/// Lagrange coefficients come from the domain's twiddle-table path, and the
-/// three independent A/B/C column accumulations run on separate threads.
+/// Evaluates all QAP polynomials at `τ` over a prebuilt domain — the
+/// [`qap_domain`] of `matrices`, or a [`crate::ProverContext`]'s cached
+/// one. The Lagrange coefficients come from the domain's twiddle-table
+/// path, and the three independent A/B/C column accumulations run on
+/// separate threads.
 pub fn evaluate_qap_at_with(
     matrices: &R1csMatrices<Fr>,
     domain: &Domain<Fr>,
@@ -194,7 +187,7 @@ mod tests {
         // verify A(τ)B(τ) − C(τ) = h(τ)Z(τ) at a random τ via QAP evals
         let mut rng = rand::rngs::StdRng::seed_from_u64(121);
         let tau = Fr::random(&mut rng);
-        let qap = evaluate_qap_at(&m, tau);
+        let qap = evaluate_qap_at_with(&m, &qap_domain(&m), tau);
         let at = z
             .iter()
             .zip(&qap.u)
@@ -226,7 +219,7 @@ mod tests {
         // the padding rows guarantee every instance column has u_i ≠ 0
         let m = sample_matrices();
         let mut rng = rand::rngs::StdRng::seed_from_u64(122);
-        let qap = evaluate_qap_at(&m, Fr::random(&mut rng));
+        let qap = evaluate_qap_at_with(&m, &qap_domain(&m), Fr::random(&mut rng));
         for i in 0..m.num_instance() {
             assert!(!qap.u[i].is_zero(), "instance column {i}");
         }

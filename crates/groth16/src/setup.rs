@@ -6,10 +6,10 @@
 //! An authority standing up keys for a *fleet* of circuits pays this path
 //! per circuit shape, so it is engineered like the prover's hot path:
 //!
-//! * a [`SetupContext`] caches the lowered matrices and the twiddle-table
-//!   FFT domain, and converts into a [`ProverContext`]
-//!   ([`SetupContext::into_prover_context`]) so one lowering feeds both key
-//!   generation and the prover's cached compute state;
+//! * the lowered circuit — what setup synthesis produces, and what keygen
+//!   and every proof read — is one [`ProverContext`] holding the matrices
+//!   and the twiddle-table FFT domain, so one lowering feeds both key
+//!   generation and the prover;
 //! * the QAP polynomials are evaluated at `τ` through the domain's
 //!   table-based Lagrange path, and the powers of `τ` for the H-query come
 //!   from the same jump-then-recur `geometric_series` that builds twiddle
@@ -18,7 +18,7 @@
 //!   [`FixedBaseTable::mul_many`] kernel, so keygen performs no per-point
 //!   `into_affine` inversion outside the six toxic elements `α, β, δ` (G1)
 //!   and `β, γ, δ` (G2);
-//! * there is **one** keygen kernel ([`SetupContext::generate_into`]): it
+//! * there is **one** keygen kernel ([`ProverContext::generate_into`]): it
 //!   walks the key families serially in [`MemoryBudget`]-sized chunks — each
 //!   chunk split across cores inside `mul_many` — and hands them to a
 //!   [`KeySink`]. Where the key ends up is the sink's business: a
@@ -26,7 +26,7 @@
 //!   [`ProvingKey`], the `zkrownn-store` writer streams a `.zkst` file.
 //!
 //! The entry points take an `impl Circuit<Fr>` and synthesize it with the
-//! shape-only [`SetupSynthesizer`], so the party running setup never
+//! shape-only [`SetupSynthesizer`](zkrownn_r1cs::SetupSynthesizer), so the party running setup never
 //! evaluates a witness closure — it genuinely needs no witness, not even a
 //! placeholder one.
 
@@ -40,8 +40,8 @@ use zkrownn_curves::{
     MemoryBudget,
 };
 use zkrownn_ff::{Field, Fr};
-use zkrownn_poly::{geometric_series, Domain};
-use zkrownn_r1cs::{Circuit, R1csMatrices, SetupSynthesizer, SynthesisError};
+use zkrownn_poly::geometric_series;
+use zkrownn_r1cs::{Circuit, SynthesisError};
 
 /// The secret randomness ("toxic waste") behind a CRS. Exposed as a struct
 /// so tests can run deterministic setups; real deployments sample it and
@@ -177,7 +177,7 @@ impl KeyConstants {
     }
 }
 
-/// Where key generation puts the key ([`SetupContext::generate_into`]) —
+/// Where key generation puts the key ([`ProverContext::generate_into`]) —
 /// the write half of the pair whose read half is
 /// [`KeySource`](crate::KeySource): a sink builds a key somewhere (memory,
 /// a `.zkst` file), a source proves from wherever it was built.
@@ -280,47 +280,14 @@ impl KeySink for KeyCollector {
     }
 }
 
-/// Everything about a circuit the setup can compute once and reuse: the
-/// lowered constraint matrices and the FFT domain with its twiddle tables.
-///
-/// One context serves key generation (any number of times — e.g. key
-/// rotation for the same circuit shape) and then converts into the
-/// prover's cached [`ProverContext`] without re-lowering the circuit or
-/// rebuilding the domain tables ([`Self::into_prover_context`] — the
-/// `zkrownn` `Authority::setup` uses exactly this handoff).
-pub struct SetupContext {
-    matrices: R1csMatrices<Fr>,
-    domain: Domain<Fr>,
-}
+/// Alias kept because the frozen benchmark harness (`zkbench/`) names the
+/// lowered circuit this way for key generation; write [`ProverContext`].
+pub type SetupContext = ProverContext;
 
-impl SetupContext {
-    /// Builds a context from pre-lowered matrices.
-    ///
-    /// # Panics
-    /// Panics if the circuit exceeds the field's FFT capacity.
-    pub fn new(matrices: R1csMatrices<Fr>) -> Self {
-        let domain = qap::qap_domain(&matrices);
-        Self { matrices, domain }
-    }
-
-    /// Builds a context by synthesizing `circuit` in (witness-free) setup
-    /// mode.
-    pub fn for_circuit<C: Circuit<Fr>>(circuit: &C) -> Result<Self, SynthesisError> {
-        let mut cs = SetupSynthesizer::<Fr>::new();
-        circuit.synthesize(&mut cs)?;
-        Ok(Self::new(cs.into_parts().0))
-    }
-
-    /// The lowered constraint matrices.
-    pub fn matrices(&self) -> &R1csMatrices<Fr> {
-        &self.matrices
-    }
-
-    /// The cached evaluation domain (twiddle tables included).
-    pub fn domain(&self) -> &Domain<Fr> {
-        &self.domain
-    }
-
+/// Key generation over the lowered circuit: any number of keys (e.g. key
+/// rotation for the same circuit shape) from one context, which then
+/// proves against them.
+impl ProverContext {
     /// Runs key generation with fresh randomness from `rng`.
     pub fn generate<R: rand::Rng + ?Sized>(&self, rng: &mut R) -> ProvingKey {
         self.generate_timed(&ToxicWaste::sample(rng)).0
@@ -357,16 +324,17 @@ impl SetupContext {
         // Scalar side: QAP evaluations at `τ` plus every derived scalar
         // vector (the toxic elements go out separately, as the constants)
         let start = Instant::now();
-        let qap = qap::evaluate_qap_at_with(&self.matrices, &self.domain, toxic.tau);
-        let num_instance = self.matrices.num_instance();
-        let num_vars = self.matrices.num_variables();
+        let (matrices, domain) = (self.matrices(), self.domain());
+        let qap = qap::evaluate_qap_at_with(matrices, domain, toxic.tau);
+        let num_instance = matrices.num_instance();
+        let num_vars = matrices.num_variables();
         debug_assert_eq!(qap.u.len(), num_vars);
         let gamma_inv = toxic.gamma.inverse().expect("gamma != 0");
         let delta_inv = toxic.delta.inverse().expect("delta != 0");
         // `gamma_abc_g1` scalars — instance columns of `(β·u + α·v + w)·γ⁻¹`
         // — and `l_query` scalars — witness columns of the same over `δ`
         let mut ic_scalars = Vec::with_capacity(num_instance);
-        let mut l_scalars = Vec::with_capacity(self.matrices.num_witness());
+        let mut l_scalars = Vec::with_capacity(matrices.num_witness());
         for i in 0..num_vars {
             let combined = toxic.beta * qap.u[i] + toxic.alpha * qap.v[i] + qap.w[i];
             if i < num_instance {
@@ -376,7 +344,7 @@ impl SetupContext {
             }
         }
         // `h_query` scalars: τ^i · Z(τ)/δ — jump-then-recur, chunk-parallel
-        let h_scalars = geometric_series(qap.zt * delta_inv, toxic.tau, self.domain.size - 1);
+        let h_scalars = geometric_series(qap.zt * delta_inv, toxic.tau, domain.size - 1);
         let qap_eval = start.elapsed();
 
         // Group side: batch-affine fixed-base kernels, their windows sized
@@ -433,13 +401,6 @@ impl SetupContext {
             total: start.elapsed(),
         })
     }
-
-    /// Converts this context into the prover's cached compute state,
-    /// reusing the lowered matrices and the domain tables (the only new
-    /// work is one field inversion for the coset vanishing constant).
-    pub fn into_prover_context(self) -> ProverContext {
-        ProverContext::from_lowered(self.matrices, self.domain)
-    }
 }
 
 /// Runs the Groth16 setup for a circuit, producing the proving key (which
@@ -452,15 +413,5 @@ pub fn generate_parameters<C: Circuit<Fr>, R: rand::Rng + ?Sized>(
     circuit: &C,
     rng: &mut R,
 ) -> Result<ProvingKey, SynthesisError> {
-    Ok(SetupContext::for_circuit(circuit)?.generate(rng))
-}
-
-/// Low-level setup over pre-lowered matrices (for harnesses that already
-/// hold matrices). Builds a throwaway [`SetupContext`] — amortizing callers
-/// hold one.
-pub fn generate_parameters_from_matrices<R: rand::Rng + ?Sized>(
-    matrices: &R1csMatrices<Fr>,
-    rng: &mut R,
-) -> ProvingKey {
-    SetupContext::new(matrices.clone()).generate(rng)
+    Ok(ProverContext::for_circuit(circuit)?.generate(rng))
 }

@@ -118,28 +118,16 @@ pub fn verify_proof(
     verify_proof_prepared(&vk.prepare(), proof, public_inputs)
 }
 
-/// Batch verification of many proofs under one verifying key.
+/// Batch verification of many proofs under one verifying key, over
+/// pre-folded instance commitments ([`prepare_inputs`]).
 ///
 /// Takes a random linear combination of the individual pairing equations
-/// (coefficients from `rng`), so all `n` proofs are checked with `2n + 2`
+/// (coefficients from `rng`), so all `n` proofs are checked with `n + 2`
 /// Miller loops and a single final exponentiation instead of `3n` loops and
-/// `n` exponentiations. A batch that fails may contain any number of bad
+/// `n` exponentiations. Claims that share a statement share the (already
+/// paid) input MSM, so the marginal cost per proof is one Miller loop and
+/// three G1 scalar muls. A batch that fails may contain any number of bad
 /// proofs; fall back to individual verification to locate them.
-pub fn verify_proofs_batch<R: rand::Rng + ?Sized>(
-    pvk: &PreparedVerifyingKey,
-    batch: &[(Proof, Vec<Fr>)],
-    rng: &mut R,
-) -> Result<(), VerificationError> {
-    let prepared = batch
-        .iter()
-        .map(|(proof, inputs)| Ok((proof.clone(), prepare_inputs(pvk, inputs)?)))
-        .collect::<Result<Vec<_>, _>>()?;
-    verify_proofs_batch_prepared(pvk, &prepared, rng)
-}
-
-/// [`verify_proofs_batch`] over pre-folded instance commitments — claims
-/// that share a statement share the (already paid) input MSM, so the
-/// marginal cost per proof is two Miller loops and two G1 scalar muls.
 ///
 /// The first coefficient is fixed at 1 and the other `n − 1` are drawn —
 /// the standard form of the test: a lone bad first proof is caught with

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use zkrownn_ff::{Field, Fr};
 use zkrownn_groth16::{
-    create_proof_with_context_and_randomness, verify_proof, ProverContext, SetupContext, ToxicWaste,
+    create_proof_with_context_and_randomness, verify_proof, ProverContext, ToxicWaste,
 };
 use zkrownn_r1cs::{
     Circuit, ConstraintSystem, LinearCombination, ProvingSynthesizer, SynthesisError,
@@ -72,7 +72,7 @@ fn cached_context_is_byte_identical_to_uncached() {
     let cs = witnessed(&chain);
     let ctx = context(&chain);
     let matrices = ctx.matrices().clone();
-    let (pk, _) = SetupContext::new(matrices.clone()).generate_timed(&toxic(0xc0ffee));
+    let (pk, _) = ctx.generate_timed(&toxic(0xc0ffee));
     let z = cs.full_assignment();
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(77);
@@ -115,7 +115,7 @@ proptest! {
         let z = witnessed(&chain).full_assignment();
         let ctx = context(&chain);
         let matrices = ctx.matrices().clone();
-        let (pk, _) = SetupContext::new(matrices.clone()).generate_timed(&toxic(seed | 1));
+        let (pk, _) = ctx.generate_timed(&toxic(seed | 1));
         let r = Fr::from_u64(seed ^ 0xaaaa) + Fr::one();
         let s = Fr::from_u64(seed ^ 0x5555) + Fr::one();
         let throwaway = ProverContext::new(matrices.clone());
@@ -132,7 +132,7 @@ fn in_memory_adapters_reject_a_wrong_length_assignment() {
     // a panic before the witness map or any MSM sees the short vector
     let chain = Chain { n: 5, x0: 2 };
     let ctx = context(&chain);
-    let (pk, _) = SetupContext::new(ctx.matrices().clone()).generate_timed(&toxic(0xbad));
+    let (pk, _) = ctx.generate_timed(&toxic(0xbad));
     let mut z = witnessed(&chain).full_assignment();
     z.pop();
     create_proof_with_context_and_randomness(&pk, &ctx, &z, Fr::one(), Fr::one());
@@ -157,7 +157,7 @@ fn every_key_family_is_checked_before_any_msm() {
     // on the calling thread, not by `msm`'s generic length panic
     let chain = Chain { n: 5, x0: 2 };
     let ctx = context(&chain);
-    let (pk, _) = SetupContext::new(ctx.matrices().clone()).generate_timed(&toxic(0x5a9e));
+    let (pk, _) = ctx.generate_timed(&toxic(0x5a9e));
     let z = witnessed(&chain).full_assignment();
     assert_eq!(pk.h_query.len(), ctx.domain().size - 1);
     type Mutation = fn(&mut zkrownn_groth16::ProvingKey);

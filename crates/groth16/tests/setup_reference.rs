@@ -1,6 +1,6 @@
 //! Pins the parallel batch-affine keygen to a serial per-point reference:
 //! under fixed toxic randomness, the proving key produced through the
-//! `SetupContext` hot path (signed-digit fixed-base tables, batch-affine
+//! `ProverContext` hot path (signed-digit fixed-base tables, batch-affine
 //! accumulation, chunks split across cores) must be *byte-identical* to keys
 //! assembled one `scalar · G` double-and-add at a time. Mirrors
 //! `prover_context.rs` on the prover side.
@@ -11,8 +11,8 @@ use zkrownn_curves::{Affine, G1Affine, G1Projective, G2Affine, G2Projective, SwC
 use zkrownn_ff::{Field, Fr};
 use zkrownn_groth16::qap;
 use zkrownn_groth16::{
-    create_proof_with_context_and_randomness, generate_parameters_from_matrices, verify_proof,
-    ProvingKey, SetupContext, ToxicWaste, VerifyingKey,
+    create_proof_with_context_and_randomness, verify_proof, ProverContext, ProvingKey, ToxicWaste,
+    VerifyingKey,
 };
 use zkrownn_r1cs::{
     Circuit, ConstraintSystem, LinearCombination, Matrix, ProvingSynthesizer, R1csMatrices,
@@ -167,8 +167,7 @@ fn reference_keygen(matrices: &R1csMatrices<Fr>, toxic: &ToxicWaste) -> ProvingK
 fn batch_affine_keygen_is_byte_identical_to_serial() {
     let matrices = matrices(&Chain { n: 37, x0: 3 });
     let reference = reference_keygen(&matrices, &toxic(0xdecade));
-    let ctx = SetupContext::new(matrices);
-    let (fast, _) = ctx.generate_timed(&toxic(0xdecade));
+    let (fast, _) = ProverContext::new(matrices).generate_timed(&toxic(0xdecade));
     assert_eq!(
         fast.to_bytes(),
         reference.to_bytes(),
@@ -178,29 +177,17 @@ fn batch_affine_keygen_is_byte_identical_to_serial() {
 
 #[test]
 fn setup_context_feeds_both_keygen_and_prover() {
-    // the shared-lowering handoff: one SetupContext generates the key and
-    // then becomes the ProverContext, and a proof through that context
-    // verifies under the key it generated alongside
+    // one lowered circuit generates the key and then proves, and a proof
+    // through it verifies under the key it generated
     let chain = Chain { n: 25, x0: 4 };
     let cs = witnessed(&chain);
-    let sctx = SetupContext::for_circuit(&chain).unwrap();
-    let (pk, _) = sctx.generate_timed(&toxic(0xfeed));
-    let ctx = sctx.into_prover_context();
+    let ctx = ProverContext::for_circuit(&chain).unwrap();
+    let (pk, _) = ctx.generate_timed(&toxic(0xfeed));
     let mut rng = rand::rngs::StdRng::seed_from_u64(99);
     let (r, s) = (Fr::random(&mut rng), Fr::random(&mut rng));
     let proof = create_proof_with_context_and_randomness(&pk, &ctx, &cs.full_assignment(), r, s);
     let publics = cs.instance_assignment()[1..].to_vec();
     assert!(verify_proof(&pk.vk, &proof, &publics).is_ok());
-}
-
-#[test]
-fn matrix_level_wrapper_matches_context_path() {
-    let matrices = matrices(&Chain { n: 16, x0: 7 });
-    // the same seed on both sides samples the same toxic waste
-    let rng = || rand::rngs::StdRng::seed_from_u64(0xabba);
-    let via_wrapper = generate_parameters_from_matrices(&matrices, &mut rng());
-    let via_context = SetupContext::new(matrices).generate(&mut rng());
-    assert_eq!(via_wrapper.to_bytes(), via_context.to_bytes());
 }
 
 proptest! {
@@ -215,7 +202,7 @@ proptest! {
         let matrices = matrices(&Chain { n, x0 });
         let tox = toxic(seed | 1);
         let reference = reference_keygen(&matrices, &tox);
-        let (fast, _) = SetupContext::new(matrices).generate_timed(&tox);
+        let (fast, _) = ProverContext::new(matrices).generate_timed(&tox);
         prop_assert_eq!(fast.to_bytes(), reference.to_bytes());
     }
 }

@@ -1,9 +1,8 @@
-//! # zkrownn-poly — FFT domains and polynomials over BN254 Fr
+//! # zkrownn-poly — FFT domains over BN254 Fr
 //!
 //! Evaluation domains of size `3ᵇ·2ᵏ` ([`Domain`]) with plain and coset
-//! FFT/IFFT, Lagrange-coefficient evaluation (used by the Groth16 trusted
-//! setup), and dense polynomials ([`DensePolynomial`]). A domain is the
-//! smallest such size that holds the points asked for — `b` only where the
+//! FFT/IFFT and Lagrange-coefficient evaluation (used by the Groth16
+//! trusted setup). A domain is the smallest such size that holds the points asked for — `b` only where the
 //! field has 3-adic roots of unity (BN254 `Fr`: `b ≤ 2`).
 //!
 //! ```
@@ -19,8 +18,6 @@
 
 #![warn(missing_docs)]
 
-pub mod dense;
 pub mod domain;
 
-pub use dense::DensePolynomial;
 pub use domain::{geometric_series, Domain, Elements, PARALLEL_FFT_MIN};

@@ -1193,17 +1193,18 @@ impl Scopes {
 /// each is checked as it is enforced, when every variable it mentions
 /// already has its value, and the first that fails is kept.
 ///
-/// Also interns the namespace path of each constraint, so an unsatisfied
-/// constraint can be reported as a human-readable path instead of a bare
-/// row index.
+/// Constraints are only counted; the namespace path is kept for the first
+/// violated one alone, so it can be reported as a human-readable path
+/// instead of a bare row index.
 #[derive(Clone, Debug)]
 pub struct ProvingSynthesizer<F: PrimeField> {
     instance: Vec<F>,
     witness: Vec<F>,
     scopes: Scopes,
-    constraint_paths: Vec<u32>,
-    /// The first row with `⟨a,z⟩·⟨b,z⟩ ≠ ⟨c,z⟩`.
-    violated: Option<usize>,
+    num_constraints: usize,
+    /// The first row with `⟨a,z⟩·⟨b,z⟩ ≠ ⟨c,z⟩`, and the id of the
+    /// namespace path it was enforced under.
+    violated: Option<(usize, u32)>,
 }
 
 impl<F: PrimeField> ProvingSynthesizer<F> {
@@ -1213,7 +1214,7 @@ impl<F: PrimeField> ProvingSynthesizer<F> {
             instance: vec![F::one()],
             witness: Vec::new(),
             scopes: Scopes::new(),
-            constraint_paths: Vec::new(),
+            num_constraints: 0,
             violated: None,
         }
     }
@@ -1241,7 +1242,7 @@ impl<F: PrimeField> ProvingSynthesizer<F> {
 
     /// Number of constraints.
     pub fn num_constraints(&self) -> usize {
-        self.constraint_paths.len()
+        self.num_constraints
     }
 
     /// Instance-block size (including the constant 1).
@@ -1271,16 +1272,18 @@ impl<F: PrimeField> ProvingSynthesizer<F> {
         z
     }
 
-    /// The namespace path constraint `i` was enforced under (`""` = root).
-    pub fn constraint_path(&self, i: usize) -> &str {
-        &self.scopes.paths[self.constraint_paths[i] as usize]
+    /// The namespace path the first violated constraint was enforced
+    /// under (`""` = root), or `None` if every constraint held.
+    pub fn violated_path(&self) -> Option<&str> {
+        self.violated
+            .map(|(_, path)| self.scopes.paths[path as usize].as_str())
     }
 
     /// Whether every constraint held when it was enforced; on failure, the
-    /// index of the first violated one (look up its scope with
-    /// [`Self::constraint_path`]).
+    /// index of the first violated one (its scope is
+    /// [`Self::violated_path`]).
     pub fn is_satisfied(&self) -> Result<(), usize> {
-        self.violated.map_or(Ok(()), Err)
+        self.violated.map_or(Ok(()), |(row, _)| Err(row))
     }
 }
 
@@ -1316,9 +1319,9 @@ impl<F: PrimeField> ConstraintSystem<F> for ProvingSynthesizer<F> {
         c: LinearCombination<F>,
     ) {
         if self.violated.is_none() && self.eval_lc(&a) * self.eval_lc(&b) != self.eval_lc(&c) {
-            self.violated = Some(self.constraint_paths.len());
+            self.violated = Some((self.num_constraints, self.scopes.current_id));
         }
-        self.constraint_paths.push(self.scopes.current_id);
+        self.num_constraints += 1;
     }
 
     fn push_namespace(&mut self, name: &str) {
@@ -1537,8 +1540,7 @@ mod tests {
         assert_eq!(cs.num_constraints(), 3);
         assert_eq!(cs.num_instance_variables(), 2);
         assert_eq!(cs.num_witness_variables(), 3);
-        assert_eq!(cs.constraint_path(0), "powers");
-        assert_eq!(cs.constraint_path(2), "sum");
+        assert_eq!(cs.violated_path(), None);
     }
 
     #[test]
@@ -1546,7 +1548,7 @@ mod tests {
         let mut cs = ProvingSynthesizer::<Fr>::new();
         Cubic { y: 36, x: Some(3) }.synthesize(&mut cs).unwrap();
         assert_eq!(cs.is_satisfied(), Err(2));
-        assert_eq!(cs.constraint_path(2), "sum");
+        assert_eq!(cs.violated_path(), Some("sum"));
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub struct StoreMeta {
 /// A [`KeySink`] that writes keygen output straight into a `.zkst`
 /// container — memory-budgeted trusted setup.
 ///
-/// Order of operations: construct, hand to `SetupContext::generate_into`,
+/// Order of operations: construct, hand to `ProverContext::generate_into`,
 /// then call [`Self::finish`].
 pub struct KeyStoreWriter {
     inner: StoreWriter,

@@ -13,7 +13,7 @@
 //!   segment per [`zkrownn_groth16::KeyFamily`], a constants segment, and
 //!   an optional circuit-binding metadata segment. [`KeyStoreWriter`] is
 //!   the [`zkrownn_groth16::KeySink`] that turns
-//!   `SetupContext::generate_into` into memory-budgeted on-disk keygen;
+//!   `ProverContext::generate_into` into memory-budgeted on-disk keygen;
 //!   [`KeyStore`] reads families back segment-at-a-time;
 //! * [`prover`] — [`StoredKey`], the [`zkrownn_groth16::KeySource`] over a
 //!   store: windowed Pippenger consuming base chunks straight from disk at
@@ -42,7 +42,7 @@
 //! use rand::SeedableRng;
 //! use zkrownn_curves::MemoryBudget;
 //! use zkrownn_ff::{Field, Fr};
-//! use zkrownn_groth16::{prove, verify_proof, SetupContext, ToxicWaste};
+//! use zkrownn_groth16::{prove, verify_proof, ProverContext, ToxicWaste};
 //! use zkrownn_r1cs::{assignment, Circuit, ConstraintSystem, ProvingSynthesizer, SynthesisError};
 //! use zkrownn_store::{KeyStore, KeyStoreWriter, StoredKey};
 //!
@@ -68,16 +68,16 @@
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
 //! let toxic = ToxicWaste::sample(&mut rng);
 //! let budget = MemoryBudget::from_mb(64);
-//! let setup = SetupContext::for_circuit(&Square { x: None })?;
-//! let (pk, _) = setup.generate_timed(&toxic);
+//! let ctx = ProverContext::for_circuit(&Square { x: None })?;
+//! let (pk, _) = ctx.generate_timed(&toxic);
 //! let mut sink = KeyStoreWriter::create(&path, None)?;
-//! setup.generate_into(&toxic, &mut sink, budget)?;
+//! ctx.generate_into(&toxic, &mut sink, budget)?;
 //! sink.finish()?;
 //! let stored = StoredKey { store: KeyStore::open(&path)?, budget };
 //!
 //! let mut cs = ProvingSynthesizer::<Fr>::new();
 //! Square { x: Some(3) }.synthesize(&mut cs)?;
-//! let (ctx, z) = (setup.into_prover_context(), cs.full_assignment());
+//! let z = cs.full_assignment();
 //! let (r, s) = (Fr::random(&mut rng), Fr::random(&mut rng));
 //!
 //! // prove: monolithic MSMs over the in-memory key, Pippenger over base

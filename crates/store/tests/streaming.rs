@@ -15,7 +15,7 @@ use std::path::PathBuf;
 use zkrownn_curves::MemoryBudget;
 use zkrownn_ff::{Field, Fr};
 use zkrownn_groth16::{
-    create_proof_with_context_and_randomness, verify_proof, KeyCollector, SetupContext, ToxicWaste,
+    create_proof_with_context_and_randomness, verify_proof, KeyCollector, ProverContext, ToxicWaste,
 };
 use zkrownn_r1cs::{
     assignment, Circuit, ConstraintSystem, LinearCombination, ProvingSynthesizer, SynthesisError,
@@ -87,7 +87,7 @@ fn streaming_keygen_is_byte_identical_to_in_memory_keygen() {
         x: None,
         padding: 9,
     };
-    let ctx = SetupContext::for_circuit(&circuit).unwrap();
+    let ctx = ProverContext::for_circuit(&circuit).unwrap();
     let toxic = fixed_toxic();
     let (pk, _) = ctx.generate_timed(&toxic);
 
@@ -121,7 +121,7 @@ fn the_keygen_kernel_is_chunking_invariant() {
     // one toxic waste, three ways through the one kernel: collected in a
     // single chunk per family, collected at the `MIN_CHUNK` floor, and
     // streamed to disk and loaded back — the same key bytes every time
-    let ctx = SetupContext::for_circuit(&Cubic {
+    let ctx = ProverContext::for_circuit(&Cubic {
         x: None,
         padding: 300,
     })
@@ -158,7 +158,7 @@ fn streamed_proofs_are_byte_identical_to_in_memory_proofs() {
         x: None,
         padding: 9,
     };
-    let ctx = SetupContext::for_circuit(&shape).unwrap();
+    let ctx = ProverContext::for_circuit(&shape).unwrap();
     let toxic = fixed_toxic();
     let (pk, _) = ctx.generate_timed(&toxic);
     let path = temp_path("prove.zkst");
@@ -172,16 +172,15 @@ fn streamed_proofs_are_byte_identical_to_in_memory_proofs() {
     .synthesize(&mut cs)
     .unwrap();
     let z = cs.full_assignment();
-    let prover_ctx = ctx.into_prover_context();
     let (r, s) = (Fr::from_u64(77), Fr::from_u64(78));
-    let expected = create_proof_with_context_and_randomness(&pk, &prover_ctx, &z, r, s);
+    let expected = create_proof_with_context_and_randomness(&pk, &ctx, &z, r, s);
 
     for backend in [StoreBackend::Auto, StoreBackend::Buffered] {
         let store = KeyStore::open_with(&path, backend).unwrap();
         for budget_bytes in [1usize, 64 * 257, 1 << 22] {
             let proof = create_proof_streamed(
                 &store,
-                &prover_ctx,
+                &ctx,
                 &z,
                 r,
                 s,
@@ -205,7 +204,7 @@ fn corrupted_segments_yield_errors_never_wrong_proofs() {
         x: None,
         padding: 4,
     };
-    let ctx = SetupContext::for_circuit(&shape).unwrap();
+    let ctx = ProverContext::for_circuit(&shape).unwrap();
     let (pk, _) = ctx.generate_timed(&fixed_toxic());
     let path = temp_path("corrupt-src.zkst");
     write_proving_key(&path, &pk, None).unwrap();
@@ -219,7 +218,6 @@ fn corrupted_segments_yield_errors_never_wrong_proofs() {
     .synthesize(&mut cs)
     .unwrap();
     let z = cs.full_assignment();
-    let prover_ctx = ctx.into_prover_context();
     let (r, s) = (Fr::from_u64(91), Fr::from_u64(92));
 
     // flip one byte in the middle of every proof-consumed segment: the
@@ -248,14 +246,8 @@ fn corrupted_segments_yield_errors_never_wrong_proofs() {
         corrupt[off as usize] ^= 0x01;
         std::fs::write(&corrupt_path, &corrupt).unwrap();
         let store = KeyStore::open(&corrupt_path).unwrap();
-        let result = create_proof_streamed(
-            &store,
-            &prover_ctx,
-            &z,
-            r,
-            s,
-            MemoryBudget::from_bytes(1 << 20),
-        );
+        let result =
+            create_proof_streamed(&store, &ctx, &z, r, s, MemoryBudget::from_bytes(1 << 20));
         assert!(
             result.is_err(),
             "corruption at byte {off} produced a proof instead of an error"
@@ -269,12 +261,11 @@ fn a_wrong_length_assignment_is_a_typed_shape_error() {
         x: None,
         padding: 4,
     };
-    let ctx = SetupContext::for_circuit(&shape).unwrap();
+    let ctx = ProverContext::for_circuit(&shape).unwrap();
     let (pk, _) = ctx.generate_timed(&fixed_toxic());
     let path = temp_path("shape.zkst");
     write_proving_key(&path, &pk, None).unwrap();
     let store = KeyStore::open(&path).unwrap();
-    let prover_ctx = ctx.into_prover_context();
 
     // rejected by the kernel's own check, before the witness map or any
     // segment read: the error names the expected variable count, which a
@@ -283,7 +274,7 @@ fn a_wrong_length_assignment_is_a_typed_shape_error() {
     let short = vec![Fr::one(); num_vars - 1];
     let (r, s) = (Fr::from_u64(5), Fr::from_u64(6));
     let budget = MemoryBudget::from_bytes(1 << 20);
-    match create_proof_streamed(&store, &prover_ctx, &short, r, s, budget) {
+    match create_proof_streamed(&store, &ctx, &short, r, s, budget) {
         Err(StoreError::ShapeMismatch { expected, got, .. }) => {
             assert_eq!((expected, got), (num_vars as u64, num_vars as u64 - 1));
         }

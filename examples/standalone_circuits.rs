@@ -19,7 +19,7 @@ use zkrownn_gadgets::sigmoid::{sigmoid, sigmoid_fixed_reference};
 use zkrownn_gadgets::threshold::threshold_circuit;
 use zkrownn_gadgets::{FixedConfig, Num};
 use zkrownn_groth16::{
-    create_proof_with_context_and_randomness, verify_proof_prepared, SetupContext,
+    create_proof_with_context_and_randomness, verify_proof_prepared, ProverContext,
 };
 use zkrownn_r1cs::{ProvingSynthesizer, SetupSynthesizer};
 
@@ -34,9 +34,8 @@ fn prove_and_verify(name: &str, setup: SetupSynthesizer<Fr>, cs: &ProvingSynthes
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xc0ffee);
     assert!(cs.is_satisfied().is_ok());
     let t = Instant::now();
-    let setup = SetupContext::new(setup.into_parts().0);
-    let pk = setup.generate(&mut rng);
-    let ctx = setup.into_prover_context();
+    let ctx = ProverContext::new(setup.into_parts().0);
+    let pk = ctx.generate(&mut rng);
     let setup = t.elapsed();
     let t = Instant::now();
     let (r, s) = (Fr::random(&mut rng), Fr::random(&mut rng));

@@ -13,7 +13,7 @@ use zkrownn_gadgets::relu::relu_circuit;
 use zkrownn_gadgets::sigmoid::{sigmoid, sigmoid_fixed_reference};
 use zkrownn_gadgets::threshold::threshold_circuit;
 use zkrownn_gadgets::{FixedConfig, Num};
-use zkrownn_groth16::{create_proof_with_context_and_randomness, verify_proof, SetupContext};
+use zkrownn_groth16::{create_proof_with_context_and_randomness, verify_proof, ProverContext};
 use zkrownn_r1cs::{ConstraintSystem, ProvingSynthesizer, SetupSynthesizer};
 
 /// One gadget circuit synthesized into both drivers: `setup` lowers it
@@ -24,11 +24,10 @@ fn drivers() -> (SetupSynthesizer<Fr>, ProvingSynthesizer<Fr>) {
 
 fn prove_and_verify(setup: SetupSynthesizer<Fr>, cs: &ProvingSynthesizer<Fr>, seed: u64) {
     assert!(cs.is_satisfied().is_ok());
-    let setup = SetupContext::new(setup.into_parts().0);
+    let ctx = ProverContext::new(setup.into_parts().0);
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let pk = setup.generate(&mut rng);
+    let pk = ctx.generate(&mut rng);
     let (r, s) = (Fr::random(&mut rng), Fr::random(&mut rng));
-    let ctx = setup.into_prover_context();
     let proof = create_proof_with_context_and_randomness(&pk, &ctx, &cs.full_assignment(), r, s);
     let inputs: Vec<Fr> = cs.instance_assignment()[1..].to_vec();
     verify_proof(&pk.vk, &proof, &inputs).expect("valid gadget proof");
