@@ -89,6 +89,7 @@ pub type G2Projective = Projective<G2Config>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alloc::vec::Vec;
     use rand::SeedableRng;
     use zkrownn_ff::Fr;
 

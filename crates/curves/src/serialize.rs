@@ -57,6 +57,21 @@ impl core::fmt::Display for PointDecodeError {
 #[cfg(feature = "std")]
 impl std::error::Error for PointDecodeError {}
 
+/// The widest coordinate encoding of any curve here: an `Fq2` element.
+const MAX_COORDINATE_BYTES: usize = 64;
+
+/// Splits the two flag bits off the last byte of a coordinate encoding:
+/// returns them, and the coordinate with those bits cleared in the first
+/// `coord.len()` bytes of a stack buffer.
+fn strip_flags(coord: &[u8]) -> (u8, [u8; MAX_COORDINATE_BYTES]) {
+    let mut buf = [0u8; MAX_COORDINATE_BYTES];
+    buf[..coord.len()].copy_from_slice(coord);
+    let last = coord.len() - 1;
+    let flags = buf[last] & 0xc0;
+    buf[last] &= 0x3f;
+    (flags, buf)
+}
+
 /// Number of bytes in the compressed encoding of a point on `C`.
 pub fn compressed_size<C: SwCurveConfig>() -> usize {
     C::BaseField::BYTES
@@ -93,17 +108,15 @@ pub fn read_compressed<C: SwCurveConfig>(bytes: &[u8]) -> Result<Affine<C>, Poin
             got: bytes.len(),
         });
     }
-    let mut buf = bytes.to_vec();
-    let last = buf.len() - 1;
-    let flags = buf[last] & 0xc0;
-    buf[last] &= 0x3f;
+    let (flags, buf) = strip_flags(bytes);
+    let x_bytes = &buf[..bytes.len()];
     if flags & FLAG_INFINITY != 0 {
-        if buf.iter().any(|&b| b != 0) || flags & FLAG_Y_LARGEST != 0 {
+        if x_bytes.iter().any(|&b| b != 0) || flags & FLAG_Y_LARGEST != 0 {
             return Err(PointDecodeError::NonCanonicalInfinity);
         }
         return Ok(Affine::identity());
     }
-    let x = C::BaseField::read_bytes(&buf).ok_or(PointDecodeError::NonCanonicalField)?;
+    let x = C::BaseField::read_bytes(x_bytes).ok_or(PointDecodeError::NonCanonicalField)?;
     let y2 = x.square() * x + C::coeff_b();
     let mut y = y2.sqrt().ok_or(PointDecodeError::NotOnCurve)?;
     let want_largest = flags & FLAG_Y_LARGEST != 0;
@@ -140,18 +153,17 @@ pub fn read_uncompressed<C: SwCurveConfig>(bytes: &[u8]) -> Result<Affine<C>, Po
             got: bytes.len(),
         });
     }
-    let mut buf = bytes.to_vec();
-    let last = buf.len() - 1;
-    let flags = buf[last] & 0xc0;
-    buf[last] &= 0x3f;
+    let (x_bytes, y_flagged) = bytes.split_at(n);
+    let (flags, buf) = strip_flags(y_flagged);
+    let y_bytes = &buf[..n];
     if flags & FLAG_INFINITY != 0 {
-        if buf.iter().any(|&b| b != 0) {
+        if x_bytes.iter().chain(y_bytes).any(|&b| b != 0) {
             return Err(PointDecodeError::NonCanonicalInfinity);
         }
         return Ok(Affine::identity());
     }
-    let x = C::BaseField::read_bytes(&buf[..n]).ok_or(PointDecodeError::NonCanonicalField)?;
-    let y = C::BaseField::read_bytes(&buf[n..]).ok_or(PointDecodeError::NonCanonicalField)?;
+    let x = C::BaseField::read_bytes(x_bytes).ok_or(PointDecodeError::NonCanonicalField)?;
+    let y = C::BaseField::read_bytes(y_bytes).ok_or(PointDecodeError::NonCanonicalField)?;
     let p = Affine::new_unchecked(x, y);
     if !p.is_on_curve() {
         return Err(PointDecodeError::NotOnCurve);
@@ -203,6 +215,7 @@ pub fn read_uncompressed_unvalidated<C: SwCurveConfig>(
 mod tests {
     use super::*;
     use crate::bn254::{G1Affine, G1Projective, G2Affine, G2Projective};
+    use alloc::vec;
     use rand::SeedableRng;
     use zkrownn_ff::Fr;
 

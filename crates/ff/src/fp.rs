@@ -189,7 +189,7 @@ impl<P: FpParams> Field for Fp<P> {
         if self.is_zero() {
             return None;
         }
-        // Fermat: a^(p-2). Adequate for our workloads; hot paths batch.
+        // Fermat: a^(p-2); hot paths batch their inversions.
         let exp = P::MODULUS.sub_with_borrow(&BigInt256::from_u64(2)).0;
         let inv = self.pow(&exp.0);
         debug_assert!((inv * *self).is_one());

@@ -37,6 +37,7 @@ mod tests {
     use super::*;
     use crate::biguint::BigUint;
     use crate::traits::{Field, PrimeField};
+    use alloc::vec::Vec;
     use rand::SeedableRng;
 
     const R_DEC: &str =

@@ -53,6 +53,16 @@ pub trait Field:
     /// Returns the multiplicative inverse, or `None` for zero.
     fn inverse(&self) -> Option<Self>;
     /// Exponentiation by a little-endian limb-encoded exponent.
+    ///
+    /// **Variable-time in the exponent**: square-and-multiply, so the
+    /// sequence of squarings and multiplications follows its bits, and the
+    /// exponent must not be a secret that outlives the call. Nearly every
+    /// caller passes a public one (`p − 2`, `(p+1)/4`, `(p−1)/2`, moduli,
+    /// domain sizes). The one private exponent is the batch verifier's
+    /// `Σ rᵢ` (`verify_proofs_batch_prepared` in `zkrownn-groth16`): its `rᵢ`
+    /// are drawn fresh for each batch after the proofs are fixed and are
+    /// never used again, so their timing tells an observer nothing it could
+    /// use.
     fn pow(&self, exp: &[u64]) -> Self {
         let mut res = Self::one();
         let mut started = false;

@@ -2,7 +2,7 @@
 //! tower (`Fq`, `Fr`, `Fq2`, `Fq6`, `Fq12`).
 
 use proptest::prelude::*;
-use zkrownn_ff::{BigInt256, Field, Fq, Fq12, Fq2, Fq6, Fr, PrimeField, SquareRootField};
+use zkrownn_ff::{BigInt256, BigUint, Field, Fq, Fq12, Fq2, Fq6, Fr, PrimeField, SquareRootField};
 
 /// Strategy: a field element from four arbitrary limbs (reduced mod p by
 /// multiplication in the field — `from_u64` products spread over the range).
@@ -122,5 +122,154 @@ proptest! {
     fn halve_is_inverse_of_double(a in arb_fr()) {
         prop_assert_eq!(a.double().halve(), a);
         prop_assert_eq!(a.halve().double(), a);
+    }
+}
+
+/// `a^exp` by `BigUint::modpow` on the canonical integers: right-to-left,
+/// no Montgomery form, nothing shared with `Field::pow`.
+fn modpow_oracle<F: PrimeField>(a: F, exp: &[u64]) -> F {
+    let m = BigUint::from_limbs(&F::MODULUS.0);
+    let r = BigUint::from_limbs(&a.into_bigint().0).modpow(&BigUint::from_limbs(exp), &m);
+    F::from_bigint(BigInt256(r.to_limbs::<4>())).expect("modpow reduces mod p")
+}
+
+/// Plain left-to-right square-and-multiply over every bit of `exp`: the
+/// reference for the extension fields, which have no integer oracle.
+fn square_and_multiply<F: Field>(a: F, exp: &[u64]) -> F {
+    let mut acc = F::one();
+    for i in (0..64 * exp.len()).rev() {
+        acc = acc.square();
+        if (exp[i / 64] >> (i % 64)) & 1 == 1 {
+            acc *= a;
+        }
+    }
+    acc
+}
+
+/// Exponent lengths on either side of each limb boundary and of the
+/// moduli's 254 bits.
+const EXP_BITS: [usize; 18] = [
+    0, 1, 2, 5, 6, 63, 64, 65, 127, 128, 129, 191, 192, 193, 253, 254, 255, 256,
+];
+
+/// An exponent of exactly `bits` significant bits: the low bits from
+/// `limbs`, the top one set.
+fn exponent_of(bits: usize, limbs: [u64; 4]) -> [u64; 4] {
+    let mut e = [0u64; 4];
+    for (i, limb) in e.iter_mut().enumerate() {
+        let keep = bits.saturating_sub(64 * i).min(64);
+        *limb = match keep {
+            0 => 0,
+            64 => limbs[i],
+            k => limbs[i] & ((1u64 << k) - 1),
+        };
+    }
+    if bits > 0 {
+        e[(bits - 1) / 64] |= 1 << ((bits - 1) % 64);
+    }
+    e
+}
+
+/// Exponents whose shape sits on a limb edge or is unusually sparse or
+/// dense: all-ones limbs, zero limbs above and below the set ones, lone top
+/// bits, a set bit every five or six positions, and the exponents the crate
+/// itself uses.
+fn edge_exponents() -> Vec<Vec<u64>> {
+    let mut out: Vec<Vec<u64>> = vec![
+        vec![],
+        vec![0],
+        vec![0, 0, 0, 0],
+        vec![u64::MAX],
+        vec![u64::MAX; 2],
+        vec![u64::MAX; 3],
+        vec![u64::MAX; 4],
+        vec![u64::MAX, 0, u64::MAX],
+        vec![1, 0, 0, 0, 0],
+        vec![u64::MAX, 0, 0, 0, 0, 0],
+        vec![0, 1],
+        vec![0, 0, 1],
+        vec![0, 0, 0, 1 << 63],
+        vec![1 << 63, 1 << 63, 1 << 63, 1 << 63],
+        vec![0x8421_0842_1084_2108; 4],
+        vec![0x0410_4104_1041_0410; 4],
+        vec![0, 0, 0x1f, 0],
+        vec![0x1f, 0, 0, 1],
+    ];
+    for m in [Fq::MODULUS, Fr::MODULUS] {
+        out.push(m.0.to_vec());
+        out.push(m.sub_with_borrow(&BigInt256::ONE).0 .0.to_vec());
+        out.push(m.sub_with_borrow(&BigInt256::from_u64(2)).0 .0.to_vec());
+        out.push(m.add_with_carry(&BigInt256::ONE).0.shr(2).0.to_vec());
+    }
+    out
+}
+
+#[test]
+fn pow_matches_the_oracles_on_edge_exponents() {
+    let fq = Fq::from_u64(0x1234_5678_9abc_def0).square() + Fq::from_u64(7);
+    let fr = Fr::from_u64(0x0fed_cba9_8765_4321).square() + Fr::from_u64(11);
+    let fq2 = Fq2::new(fq, fq.square() + Fq::one());
+    let fq12 = Fq12::new(
+        Fq6::new(fq2, fq2.square(), fq2 + Fq2::one()),
+        Fq6::new(fq2.double(), -fq2, fq2 * fq2.square()),
+    );
+    for exp in edge_exponents() {
+        assert_eq!(fq.pow(&exp), modpow_oracle(fq, &exp), "Fq, exp {exp:x?}");
+        assert_eq!(fr.pow(&exp), modpow_oracle(fr, &exp), "Fr, exp {exp:x?}");
+        assert_eq!(
+            fq2.pow(&exp),
+            square_and_multiply(fq2, &exp),
+            "Fq2, exp {exp:x?}"
+        );
+        assert_eq!(
+            fq12.pow(&exp),
+            square_and_multiply(fq12, &exp),
+            "Fq12, exp {exp:x?}"
+        );
+        assert_eq!(
+            Fq::zero().pow(&exp),
+            modpow_oracle(Fq::zero(), &exp),
+            "0^{exp:x?}"
+        );
+    }
+}
+
+proptest! {
+    #[test]
+    fn fq_pow_matches_modpow(a in arb_fq(), limbs in any::<[u64; 4]>()) {
+        for bits in EXP_BITS {
+            let e = exponent_of(bits, limbs);
+            prop_assert_eq!(a.pow(&e), modpow_oracle(a, &e));
+        }
+        prop_assert_eq!(a.pow(&limbs), modpow_oracle(a, &limbs));
+    }
+
+    #[test]
+    fn fr_pow_matches_modpow(a in arb_fr(), limbs in any::<[u64; 4]>()) {
+        for bits in EXP_BITS {
+            let e = exponent_of(bits, limbs);
+            prop_assert_eq!(a.pow(&e), modpow_oracle(a, &e));
+        }
+        prop_assert_eq!(a.pow(&limbs), modpow_oracle(a, &limbs));
+    }
+
+    #[test]
+    fn fq2_pow_matches_square_and_multiply(a in arb_fq2(), limbs in any::<[u64; 4]>()) {
+        for bits in EXP_BITS {
+            let e = exponent_of(bits, limbs);
+            prop_assert_eq!(a.pow(&e), square_and_multiply(a, &e));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn fq12_pow_matches_square_and_multiply(a in arb_fq12(), limbs in any::<[u64; 4]>()) {
+        for bits in [63, 64, 65, 128, 254, 256] {
+            let e = exponent_of(bits, limbs);
+            prop_assert_eq!(a.pow(&e), square_and_multiply(a, &e));
+        }
     }
 }
