@@ -13,19 +13,25 @@
 //!   inversion (the same trick `curve.rs` uses for `batch_into_affine`):
 //!   ~5 field multiplications per addition instead of ~11 for a Jacobian
 //!   mixed add;
-//! * **window parallelism** — windows are processed across the machine's
-//!   cores with `std::thread::scope` (no external thread-pool dependency);
-//!   the digit matrix is recoded once up front so every window reads its
-//!   digits independently of the carry chain.
+//! * **windows sized to the scalars, handed out on demand** — there are
+//!   `⌈max_bits / c⌉ + 1` windows, where `max_bits` is the widest
+//!   (balanced) scalar's length, so a quantized network's 16-bit
+//!   assignment recodes and scans 3 windows at `c = 8`, not 33. The digit
+//!   matrix is recoded once up front so every window reads its digits
+//!   independently of the carry chain; the machine's cores then take the
+//!   next unclaimed window from a shared counter (`std::thread::scope`, no
+//!   thread-pool dependency), so a core that drew a light window takes
+//!   another instead of idling. One core or one window runs inline and
+//!   spawns nothing.
 //!
-//! The final Horner reduction skips trailing identity windows: canonical
-//! BN254 scalars rarely populate the top window (and the signed-digit carry
-//! window is almost always empty), so paying `c` doublings for each of them
-//! would be pure waste.
+//! The final Horner reduction skips trailing identity windows: the top
+//! window is often sparse and the signed-digit carry window almost always
+//! empty, so paying `c` doublings for each of them would be pure waste.
 
 use crate::curve::{Affine, Projective, SwCurveConfig};
 use alloc::vec;
 use alloc::vec::Vec;
+use core::sync::atomic::{AtomicUsize, Ordering};
 use zkrownn_ff::{BigInt256, Field, Fr, PrimeField};
 
 /// Chooses a Pippenger window size for `n` non-trivial terms.
@@ -48,8 +54,8 @@ fn window_size(n: usize) -> usize {
 /// scalars are skipped. Scalars above `r/2` are balanced to `(r − s, −P)`:
 /// circuit assignments are full of small *negative* fixed-point values
 /// whose canonical form is a full-width integer, and balancing them back
-/// to small magnitudes empties every high window (which the Horner
-/// reduction then skips outright).
+/// to small magnitudes empties every high window, and such windows are
+/// never recoded or scanned.
 ///
 /// # Panics
 /// Panics if the slice lengths differ.
@@ -92,42 +98,53 @@ pub fn msm_bigint_with_window<C: SwCurveConfig>(
     if pairs.is_empty() {
         return Projective::identity();
     }
-    // canonical BN254 scalars are 254 bits; one extra window absorbs the
-    // signed-digit carry out of the top bits
-    let num_bits = 254usize;
-    let num_windows = num_bits.div_ceil(c) + 1;
+    let (digits, num_windows) = signed_digits(pairs, c);
 
-    let digits = signed_digits(pairs, c, num_windows);
-
+    // Workers take the next unclaimed window from `next` until none is
+    // left: with small scalars the low windows hold every point and the
+    // high ones are empty, so a fixed split would leave a core idle. The
+    // counter publishes nothing but the index it hands out (each sum comes
+    // back through the worker's return value), so `Relaxed` is enough.
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut scratch = WindowScratch::new(c);
+        let mut done = Vec::new();
+        loop {
+            let w = next.fetch_add(1, Ordering::Relaxed);
+            if w >= num_windows {
+                return done;
+            }
+            done.push((w, window_sum(pairs, &digits, w, c, &mut scratch)));
+        }
+    };
+    // each sum lands at its own index, so the result does not depend on
+    // which worker computed it
     let mut window_sums = vec![Projective::<C>::identity(); num_windows];
+    let mut place = |done: Vec<(usize, Projective<C>)>| {
+        for (w, sum) in done {
+            window_sums[w] = sum;
+        }
+    };
     #[cfg(feature = "std")]
-    {
-        let threads = std::thread::available_parallelism()
-            .map(|v| v.get())
-            .unwrap_or(1)
-            .min(num_windows);
+    let threads = std::thread::available_parallelism()
+        .map(|v| v.get())
+        .unwrap_or(1)
+        .min(num_windows);
+    #[cfg(not(feature = "std"))]
+    let threads = 1;
+    if threads == 1 {
+        place(worker());
+    }
+    #[cfg(feature = "std")]
+    if threads > 1 {
+        // the calling thread is one of the workers
         std::thread::scope(|scope| {
-            for (t, chunk) in window_sums
-                .chunks_mut(num_windows.div_ceil(threads))
-                .enumerate()
-            {
-                let digits = &digits;
-                let first_window = t * num_windows.div_ceil(threads);
-                scope.spawn(move || {
-                    let mut scratch = WindowScratch::new(c);
-                    for (i, out) in chunk.iter_mut().enumerate() {
-                        *out = window_sum(pairs, digits, first_window + i, c, &mut scratch);
-                    }
-                });
+            let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(worker)).collect();
+            place(worker());
+            for h in helpers {
+                place(h.join().expect("msm worker panicked"));
             }
         });
-    }
-    #[cfg(not(feature = "std"))]
-    {
-        let mut scratch = WindowScratch::new(c);
-        for (i, out) in window_sums.iter_mut().enumerate() {
-            *out = window_sum(pairs, &digits, i, c, &mut scratch);
-        }
     }
 
     // total = Σ window_sums[w] · 2^(w·c), evaluated Horner-style from the
@@ -146,12 +163,17 @@ pub fn msm_bigint_with_window<C: SwCurveConfig>(
 }
 
 /// Transpose block width for the digit matrix (rows per tile; the tile is
-/// `DIGIT_BLOCK · num_windows · 4` bytes ≈ 100 KB, L2-resident).
+/// `DIGIT_BLOCK · num_windows · 4` bytes, ≈ 100 KB at full width,
+/// L2-resident).
 const DIGIT_BLOCK: usize = 1024;
 
 /// Recodes every scalar into signed base-`2^c` digits, **column-major**:
 /// `digits[w · n + i] ∈ [−2^(c−1), 2^(c−1)]` with
-/// `scalar_i = Σ_w digit · 2^(w·c)`.
+/// `scalar_i = Σ_w digit · 2^(w·c)`. Returns the digits and the window
+/// count `⌈max_bits / c⌉ + 1`, where `max_bits` is the widest scalar's
+/// length: the windows above it are zero for every row, so they are neither
+/// recoded nor scanned, and the one extra window absorbs the signed-digit
+/// carry out of the top.
 ///
 /// The carry chain runs once per scalar here so the per-window bucket
 /// passes can read any window's digits independently (and in parallel);
@@ -162,8 +184,9 @@ const DIGIT_BLOCK: usize = 1024;
 fn signed_digits<C: SwCurveConfig>(
     pairs: &[(Affine<C>, BigInt256)],
     c: usize,
-    num_windows: usize,
-) -> Vec<i32> {
+) -> (Vec<i32>, usize) {
+    let max_bits = pairs.iter().map(|(_, s)| s.num_bits()).max().unwrap_or(0);
+    let num_windows = (max_bits as usize).div_ceil(c) + 1;
     let half = 1i64 << (c - 1);
     let full = 1i64 << c;
     let n = pairs.len();
@@ -187,7 +210,7 @@ fn signed_digits<C: SwCurveConfig>(
                 };
                 *slot = digit as i32;
             }
-            debug_assert_eq!(carry, 0, "carry out of a 254-bit scalar");
+            debug_assert_eq!(carry, 0, "carry out of the top window");
         }
         for w in 0..num_windows {
             for r in 0..block.len() {
@@ -195,7 +218,7 @@ fn signed_digits<C: SwCurveConfig>(
             }
         }
     }
-    digits
+    (digits, num_windows)
 }
 
 /// Reusable per-thread scratch for [`window_sum`]: the bucket bookkeeping
@@ -522,12 +545,80 @@ mod tests {
         }
     }
 
+    /// A random scalar of exactly `bits` significant bits (`1 ≤ bits ≤ 253`).
+    fn scalar_of_width(bits: u32, rng: &mut rand::rngs::StdRng) -> Fr {
+        let mut v = Fr::random(rng).into_bigint();
+        for (i, limb) in v.0.iter_mut().enumerate() {
+            let keep = bits.saturating_sub(64 * i as u32).min(64);
+            *limb &= if keep == 64 {
+                u64::MAX
+            } else {
+                (1u64 << keep) - 1
+            };
+        }
+        v.0[(bits as usize - 1) / 64] |= 1 << ((bits - 1) % 64);
+        Fr::from_bigint(v).expect("below r")
+    }
+
+    fn random_bases(n: usize, rng: &mut rand::rngs::StdRng) -> Vec<G1Affine> {
+        let g = G1Projective::generator();
+        (0..n)
+            .map(|_| g.mul_scalar(Fr::random(rng)).into_affine())
+            .collect()
+    }
+
+    #[test]
+    fn windows_follow_the_widest_scalar() {
+        // widest member exactly c·k bits, c·k + 1 bits, and 1 bit: the
+        // window count, and with it the top window and the carry window,
+        // moves with the width, and the sum must not
+        let mut rng = rand::rngs::StdRng::seed_from_u64(66);
+        let bases = random_bases(24, &mut rng);
+        for c in [3usize, 8] {
+            for width in [1, 2 * c as u32, 2 * c as u32 + 1, 3 * c as u32] {
+                let mut scalars: Vec<Fr> = (0..bases.len())
+                    .map(|i| scalar_of_width(1 + (i as u32 * 7) % width, &mut rng))
+                    .collect();
+                scalars[0] = scalar_of_width(width, &mut rng);
+                let pairs: Vec<(G1Affine, BigInt256)> = bases
+                    .iter()
+                    .zip(&scalars)
+                    .map(|(b, s)| (*b, s.into_bigint()))
+                    .collect();
+                let (digits, num_windows) = signed_digits(&pairs, c);
+                assert_eq!(num_windows, (width as usize).div_ceil(c) + 1);
+                assert_eq!(digits.len(), pairs.len() * num_windows);
+                assert_eq!(
+                    msm_bigint_with_window(&pairs, c),
+                    naive(&bases, &scalars),
+                    "c = {c}, width {width}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn narrow_scalar_sets_match_naive() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(67);
+        let bases = random_bases(40, &mut rng);
+        // small negative values: balanced to small magnitudes on −P
+        let negative: Vec<Fr> = (0..40u64).map(|i| -Fr::from_u64(i * 977 + 1)).collect();
+        // one full-width scalar among 16-bit ones
+        let mut one_wide: Vec<Fr> = (0..40).map(|_| scalar_of_width(16, &mut rng)).collect();
+        one_wide[17] = Fr::random(&mut rng);
+        // a single non-zero scalar
+        let mut single = vec![Fr::zero(); 40];
+        single[29] = Fr::from_u64(0xbeef);
+        for scalars in [negative, one_wide, single] {
+            assert_eq!(msm(&bases, &scalars), naive(&bases, &scalars));
+        }
+    }
+
     #[test]
     fn signed_digits_recompose_scalars() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(64);
         let g = G1Projective::generator().into_affine();
         for c in [3usize, 7, 12] {
-            let num_windows = 254usize.div_ceil(c) + 1;
             let pairs: Vec<(G1Affine, BigInt256)> = (0..5)
                 .map(|_| (g, Fr::random(&mut rng).into_bigint()))
                 .chain([
@@ -535,7 +626,8 @@ mod tests {
                     (g, (-Fr::one()).into_bigint()),
                 ])
                 .collect();
-            let digits = signed_digits(&pairs, c, num_windows);
+            let (digits, num_windows) = signed_digits(&pairs, c);
+            assert_eq!(digits.len(), pairs.len() * (254usize.div_ceil(c) + 1));
             for (row, (_, scalar)) in pairs.iter().enumerate() {
                 // Σ digit · 2^(wc) over Fr must reproduce the scalar
                 let mut acc = Fr::zero();

@@ -88,7 +88,9 @@ fn perfectly_cancelling_inputs_sum_to_identity() {
 
 /// Manual tuning harness for the window-size heuristic (not a correctness
 /// test): `cargo test --release -p zkrownn-curves --test msm_reference -- \
-/// --ignored --nocapture window_tuning_sweep`.
+/// --ignored --nocapture window_tuning_sweep`. The largest size is the quick
+/// CNN's H query (98 303 terms); the 16-bit set is shaped like a quantized
+/// network's assignment, which fills only the low windows.
 #[test]
 #[ignore]
 fn window_tuning_sweep() {
@@ -96,22 +98,31 @@ fn window_tuning_sweep() {
     use zkrownn_curves::msm::msm_bigint_with_window;
     use zkrownn_ff::{BigInt256, PrimeField};
     let g = G1Projective::generator();
-    for n in [4096usize, 32768] {
+    let max_n = 98_303usize;
+    let mut multiples = Vec::with_capacity(max_n);
+    let mut acc = g;
+    for _ in 0..max_n {
+        multiples.push(acc);
+        acc += g;
+    }
+    let bases = Projective::batch_into_affine(&multiples);
+    for (bits, n) in [(254, 4096), (254, 32768), (254, max_n), (16, max_n)] {
         let pairs: Vec<(zkrownn_curves::G1Affine, BigInt256)> = (0..n)
             .map(|i| {
-                let s = Fr::from_u64(i as u64 + 1).pow(&[0x1234_5678_9abc_def1]);
-                (
-                    g.mul_scalar(Fr::from_u64(i as u64 % 97 + 1)).into_affine(),
-                    s.into_bigint(),
-                )
+                let s = if bits == 16 {
+                    Fr::from_u64((i as u64).wrapping_mul(0x9e37_79b9) & 0xffff | 1)
+                } else {
+                    Fr::from_u64(i as u64 + 1).pow(&[0x1234_5678_9abc_def1])
+                };
+                (bases[i], s.into_bigint())
             })
             .collect();
         let mut reference = None;
-        for c in 8..=15 {
+        for c in 8..=16 {
             let t = Instant::now();
             let got = msm_bigint_with_window(&pairs, c);
             let dt = t.elapsed();
-            println!("n = {n:6}  c = {c:2}  {dt:?}");
+            println!("{bits:3}-bit  n = {n:6}  c = {c:2}  {dt:?}");
             match &reference {
                 None => reference = Some(got),
                 Some(r) => assert_eq!(*r, got, "c = {c}"),
@@ -126,16 +137,41 @@ fn arb_fr() -> impl Strategy<Value = Fr> {
     })
 }
 
+/// Scalars of one random width (1–64 bits) and either sign, like a
+/// quantized network's assignment: the MSM recodes only the windows the
+/// widest one fills.
+fn arb_narrow_frs() -> impl Strategy<Value = Vec<Fr>> {
+    (
+        1u32..65,
+        prop::collection::vec((any::<u64>(), any::<bool>()), 1..96),
+    )
+        .prop_map(|(width, raw)| {
+            raw.into_iter()
+                .map(|(v, negative)| {
+                    let s = Fr::from_u64(v >> (64 - width));
+                    if negative {
+                        -s
+                    } else {
+                        s
+                    }
+                })
+                .collect()
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
     fn g1_random_matches_naive(
-        scalars in prop::collection::vec(arb_fr(), 1..96),
+        wide in prop::collection::vec(arb_fr(), 1..96),
+        narrow in arb_narrow_frs(),
         seed in any::<u64>(),
     ) {
-        let bases = stress_bases::<zkrownn_curves::G1Config>(scalars.len(), seed);
-        prop_assert_eq!(msm(&bases, &scalars), naive(&bases, &scalars));
+        for scalars in [wide, narrow] {
+            let bases = stress_bases::<zkrownn_curves::G1Config>(scalars.len(), seed);
+            prop_assert_eq!(msm(&bases, &scalars), naive(&bases, &scalars));
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! proptest, `tests/mul_throughput.rs` gates the speed-up, and the
 //! `field-backend` ablation group in `zkrownn-bench` measures the gap.
 
-use crate::bigint::{adc, mac, sbb, BigInt256};
+use crate::bigint::{adc, mac, BigInt256};
 use crate::fp::FpParams;
 
 /// A Montgomery-form multiplication kernel for 4-limb prime fields.
@@ -65,11 +65,7 @@ fn mont_reduce_wide<P: FpParams>(mut t: [u64; 8]) -> BigInt256 {
         carry2 = c;
     }
     debug_assert_eq!(carry2, 0, "montgomery reduction overflow");
-    let mut r = BigInt256([t[4], t[5], t[6], t[7]]);
-    if r.const_cmp(&P::MODULUS) >= 0 {
-        r = r.sub_with_borrow(&P::MODULUS).0;
-    }
-    r
+    BigInt256([t[4], t[5], t[6], t[7]]).csub(0, &P::MODULUS)
 }
 
 /// The loop-structured schoolbook-then-reduce reference backend.
@@ -112,26 +108,6 @@ const fn no_carry_ok(m: &BigInt256) -> bool {
             && m.0[2] == u64::MAX
             && m.0[1] == u64::MAX
             && m.0[0] == u64::MAX)
-}
-
-/// Branchless conditional subtraction: returns `r - m` if `r ≥ m`, else
-/// `r`. The subtract-or-not decision in a Montgomery chain is data-driven
-/// and effectively random, so a compare-and-branch mispredicts half the
-/// time; masking costs a fixed handful of cycles instead.
-#[inline(always)]
-fn csub(r: [u64; 4], m: &[u64; 4]) -> [u64; 4] {
-    let (d0, b) = sbb(r[0], m[0], 0);
-    let (d1, b) = sbb(r[1], m[1], b);
-    let (d2, b) = sbb(r[2], m[2], b);
-    let (d3, b) = sbb(r[3], m[3], b);
-    // b == 1 ⇒ r < m ⇒ keep r; b == 0 ⇒ take the difference.
-    let keep = b.wrapping_neg();
-    [
-        (r[0] & keep) | (d0 & !keep),
-        (r[1] & keep) | (d1 & !keep),
-        (r[2] & keep) | (d2 & !keep),
-        (r[3] & keep) | (d3 & !keep),
-    ]
 }
 
 /// One fully inlined CIOS round: fold `a_i · b` into `t` and divide by
@@ -393,14 +369,14 @@ impl FieldBackend for UnrolledBackend {
         if adx::available() {
             // SAFETY: BMI2+ADX verified above; no-carry condition checked.
             let t = unsafe { adx::mul_no_carry(&a.0, &b.0, m, P::INV) };
-            return BigInt256(csub(t, m));
+            return BigInt256(t).csub(0, &P::MODULUS);
         }
         let b = &b.0;
         let mut t = cios_round([0; 4], a.0[0], b, m, P::INV);
         t = cios_round(t, a.0[1], b, m, P::INV);
         t = cios_round(t, a.0[2], b, m, P::INV);
         t = cios_round(t, a.0[3], b, m, P::INV);
-        BigInt256(csub(t, m))
+        BigInt256(t).csub(0, &P::MODULUS)
     }
 
     #[inline]

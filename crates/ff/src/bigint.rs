@@ -115,6 +115,31 @@ impl BigInt256 {
         (Self([l0, l1, l2, l3]), b)
     }
 
+    /// Branch-free conditional subtraction: treats `carry` (0 or 1) as bit
+    /// 256 above `self` and returns `carry·2²⁵⁶ + self − m` when that is at
+    /// least `m`, else `self`. Requires `carry·2²⁵⁶ + self < 2m`.
+    ///
+    /// This is the final reduction step of every `Fp` add and Montgomery
+    /// multiply. Whether it subtracts is effectively a coin flip, so a
+    /// compare-and-branch mispredicts half the time; the mask costs a
+    /// fixed handful of cycles and the same time for every input. Folding
+    /// `carry` into the mask keeps it right for a modulus whose top bit is
+    /// set, where a sum can overflow 256 bits.
+    #[inline(always)]
+    pub const fn csub(&self, carry: u64, m: &Self) -> Self {
+        let (d, borrow) = self.sub_with_borrow(m);
+        // the borrow out of a fifth limb `carry − 0 − borrow`: set exactly
+        // when the 257-bit value is below `m`, i.e. when `self` is kept
+        let (_, keep) = sbb(carry, 0, borrow);
+        let keep = keep.wrapping_neg();
+        Self([
+            (self.0[0] & keep) | (d.0[0] & !keep),
+            (self.0[1] & keep) | (d.0[1] & !keep),
+            (self.0[2] & keep) | (d.0[2] & !keep),
+            (self.0[3] & keep) | (d.0[3] & !keep),
+        ])
+    }
+
     /// Shift left by one bit, returning `(result, carry_out)`.
     pub const fn shl1(&self) -> (Self, u64) {
         let carry = self.0[3] >> 63;
@@ -292,11 +317,7 @@ impl core::fmt::Display for BigInt256 {
 /// Doubles `v` modulo `modulus` (requires `v < modulus`).
 pub const fn mod_double(v: BigInt256, modulus: &BigInt256) -> BigInt256 {
     let (d, carry) = v.shl1();
-    if carry == 1 || d.const_cmp(modulus) >= 0 {
-        d.sub_with_borrow(modulus).0
-    } else {
-        d
-    }
+    d.csub(carry, modulus)
 }
 
 /// Computes the Montgomery constant `R = 2^256 mod modulus`.

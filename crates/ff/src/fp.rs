@@ -102,11 +102,8 @@ impl<P: FpParams> core::ops::Add for Fp<P> {
     type Output = Self;
     #[inline]
     fn add(self, rhs: Self) -> Self {
-        let (mut sum, carry) = self.0.add_with_carry(&rhs.0);
-        if carry == 1 || sum.const_cmp(&P::MODULUS) >= 0 {
-            sum = sum.sub_with_borrow(&P::MODULUS).0;
-        }
-        Self(sum, PhantomData)
+        let (sum, carry) = self.0.add_with_carry(&rhs.0);
+        Self(sum.csub(carry, &P::MODULUS), PhantomData)
     }
 }
 
@@ -114,12 +111,14 @@ impl<P: FpParams> core::ops::Sub for Fp<P> {
     type Output = Self;
     #[inline]
     fn sub(self, rhs: Self) -> Self {
+        // A borrow left `a − b + 2²⁵⁶`; adding `p` and dropping the carry
+        // lands in `[0, p)`. Masking `p` instead of branching on the borrow
+        // keeps the coin flip out of the branch predictor.
         let (diff, borrow) = self.0.sub_with_borrow(&rhs.0);
-        if borrow == 1 {
-            Self(diff.add_with_carry(&P::MODULUS).0, PhantomData)
-        } else {
-            Self(diff, PhantomData)
-        }
+        let mask = borrow.wrapping_neg();
+        let p = P::MODULUS.0;
+        let fix = BigInt256([p[0] & mask, p[1] & mask, p[2] & mask, p[3] & mask]);
+        Self(diff.add_with_carry(&fix).0, PhantomData)
     }
 }
 
@@ -135,11 +134,7 @@ impl<P: FpParams> core::ops::Neg for Fp<P> {
     type Output = Self;
     #[inline]
     fn neg(self) -> Self {
-        if self.0.is_zero() {
-            self
-        } else {
-            Self(P::MODULUS.sub_with_borrow(&self.0).0, PhantomData)
-        }
+        Self::zero() - self
     }
 }
 
@@ -316,6 +311,15 @@ mod tests {
     }
     type F23 = Fp<P23>;
 
+    impl<P: FpParams> Fp<P> {
+        /// Wraps a raw representative (`v < p`) without a Montgomery
+        /// conversion.
+        fn from_repr(v: BigInt256) -> Self {
+            assert!(v < P::MODULUS);
+            Self(v, PhantomData)
+        }
+    }
+
     #[test]
     fn small_field_table() {
         for a in 0..23u64 {
@@ -351,6 +355,72 @@ mod tests {
         }
         // 0 plus (p-1)/2 quadratic residues
         assert_eq!(roots, 1 + 11);
+    }
+
+    /// `2²⁵⁶ − 189`, the largest prime below 2²⁵⁶. Its top bit is set, so
+    /// the sum of two residues can overflow 256 bits: the carry arm of
+    /// `add`, which neither 254-bit BN254 modulus ever takes. Add and sub
+    /// do not care about Montgomery form, so the test drives them on raw
+    /// representatives (the multiply kernels do not support this modulus).
+    #[derive(Copy, Clone, Eq, PartialEq, Hash, Debug)]
+    struct PTop;
+    impl FpParams for PTop {
+        const MODULUS: BigInt256 = BigInt256([u64::MAX - 188, u64::MAX, u64::MAX, u64::MAX]);
+        const GENERATOR: u64 = 2;
+        const TWO_ADICITY: u32 = 1;
+    }
+    type FTop = Fp<PTop>;
+
+    #[test]
+    fn top_bit_modulus_add_sub_match_the_integer_oracle() {
+        use crate::biguint::BigUint;
+        let p = PTop::MODULUS;
+        let m = BigUint::from_limbs(&p.0);
+        let below_p = |k: u64| p.sub_with_borrow(&BigInt256::from_u64(k)).0;
+        let mut values = alloc::vec![
+            BigInt256::ZERO,
+            BigInt256::ONE,
+            BigInt256::from_u64(188),
+            BigInt256::from_u64(189),
+            BigInt256::from_u64(190),
+            below_p(1),
+            below_p(2),
+            below_p(189),
+            p.shr(1),
+            p.shr(1).add_with_carry(&BigInt256::ONE).0,
+            BigInt256([0, 0, 0, 1 << 63]),
+            BigInt256([u64::MAX, u64::MAX, u64::MAX, (1 << 63) - 1]),
+        ];
+        // xorshift-spread values across the whole range
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..8 {
+            let mut limbs = [0u64; 4];
+            for l in limbs.iter_mut() {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                *l = x;
+            }
+            let v = BigInt256(limbs);
+            values.push(if v < p { v } else { v.sub_with_borrow(&p).0 });
+        }
+        let big = |v: FTop| BigUint::from_limbs(&v.0 .0);
+        let (mut carried, mut borrowed) = (0, 0);
+        for &a in &values {
+            for &b in &values {
+                carried += a.add_with_carry(&b).1;
+                borrowed += a.sub_with_borrow(&b).1;
+                let (fa, fb) = (FTop::from_repr(a), FTop::from_repr(b));
+                let (ba, bb) = (big(fa), big(fb));
+                assert_eq!(big(fa + fb), ba.add(&bb).div_rem(&m).1, "{a} + {b}");
+                assert_eq!(big(fa - fb), ba.add(&m).sub(&bb).div_rem(&m).1, "{a} - {b}");
+            }
+            let fa = FTop::from_repr(a);
+            assert_eq!(big(fa.double()), big(fa).add(&big(fa)).div_rem(&m).1);
+            assert_eq!(big(-fa), m.sub(&big(fa)).div_rem(&m).1, "-{a}");
+        }
+        // both fix-up arms ran: sums past 2²⁵⁶ and differences below zero
+        assert!(carried > 0 && borrowed > 0);
     }
 
     #[test]

@@ -273,3 +273,73 @@ proptest! {
         }
     }
 }
+
+fn big<F: PrimeField>(a: F) -> BigUint {
+    BigUint::from_limbs(&a.into_bigint().0)
+}
+
+/// Checks `+`, `−`, `double` and `neg` on one pair against plain integer
+/// arithmetic mod p on the canonical values.
+fn check_add_sub_oracle<F: PrimeField>(a: F, b: F) {
+    let m = BigUint::from_limbs(&F::MODULUS.0);
+    let (x, y) = (big(a), big(b));
+    assert_eq!(big(a + b), x.add(&y).div_rem(&m).1, "{a} + {b}");
+    assert_eq!(big(a - b), x.add(&m).sub(&y).div_rem(&m).1, "{a} - {b}");
+    assert_eq!(big(a.double()), x.add(&x).div_rem(&m).1, "2·{a}");
+    assert_eq!(big(-a), m.sub(&x).div_rem(&m).1, "-{a}");
+}
+
+/// Canonical `v` as a field element (`v < p`).
+fn canonical<F: PrimeField>(v: BigInt256) -> F {
+    F::from_bigint(v).expect("below the modulus")
+}
+
+/// Pairs whose sum lands exactly at `p − 1`, `p`, `p + 1` and `2p − 2`,
+/// and differences with `a < b`, `0 − 0` and `0 − (p − 1)`: the values on
+/// either side of each reduction's subtract-or-not decision.
+fn add_sub_edges<F: PrimeField>() {
+    let p = F::MODULUS;
+    let minus = |k: u64| p.sub_with_borrow(&BigInt256::from_u64(k)).0;
+    let half = p.shr(1);
+    let half_up = half.add_with_carry(&BigInt256::ONE).0;
+    // (a, b) with a + b = p − 1, p, p + 1 and 2p − 2, then 0 − 0 and a < b
+    let pairs: [(BigInt256, BigInt256); 10] = [
+        (BigInt256::ZERO, minus(1)),
+        (half, half),
+        (BigInt256::ONE, minus(1)),
+        (half, half_up),
+        (BigInt256::from_u64(2), minus(1)),
+        (half_up, half_up),
+        (minus(1), minus(1)),
+        (minus(2), BigInt256::ONE),
+        (BigInt256::ZERO, BigInt256::ZERO),
+        (BigInt256::from_u64(5), BigInt256([7, 0, 0, 1])),
+    ];
+    for (a, b) in pairs {
+        let (a, b) = (canonical::<F>(a), canonical::<F>(b));
+        check_add_sub_oracle(a, b);
+        check_add_sub_oracle(b, a);
+    }
+    let zero = F::zero();
+    check_add_sub_oracle(zero, canonical::<F>(minus(1)));
+    assert_eq!(big(zero - canonical::<F>(minus(1))), BigUint::one());
+    assert_eq!(big(canonical::<F>(minus(1)) + F::one()), BigUint::zero());
+}
+
+#[test]
+fn add_sub_match_the_integer_oracle_at_the_reduction_edges() {
+    add_sub_edges::<Fq>();
+    add_sub_edges::<Fr>();
+}
+
+proptest! {
+    #[test]
+    fn fq_add_sub_match_the_integer_oracle(a in arb_fq(), b in arb_fq()) {
+        check_add_sub_oracle(a, b);
+    }
+
+    #[test]
+    fn fr_add_sub_match_the_integer_oracle(a in arb_fr(), b in arb_fr()) {
+        check_add_sub_oracle(a, b);
+    }
+}
