@@ -178,12 +178,10 @@ fn bench_setup_hot_path(c: &mut Criterion) {
             G1Projective::batch_into_affine(&jac)
         })
     });
-    group.bench_function("batch-affine-1-thread", |b| {
-        b.iter(|| table.mul_many_with_threads(&scalars, 1))
-    });
     // parallel over the prebuilt table — this measurement *is* the
     // table-reuse-on configuration; table-reuse-off below re-pays the
-    // table build inside each run for the delta
+    // table build inside each run for the delta. Under `taskset -c 0` it is
+    // the one-thread batch-affine kernel.
     group.bench_function("batch-affine-parallel", |b| {
         b.iter(|| table.mul_many(&scalars))
     });

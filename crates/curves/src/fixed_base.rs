@@ -18,9 +18,10 @@
 //!   result vector needs no final per-point normalization at all — the
 //!   table itself is likewise normalized with one batch inversion at
 //!   construction instead of one per row;
-//! * **scalar parallelism** — the scalar set splits across cores with
-//!   `std::thread::scope` (no external thread-pool dependency); each worker
-//!   owns its accumulators, carry vector and inversion scratch.
+//! * **scalar parallelism** — the scalar set splits into one contiguous
+//!   chunk per core through [`zkrownn_ff::par`] (inline without `std`);
+//!   each worker owns its accumulators, carry vector and inversion
+//!   scratch.
 //!
 //! [`FixedBaseTable::mul`] remains as the one-scalar entry point (Jacobian
 //! mixed adds; batching has nothing to amortize over a single scalar).
@@ -29,7 +30,7 @@ use crate::curve::{Affine, Projective, SwCurveConfig};
 use crate::msm::add_affine;
 use alloc::vec;
 use alloc::vec::Vec;
-use zkrownn_ff::{BigInt256, Field, Fr, PrimeField};
+use zkrownn_ff::{par, BigInt256, Field, Fr, PrimeField};
 
 /// Precomputed window table for one base point.
 ///
@@ -142,35 +143,10 @@ impl<C: SwCurveConfig> FixedBaseTable<C> {
     /// (batch-affine accumulation, split across the machine's cores; serial
     /// without the `std` feature).
     pub fn mul_many(&self, scalars: &[Fr]) -> Vec<Affine<C>> {
-        #[cfg(feature = "std")]
-        let threads = std::thread::available_parallelism()
-            .map(|v| v.get())
-            .unwrap_or(1);
-        #[cfg(not(feature = "std"))]
-        let threads = 1;
-        self.mul_many_with_threads(scalars, threads)
-    }
-
-    /// [`Self::mul_many`] with an explicit worker cap (exposed for the
-    /// ablation benches and for callers that already parallelize above
-    /// this kernel). Without the `std` feature the cap is ignored and the
-    /// kernel runs serially.
-    pub fn mul_many_with_threads(&self, scalars: &[Fr], threads: usize) -> Vec<Affine<C>> {
         let mut out = vec![Affine::identity(); scalars.len()];
-        let threads = threads.max(1).min(scalars.len().max(1));
-        if threads == 1 || cfg!(not(feature = "std")) {
-            self.accumulate(scalars, &mut out);
-            return out;
-        }
-        #[cfg(feature = "std")]
-        {
-            let chunk = scalars.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                for (s_chunk, o_chunk) in scalars.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                    scope.spawn(move || self.accumulate(s_chunk, o_chunk));
-                }
-            });
-        }
+        let chunk = par::chunk_len(scalars.len(), 1);
+        let parts = scalars.chunks(chunk).zip(out.chunks_mut(chunk));
+        par::map(parts, |(s, o)| self.accumulate(s, o));
         out
     }
 
@@ -270,22 +246,6 @@ mod tests {
         let many = table.mul_many(&scalars);
         for (s, p) in scalars.iter().zip(many.iter()) {
             assert_eq!(*p, g.mul_scalar(*s).into_affine());
-        }
-    }
-
-    #[test]
-    fn mul_many_thread_counts_agree() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(74);
-        let g = G1Projective::generator();
-        let table = FixedBaseTable::new(g, 5);
-        let scalars: Vec<Fr> = (0..37).map(|_| Fr::random(&mut rng)).collect();
-        let serial = table.mul_many_with_threads(&scalars, 1);
-        for threads in [2usize, 3, 8, 64] {
-            assert_eq!(
-                serial,
-                table.mul_many_with_threads(&scalars, threads),
-                "threads {threads}"
-            );
         }
     }
 

@@ -19,10 +19,10 @@
 //!   assignment recodes and scans 3 windows at `c = 8`, not 33. The digit
 //!   matrix is recoded once up front so every window reads its digits
 //!   independently of the carry chain; the machine's cores then take the
-//!   next unclaimed window from a shared counter (`std::thread::scope`, no
-//!   thread-pool dependency), so a core that drew a light window takes
-//!   another instead of idling. One core or one window runs inline and
-//!   spawns nothing.
+//!   next unclaimed window from a shared counter (one worker per core
+//!   through [`zkrownn_ff::par`]), so a core that drew a light window takes
+//!   another instead of idling. One core, one window or a build without
+//!   `std` runs inline and spawns nothing.
 //!
 //! The final Horner reduction skips trailing identity windows: the top
 //! window is often sparse and the signed-digit carry window almost always
@@ -32,7 +32,7 @@ use crate::curve::{Affine, Projective, SwCurveConfig};
 use alloc::vec;
 use alloc::vec::Vec;
 use core::sync::atomic::{AtomicUsize, Ordering};
-use zkrownn_ff::{BigInt256, Field, Fr, PrimeField};
+use zkrownn_ff::{par, BigInt256, Field, Fr, PrimeField};
 
 /// Chooses a Pippenger window size for `n` non-trivial terms.
 ///
@@ -120,31 +120,9 @@ pub fn msm_bigint_with_window<C: SwCurveConfig>(
     // each sum lands at its own index, so the result does not depend on
     // which worker computed it
     let mut window_sums = vec![Projective::<C>::identity(); num_windows];
-    let mut place = |done: Vec<(usize, Projective<C>)>| {
-        for (w, sum) in done {
-            window_sums[w] = sum;
-        }
-    };
-    #[cfg(feature = "std")]
-    let threads = std::thread::available_parallelism()
-        .map(|v| v.get())
-        .unwrap_or(1)
-        .min(num_windows);
-    #[cfg(not(feature = "std"))]
-    let threads = 1;
-    if threads == 1 {
-        place(worker());
-    }
-    #[cfg(feature = "std")]
-    if threads > 1 {
-        // the calling thread is one of the workers
-        std::thread::scope(|scope| {
-            let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(worker)).collect();
-            place(worker());
-            for h in helpers {
-                place(h.join().expect("msm worker panicked"));
-            }
-        });
+    let done = par::map(0..par::workers(num_windows, 1), |_| worker());
+    for (w, sum) in done.into_iter().flatten() {
+        window_sums[w] = sum;
     }
 
     // total = Σ window_sums[w] · 2^(w·c), evaluated Horner-style from the

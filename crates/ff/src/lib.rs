@@ -34,6 +34,7 @@ pub mod fq2;
 pub mod fq6;
 pub mod fr;
 pub mod frobenius;
+pub mod par;
 pub mod traits;
 
 pub use backend::{ActiveBackend, FieldBackend, SchoolbookBackend, UnrolledBackend};

@@ -9,7 +9,7 @@ use alloc::vec;
 use alloc::vec::Vec;
 use zkrownn_curves::serialize as ser;
 use zkrownn_curves::{G1Affine, G1Config, G2Affine, G2Config, PointDecodeError};
-use zkrownn_ff::Fq12;
+use zkrownn_ff::{par, Fq12};
 use zkrownn_pairing::{pairing, G2Prepared};
 
 /// Why a byte string failed to decode as a key or proof.
@@ -68,11 +68,11 @@ fn at(offset: usize) -> impl Fn(PointDecodeError) -> DecodeError {
     move |source| DecodeError::Point { offset, source }
 }
 
-/// The fewest points worth a thread of their own. A compressed G1 point
-/// takes ≈ 13 µs to decode (one square root) and a scoped thread ≈ 50 µs to
-/// spawn and join; on a 2-core x86-64 box two threads took 0.6–0.8× the
-/// serial time from 32 points up, but 1.1–1.2× at 16 and 2× at 4.
-#[cfg(feature = "std")]
+/// The fewest points worth a [`par`] worker of their own. A compressed G1
+/// point takes ≈ 13 µs to decode (one square root) and a scoped thread
+/// ≈ 50 µs to spawn and join; on a 2-core x86-64 box two threads took
+/// 0.6–0.8× the serial time from 32 points up, but 1.1–1.2× at 16 and 2×
+/// at 4.
 const MIN_POINTS_PER_THREAD: usize = 16;
 
 /// Decodes the compressed G1 points in `bytes` (32 bytes each, the first at
@@ -93,23 +93,10 @@ fn read_g1_run(bytes: &[u8], offset: usize, out: &mut [G1Affine]) -> Result<(), 
 /// in order, so the error names the lowest offset — the same one the serial
 /// decode reports.
 fn read_g1_family(bytes: &[u8], offset: usize, out: &mut [G1Affine]) -> Result<(), DecodeError> {
-    #[cfg(feature = "std")]
-    {
-        let cores = std::thread::available_parallelism().map_or(1, |v| v.get());
-        let threads = cores.min(out.len() / MIN_POINTS_PER_THREAD);
-        if threads > 1 {
-            let chunk = out.len().div_ceil(threads);
-            let mut results = vec![Ok(()); out.len().div_ceil(chunk)];
-            std::thread::scope(|scope| {
-                let parts = bytes.chunks(32 * chunk).zip(out.chunks_mut(chunk));
-                for (t, ((b, o), r)) in parts.zip(results.iter_mut()).enumerate() {
-                    scope.spawn(move || *r = read_g1_run(b, offset + 32 * chunk * t, o));
-                }
-            });
-            return results.into_iter().collect();
-        }
-    }
-    read_g1_run(bytes, offset, out)
+    let chunk = par::chunk_len(out.len(), MIN_POINTS_PER_THREAD);
+    let parts = bytes.chunks(32 * chunk).zip(out.chunks_mut(chunk));
+    let read = |(t, (b, o))| read_g1_run(b, offset + 32 * chunk * t, o);
+    par::map(parts.enumerate(), read).into_iter().collect()
 }
 
 /// A Groth16 proof `(A, B, C)`.

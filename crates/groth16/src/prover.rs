@@ -12,9 +12,9 @@
 //! * a [`KeySource`] — wherever the proving key lives. The kernel owns the
 //!   shape check, the witness map, the phase timings and the `(r, s)`
 //!   assembly; the source owns only how the five proof MSMs are scheduled.
-//!   An in-memory [`ProvingKey`] runs them concurrently via
-//!   `std::thread::scope`; the `zkrownn-store` source streams each family
-//!   from disk in budget-sized, checksum-verified chunks.
+//!   An in-memory [`ProvingKey`] runs them concurrently
+//!   ([`zkrownn_ff::par::join`]); the `zkrownn-store` source streams each
+//!   family from disk in budget-sized, checksum-verified chunks.
 
 use crate::keys::{Proof, ProvingKey};
 use crate::qap;
@@ -22,7 +22,7 @@ use crate::setup::KeyConstants;
 use std::time::{Duration, Instant};
 use zkrownn_curves::msm::msm;
 use zkrownn_curves::{G1Projective, G2Projective};
-use zkrownn_ff::{Field, Fr};
+use zkrownn_ff::{par, Field, Fr};
 use zkrownn_poly::Domain;
 use zkrownn_r1cs::{Circuit, ProvingSynthesizer, R1csMatrices, SetupSynthesizer, SynthesisError};
 
@@ -173,15 +173,15 @@ impl KeySource for ProvingKey {
                 "proving key shape mismatch: {family} has {points} points for {scalars} scalars"
             );
         }
-        let mut a_sum = G1Projective::identity();
-        let mut b_g2_sum = G2Projective::identity();
-        let mut b_g1_sum = G1Projective::identity();
-        let lh_sum = std::thread::scope(|scope| {
-            scope.spawn(|| a_sum = msm(&self.a_query, z));
-            scope.spawn(|| b_g2_sum = msm(&self.b_g2_query, z));
-            scope.spawn(|| b_g1_sum = msm(&self.b_g1_query, z));
-            msm(&self.l_query, witness) + msm(&self.h_query, h)
-        });
+        let ((lh_sum, a_sum), (b_g2_sum, b_g1_sum)) = par::join(
+            || {
+                par::join(
+                    || msm(&self.l_query, witness) + msm(&self.h_query, h),
+                    || msm(&self.a_query, z),
+                )
+            },
+            || par::join(|| msm(&self.b_g2_query, z), || msm(&self.b_g1_query, z)),
+        );
         Ok(ProofSums {
             a_sum,
             b_g1_sum,

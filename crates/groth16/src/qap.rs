@@ -10,7 +10,7 @@
 //! polynomials `uᵢ` linearly independent — the standard libsnark fix that
 //! Groth16's knowledge-soundness proof requires.
 
-use zkrownn_ff::{Field, Fr};
+use zkrownn_ff::{par, Field, Fr};
 use zkrownn_poly::Domain;
 use zkrownn_r1cs::{Matrix, R1csMatrices};
 
@@ -44,8 +44,8 @@ pub fn qap_domain(matrices: &R1csMatrices<Fr>) -> Domain<Fr> {
 /// Evaluates all QAP polynomials at `τ` over a prebuilt domain — the
 /// [`qap_domain`] of `matrices`, or a [`crate::ProverContext`]'s cached
 /// one. The Lagrange coefficients come from the domain's twiddle-table
-/// path, and the three independent A/B/C column accumulations run on
-/// separate threads.
+/// path, and the three independent A/B/C column accumulations run
+/// concurrently ([`par::join`]).
 pub fn evaluate_qap_at_with(
     matrices: &R1csMatrices<Fr>,
     domain: &Domain<Fr>,
@@ -62,20 +62,18 @@ pub fn evaluate_qap_at_with(
         col_evals
     };
 
-    let mut u = Vec::new();
-    let mut v = Vec::new();
-    let w = std::thread::scope(|scope| {
-        scope.spawn(|| {
-            let mut cols = accumulate(matrices.a());
-            // instance padding rows: A[ncons + i][i] = 1
-            for i in 0..num_instance {
-                cols[i] += lagrange[ncons + i];
-            }
-            u = cols;
-        });
-        scope.spawn(|| v = accumulate(matrices.b()));
-        accumulate(matrices.c())
-    });
+    let u = || {
+        let mut cols = accumulate(matrices.a());
+        // instance padding rows: A[ncons + i][i] = 1
+        for i in 0..num_instance {
+            cols[i] += lagrange[ncons + i];
+        }
+        cols
+    };
+    let (w, (u, v)) = par::join(
+        || accumulate(matrices.c()),
+        || par::join(u, || accumulate(matrices.b())),
+    );
 
     QapEvaluations {
         zt: domain.evaluate_vanishing_polynomial(tau),
@@ -87,8 +85,8 @@ pub fn evaluate_qap_at_with(
 
 /// The witness-map kernel over a prebuilt domain: the three interpolation
 /// pipelines (evaluate rows over `H`, interpolate, re-evaluate on the coset
-/// `gH`) are independent until the pointwise combine, so A/B/C run on
-/// separate threads.
+/// `gH`) are independent until the pointwise combine, so A/B/C run
+/// concurrently ([`par::join`]).
 pub(crate) fn witness_map_with(
     matrices: &R1csMatrices<Fr>,
     domain: &Domain<Fr>,
@@ -114,28 +112,21 @@ pub(crate) fn witness_map_with(
         evals
     };
     // evaluate over H, interpolate, move to the coset gH where Z ≠ 0
-    let to_coset = |evals: &mut Vec<Fr>| domain.ifft_coset_fft_in_place(evals);
+    let to_coset = |mut evals: Vec<Fr>| {
+        domain.ifft_coset_fft_in_place(&mut evals);
+        evals
+    };
 
-    let mut a_evals = Vec::new();
-    let mut b_evals = Vec::new();
-    let mut c_evals = Vec::new();
-    std::thread::scope(|scope| {
-        scope.spawn(|| {
-            let mut evals = eval_rows(matrices.a());
-            // instance padding rows: A[ncons + i][i] = zᵢ
-            evals[ncons..ncons + num_instance].copy_from_slice(&z[..num_instance]);
-            to_coset(&mut evals);
-            a_evals = evals;
-        });
-        scope.spawn(|| {
-            let mut evals = eval_rows(matrices.b());
-            to_coset(&mut evals);
-            b_evals = evals;
-        });
-        let mut evals = eval_rows(matrices.c());
-        to_coset(&mut evals);
-        c_evals = evals;
-    });
+    let a_evals = || {
+        let mut evals = eval_rows(matrices.a());
+        // instance padding rows: A[ncons + i][i] = zᵢ
+        evals[ncons..ncons + num_instance].copy_from_slice(&z[..num_instance]);
+        to_coset(evals)
+    };
+    let (c_evals, (a_evals, b_evals)) = par::join(
+        || to_coset(eval_rows(matrices.c())),
+        || par::join(a_evals, || to_coset(eval_rows(matrices.b()))),
+    );
 
     let mut h = a_evals;
     for i in 0..m {

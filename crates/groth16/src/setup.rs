@@ -39,7 +39,7 @@ use zkrownn_curves::{
     FixedBaseTable, G1Affine, G1Config, G1Projective, G2Affine, G2Config, G2Projective,
     MemoryBudget,
 };
-use zkrownn_ff::{Field, Fr};
+use zkrownn_ff::{par, Field, Fr};
 use zkrownn_poly::geometric_series;
 use zkrownn_r1cs::{Circuit, SynthesisError};
 
@@ -354,12 +354,10 @@ impl ProverContext {
         let total_g1_muls = 3 * num_vars + h_scalars.len() + 3;
         let w1 = FixedBaseTable::<G1Config>::suggested_window(total_g1_muls);
         let w2 = FixedBaseTable::<G2Config>::suggested_window(num_vars + 3);
-        let mut t2_slot = None;
-        let t1 = std::thread::scope(|scope| {
-            scope.spawn(|| t2_slot = Some(FixedBaseTable::new(G2Projective::generator(), w2)));
-            FixedBaseTable::new(G1Projective::generator(), w1)
-        });
-        let t2 = t2_slot.expect("scope joined the G2 table build");
+        let (t1, t2) = par::join(
+            || FixedBaseTable::new(G1Projective::generator(), w1),
+            || FixedBaseTable::new(G2Projective::generator(), w2),
+        );
 
         // the fixed elements first — single-scalar muls normalize to the same
         // canonical affine coordinates the batch kernel produces

@@ -19,11 +19,11 @@
 //! unity, plus the coset scale vectors) once at construction, so every FFT
 //! pays one table lookup per butterfly instead of a serial `w *= w_m`
 //! dependency chain. Butterfly layers are additionally split across cores
-//! with `std::thread::scope` (the same no-external-dependency policy as the
-//! MSM kernel) above [`PARALLEL_FFT_MIN`]; construct the domain once and
-//! reuse it — that is the whole point of the tables.
+//! through [`zkrownn_ff::par`] (the fork-join every kernel shares) above
+//! [`PARALLEL_FFT_MIN`]; construct the domain once and reuse it — that is
+//! the whole point of the tables.
 
-use zkrownn_ff::{Field, PrimeField};
+use zkrownn_ff::{par, Field, PrimeField};
 
 /// Sizes below this run every butterfly layer serially: thread spawn/join
 /// overhead beats the arithmetic saved on small transforms.
@@ -232,28 +232,23 @@ impl<F: PrimeField> Domain<F> {
             return out;
         }
         let twiddles = &self.twiddles;
-        let threads = worker_count(m, 1 << 12);
-        let chunk = m.div_ceil(threads).max(1);
-        std::thread::scope(|scope| {
-            for (t, dst) in out.chunks_mut(chunk).enumerate() {
-                scope.spawn(move || {
-                    let start = t * chunk;
-                    let elem = |i: usize| {
-                        if i < m / 2 {
-                            twiddles[i]
-                        } else {
-                            -twiddles[i - m / 2]
-                        }
-                    };
-                    for (k, d) in dst.iter_mut().enumerate() {
-                        *d = tau - elem(start + k);
-                    }
-                    // Z(τ) ≠ 0 keeps τ outside H, so no denominator is zero
-                    F::batch_inverse_with_scratch(dst, &mut Vec::with_capacity(dst.len()));
-                    for (k, d) in dst.iter_mut().enumerate() {
-                        *d *= z_over_m * elem(start + k);
-                    }
-                });
+        let elem = |i: usize| {
+            if i < m / 2 {
+                twiddles[i]
+            } else {
+                -twiddles[i - m / 2]
+            }
+        };
+        let chunk = par::chunk_len(m, 1 << 12);
+        par::map(out.chunks_mut(chunk).enumerate(), |(t, dst)| {
+            let start = t * chunk;
+            for (k, d) in dst.iter_mut().enumerate() {
+                *d = tau - elem(start + k);
+            }
+            // Z(τ) ≠ 0 keeps τ outside H, so no denominator is zero
+            F::batch_inverse_with_scratch(dst, &mut Vec::with_capacity(dst.len()));
+            for (k, d) in dst.iter_mut().enumerate() {
+                *d *= z_over_m * elem(start + k);
             }
         });
         out
@@ -297,68 +292,32 @@ impl<F: Field> ExactSizeIterator for Elements<F> {}
 /// twiddle tables here.
 pub fn geometric_series<F: Field>(scale: F, ratio: F, n: usize) -> Vec<F> {
     let mut out = vec![F::zero(); n];
-    let threads = worker_count(n, 1 << 12);
-    let chunk = n.div_ceil(threads.max(1)).max(1);
-    std::thread::scope(|scope| {
-        for (t, dst) in out.chunks_mut(chunk).enumerate() {
-            scope.spawn(move || {
-                let mut cur = scale * ratio.pow(&[(t * chunk) as u64]);
-                for d in dst.iter_mut() {
-                    *d = cur;
-                    cur *= ratio;
-                }
-            });
+    let chunk = par::chunk_len(n, 1 << 12);
+    par::map(out.chunks_mut(chunk).enumerate(), |(t, dst)| {
+        let mut cur = scale * ratio.pow(&[(t * chunk) as u64]);
+        for d in dst.iter_mut() {
+            *d = cur;
+            cur *= ratio;
         }
     });
     out
 }
 
-/// How many workers are worth spawning for `n` units of elementwise work.
-fn worker_count(n: usize, min_per_thread: usize) -> usize {
-    if n < 2 * min_per_thread {
-        return 1;
-    }
-    let hw = std::thread::available_parallelism()
-        .map(|v| v.get())
-        .unwrap_or(1);
-    hw.min(n / min_per_thread).max(1)
-}
-
 /// Applies `f` to every element, splitting across cores for large inputs.
 fn par_map_in_place<F: Field, G: Fn(&mut F) + Sync>(values: &mut [F], f: G) {
-    let threads = worker_count(values.len(), 1 << 13);
-    if threads <= 1 {
-        values.iter_mut().for_each(&f);
-        return;
-    }
-    let chunk = values.len().div_ceil(threads);
-    let f = &f;
-    std::thread::scope(|scope| {
-        for part in values.chunks_mut(chunk) {
-            scope.spawn(move || part.iter_mut().for_each(f));
-        }
+    let chunk = par::chunk_len(values.len(), 1 << 13);
+    par::map(values.chunks_mut(chunk), |part| {
+        part.iter_mut().for_each(&f)
     });
 }
 
 /// Elementwise `values[i] *= table[i]` (the coset scale passes).
 fn par_scale_in_place<F: Field>(values: &mut [F], table: &[F]) {
     debug_assert_eq!(values.len(), table.len());
-    let threads = worker_count(values.len(), 1 << 13);
-    if threads <= 1 {
-        for (v, t) in values.iter_mut().zip(table) {
-            *v *= *t;
-        }
-        return;
-    }
-    let chunk = values.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (vs, ts) in values.chunks_mut(chunk).zip(table.chunks(chunk)) {
-            scope.spawn(move || {
-                for (v, t) in vs.iter_mut().zip(ts) {
-                    *v *= *t;
-                }
-            });
-        }
+    let chunk = par::chunk_len(values.len(), 1 << 13);
+    let parts = values.chunks_mut(chunk).zip(table.chunks(chunk));
+    par::map(parts, |(vs, ts)| {
+        vs.iter_mut().zip(ts).for_each(|(v, t)| *v *= *t)
     });
 }
 
@@ -437,22 +396,16 @@ fn mixed_radix_fft<F: Field>(a: &mut [F], twiddles: &[F]) {
             o2[j] = x0 - x1 - d;
         }
     };
-    let threads = worker_count(third, MIN_BUTTERFLIES_PER_THREAD);
-    if threads <= 1 {
-        combine(0, [o0, o1, o2], [p0, p1, p2]);
-        return;
-    }
-    let chunk = third.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let outputs = o0
-            .chunks_mut(chunk)
-            .zip(o1.chunks_mut(chunk))
-            .zip(o2.chunks_mut(chunk));
-        let inputs = p0.chunks(chunk).zip(p1.chunks(chunk)).zip(p2.chunks(chunk));
-        for (c, (((o0, o1), o2), ((p0, p1), p2))) in outputs.zip(inputs).enumerate() {
-            scope.spawn(move || combine(c * chunk, [o0, o1, o2], [p0, p1, p2]));
-        }
-    });
+    let chunk = par::chunk_len(third, MIN_BUTTERFLIES_PER_THREAD);
+    let outputs = o0
+        .chunks_mut(chunk)
+        .zip(o1.chunks_mut(chunk))
+        .zip(o2.chunks_mut(chunk));
+    let inputs = p0.chunks(chunk).zip(p1.chunks(chunk)).zip(p2.chunks(chunk));
+    par::map(
+        outputs.zip(inputs).enumerate(),
+        |(c, (((o0, o1), o2), ((p0, p1), p2)))| combine(c * chunk, [o0, o1, o2], [p0, p1, p2]),
+    );
 }
 
 /// In-place bit-reversal permutation.
@@ -487,11 +440,9 @@ fn fft_with_tables<F: Field>(a: &mut [F], twiddles: &[F]) {
     debug_assert_eq!(span % n, 0, "twiddle table does not cover the transform");
     bit_reverse(a);
 
-    let hw = std::thread::available_parallelism()
-        .map(|v| v.get())
-        .unwrap_or(1);
-    // power-of-two worker count so chunks align with butterfly blocks
-    let threads = prev_power_of_two(hw.min((n / (2 * MIN_BUTTERFLIES_PER_THREAD)).max(1)));
+    // power-of-two worker count so chunks align with butterfly blocks; a
+    // layer of n points is n/2 butterflies
+    let threads = prev_power_of_two(par::workers(n / 2, MIN_BUTTERFLIES_PER_THREAD));
     if n < PARALLEL_FFT_MIN || threads <= 1 {
         butterfly_layers(a, twiddles, span, n);
         return;
@@ -499,33 +450,26 @@ fn fft_with_tables<F: Field>(a: &mut [F], twiddles: &[F]) {
 
     // Phase 1: every layer with block size ≤ chunk stays inside one chunk.
     let chunk = n / threads;
-    std::thread::scope(|scope| {
-        for sub in a.chunks_mut(chunk) {
-            scope.spawn(move || butterfly_layers(sub, twiddles, span, chunk));
-        }
-    });
+    let phase1 = |sub: &mut [F]| butterfly_layers(sub, twiddles, span, chunk);
+    par::map(a.chunks_mut(chunk), phase1);
 
     // Phase 2: cross-chunk layers; split each block's halves across workers.
     let mut m = chunk;
     while m < n {
         let stride = span / (2 * m);
         let blocks = n / (2 * m);
-        let per_block = (threads / blocks).max(1);
-        let piece = m.div_ceil(per_block);
-        std::thread::scope(|scope| {
-            for block in a.chunks_mut(2 * m) {
-                let (lo, hi) = block.split_at_mut(m);
-                for (ci, (lc, hc)) in lo.chunks_mut(piece).zip(hi.chunks_mut(piece)).enumerate() {
-                    scope.spawn(move || {
-                        let j0 = ci * piece;
-                        for j in 0..lc.len() {
-                            let w = twiddles[(j0 + j) * stride];
-                            let t = w * hc[j];
-                            hc[j] = lc[j] - t;
-                            lc[j] += t;
-                        }
-                    });
-                }
+        let piece = m.div_ceil((threads / blocks).max(1));
+        let halves = a.chunks_mut(2 * m).flat_map(|block| {
+            let (lo, hi) = { block }.split_at_mut(m);
+            lo.chunks_mut(piece).zip(hi.chunks_mut(piece)).enumerate()
+        });
+        par::map(halves, |(ci, (lc, hc))| {
+            let j0 = ci * piece;
+            for j in 0..lc.len() {
+                let w = twiddles[(j0 + j) * stride];
+                let t = w * hc[j];
+                hc[j] = lc[j] - t;
+                lc[j] += t;
             }
         });
         m *= 2;
